@@ -7,6 +7,10 @@ the two nonnegative-integer spaces with unit and line metrics), optional
 metric transforms (power d^alpha and concave-inverse), candidate grids,
 balls, and diameters.
 
+Grid distances come from one block kernel, ``MetricSpace.distances``;
+grids compute only the rows x cols block a caller asks for and cache no
+grid-sized matrix.
+
 All types are immutable after construction and all operations are pure.
 """
 
@@ -222,28 +226,28 @@ class MetricSpace:
             return float(self.transform.apply(d))
         return d
 
-    def _base_distances_row(self, q: Point, packed: np.ndarray) -> np.ndarray:
+    def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Distances between grid-packed points, one row per ``rows`` entry,
+        with the transform applied last."""
         kind = self.kind
         if kind is SpaceKind.EUCLIDEAN_L2:
-            diff = packed - np.asarray(q.value, dtype=float)
-            return np.sqrt((diff * diff).sum(axis=1))
-        if kind is SpaceKind.PRODUCT_L1:
-            diff = packed - np.asarray(q.value, dtype=float)
-            return np.abs(diff).sum(axis=1)
-        if kind is SpaceKind.CIRCLE_ARCLENGTH:
-            gap = np.abs(packed - q.value)
-            return np.minimum(gap, TWO_PI - gap)
-        if kind is SpaceKind.DISCRETE_TABLE:
-            return self.distance_table[q.value, packed].astype(float)
-        if kind is SpaceKind.N0_UNIT:
-            return (packed != q.value).astype(float)
-        return np.abs(packed - q.value).astype(float)  # N0_LINE
-
-    def distances_row(self, q: Point, packed: np.ndarray) -> np.ndarray:
-        row = self._base_distances_row(q, packed)
+            diff = cols[None, :, :] - rows[:, None, :]
+            block = np.sqrt((diff * diff).sum(axis=2))
+        elif kind is SpaceKind.PRODUCT_L1:
+            block = np.abs(cols[None, :, :] - rows[:, None, :]).sum(axis=2)
+        elif kind is SpaceKind.DISCRETE_TABLE:
+            block = self.distance_table[rows[:, None], cols[None, :]]
+        else:
+            gap = np.abs(cols[None, :] - rows[:, None])
+            if kind is SpaceKind.CIRCLE_ARCLENGTH:
+                block = np.minimum(gap, TWO_PI - gap)
+            elif kind is SpaceKind.N0_UNIT:
+                block = (gap != 0).astype(float)
+            else:  # N0_LINE
+                block = gap.astype(float)
         if self.transform is not None:
-            row = np.asarray(self.transform.apply(row), dtype=float)
-        return row
+            block = np.asarray(self.transform.apply(block), dtype=float)
+        return block
 
 
 def _validate_distance_table(table: np.ndarray) -> None:
@@ -281,7 +285,7 @@ class CandidateGrid:
     :func:`product_grid` so product structure can be recovered.
     """
 
-    __slots__ = ("space", "points", "mesh", "axes", "_index_of", "_packed", "_dmat")
+    __slots__ = ("space", "points", "mesh", "axes", "_index_of", "_packed")
 
     def __init__(
         self,
@@ -305,7 +309,6 @@ class CandidateGrid:
         self.axes = axes
         self._index_of = {p: i for i, p in enumerate(pts)}
         self._packed = _pack_points(space, pts)
-        self._dmat: "np.ndarray | None" = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -328,23 +331,22 @@ class CandidateGrid:
     def distances_from(self, q: Point) -> np.ndarray:
         """Distances from ``q`` (any point of the space) to every grid point."""
         self.space.validate_point(q)
-        return self.space.distances_row(q, self._packed)
+        return self.space.distances(_pack_points(self.space, (q,)), self._packed)[0]
 
-    def distance_matrix(self) -> np.ndarray:
-        if self._dmat is None:
-            rows = [self.distances_from(p) for p in self.points]
-            dmat = np.vstack(rows)
-            dmat.setflags(write=False)
-            self._dmat = dmat
-        return self._dmat
+    def distance_matrix(
+        self, rows: "Iterable[int] | None" = None, cols: "Iterable[int] | None" = None
+    ) -> np.ndarray:
+        """The |rows| x |cols| block of grid distances, computed on each call;
+        either index list defaults to every grid point."""
+        packed = self._packed
+        row_pts = packed if rows is None else packed[np.fromiter(rows, dtype=np.intp)]
+        col_pts = packed if cols is None else packed[np.fromiter(cols, dtype=np.intp)]
+        return self.space.distances(row_pts, col_pts)
 
 
 def _pack_points(space: MetricSpace, pts: Sequence[Point]) -> np.ndarray:
-    if space.kind in _VECTOR_KINDS:
-        return np.array([p.value for p in pts], dtype=float)
-    if space.kind is SpaceKind.CIRCLE_ARCLENGTH:
-        return np.array([p.value for p in pts], dtype=float)
-    return np.array([p.value for p in pts], dtype=np.int64)
+    dtype = np.int64 if space.kind in _INDEX_KINDS else float
+    return np.array([p.value for p in pts], dtype=dtype)
 
 
 class PointSet:
@@ -385,7 +387,7 @@ class PointSet:
         return iter(self.indices)
 
     def __contains__(self, index: int) -> bool:
-        return index in set(self.indices)
+        return index in self.indices
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointSet):
@@ -434,9 +436,7 @@ def diameter(grid: CandidateGrid, subset: PointSet) -> float:
         raise GridMismatchError("subset belongs to a different grid")
     if len(subset) <= 1:
         return 0.0
-    idx = np.fromiter(subset.indices, dtype=np.intp)
-    sub = grid.distance_matrix()[np.ix_(idx, idx)]
-    return float(sub.max())
+    return float(grid.distance_matrix(subset.indices, subset.indices).max())
 
 
 # -- space and grid builders -------------------------------------------------

@@ -63,9 +63,7 @@ def d_subset(a: PointSet, b: PointSet) -> float:
         return 0.0
     if not b.indices:
         return math.inf
-    dmat = a.grid.distance_matrix()
-    sub = dmat[np.ix_(np.fromiter(a.indices, np.intp), np.fromiter(b.indices, np.intp))]
-    return float(sub.min(axis=1).max())
+    return float(a.grid.distance_matrix(a.indices, b.indices).min(axis=1).max())
 
 
 def d_hausdorff(a: PointSet, b: PointSet) -> float:
@@ -74,12 +72,12 @@ def d_hausdorff(a: PointSet, b: PointSet) -> float:
 
 
 def _distance_to_set_per_point(seq_set: PointSet) -> np.ndarray:
-    """dist(q, B) for every grid point q; +inf columns for empty B."""
+    """dist(q, B) for every grid point q; +inf for empty B. Uses O(G) memory."""
     grid = seq_set.grid
-    if not seq_set.indices:
-        return np.full(len(grid), math.inf)
-    dmat = grid.distance_matrix()
-    return dmat[:, np.fromiter(seq_set.indices, np.intp)].min(axis=1)
+    best = np.full(len(grid), math.inf)
+    for b in seq_set.indices:
+        np.minimum(best, grid.distances_from(grid[b]), out=best)
+    return best
 
 
 def outer_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) -> PointSet:
@@ -127,16 +125,19 @@ def eventually_bounded(seq: SetSequence, cap: float = math.inf) -> BoundednessRe
     cap makes the check meaningful on integer-line truncations.
     """
     grid = seq.grid
-    dmat = grid.distance_matrix()
-    union: set[int] = set()
+    in_union = np.zeros(len(grid), dtype=bool)
+    union: list[int] = []
+    diam = 0.0
     diam_from: list[float] = []
-    # walk tails from the back so each union is built incrementally
+    # walk tails from the back: each tail's diameter is the previous one or
+    # a distance from a newly added point to the union so far
     for s in reversed(seq.sets):
-        union.update(s.indices)
-        idx = np.fromiter(sorted(union), np.intp)
-        diam_from.append(
-            float(dmat[np.ix_(idx, idx)].max()) if len(idx) > 1 else 0.0
-        )
+        new = [i for i in s.indices if not in_union[i]]
+        if new:
+            in_union[new] = True
+            union.extend(new)
+            diam = max(diam, float(grid.distance_matrix(new, union).max()))
+        diam_from.append(diam)
     diam_from.reverse()
     for start, diam in enumerate(diam_from):
         if diam <= cap:
@@ -205,14 +206,12 @@ def epi_convergence_surrogate(
         raise ValueError("delta must be positive")
     if not 0 <= tail_start < len(objectives):
         raise ValueError("tail_start must index into the sequence")
-    dmat = grid.distance_matrix()
-    balls = dmat < delta  # row x: open ball membership mask
     values = np.vstack([obj.values for obj in objectives[tail_start:]])
     n_pts = len(grid)
     lower_ok = np.zeros(n_pts, dtype=bool)
     upper_ok = np.zeros(n_pts, dtype=bool)
     for x in range(n_pts):
-        ball_vals = values[:, balls[x]]
+        ball_vals = values[:, grid.distances_from(grid[x]) < delta]
         m = ball_vals.min(axis=1)
         lower_ok[x] = bool(m.min() >= limit.values[x] - tol)
         upper_ok[x] = bool(m.max() <= limit.values[x] + tol)

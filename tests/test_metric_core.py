@@ -234,12 +234,31 @@ def test_grid_requires_distinct_points():
 
 def test_distance_matrix_matches_scalar_path():
     rng = np.random.default_rng(3)
-    space = product_l1_space(2)
-    grid = CandidateGrid(space, [sample_point(rng, space) for _ in range(15)])
-    dmat = grid.distance_matrix()
-    for i, p in enumerate(grid.points):
-        for j, q in enumerate(grid.points):
-            assert dmat[i, j] == pytest.approx(space.distance(p, q), abs=1e-12)
+    spaces = [
+        euclidean_space(3),
+        product_l1_space(2),
+        circle_space(),
+        random_table_space(rng, 24),
+        n0_unit_space(),
+        n0_line_space(),
+        euclidean_space(2, transform=MetricTransform.power(0.3)),
+    ]
+    for space in spaces:
+        points = list(dict.fromkeys(sample_point(rng, space) for _ in range(15)))
+        grid = CandidateGrid(space, points)
+        # the scalar distance is the oracle for every block and row
+        oracle = np.array([[space.distance(p, q) for q in points] for p in points])
+        np.testing.assert_allclose(grid.distance_matrix(), oracle, rtol=0, atol=ATOL)
+        for i, p in enumerate(points):
+            np.testing.assert_allclose(grid.distances_from(p), oracle[i], rtol=0, atol=ATOL)
+        everything = range(len(grid))
+        for rows, cols in [([4, 0, 4, 9], [2, 7, 1]), ([3], None), (None, [5, 6]), ([], [1])]:
+            row_idx = everything if rows is None else rows
+            col_idx = everything if cols is None else cols
+            expected = oracle[np.ix_(row_idx, col_idx)]
+            block = grid.distance_matrix(rows, cols)
+            assert block.shape == expected.shape
+            np.testing.assert_allclose(block, expected, rtol=0, atol=ATOL)
 
 
 def test_circle_grid_contains_quarter_points():

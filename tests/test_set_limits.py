@@ -3,6 +3,7 @@ the three counterexample fixtures."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from frechet_sets.metric_core import (
     GridMismatchError,
     Point,
     PointSet,
+    circle_grid,
+    circle_space,
+    diameter,
     euclidean_space,
     integer_grid,
     line_grid,
@@ -154,6 +158,36 @@ def test_eventually_bounded_examples():
     report = eventually_bounded(escaping_unit, cap=50.0)
     assert report.bounded and report.witness == 0
     assert max(report.tail_diameters) == 1.0
+
+
+def test_tail_diameters_match_brute_force_unions():
+    rng = np.random.default_rng(11)
+    for make_space in (n0_line_space, n0_unit_space):
+        grid = integer_grid(make_space(), 30)
+        for _ in range(200):
+            # sizes start at 0 so empty sets appear in most sequences
+            sets = tuple(
+                PointSet(grid, rng.choice(30, size=rng.integers(0, 5), replace=False))
+                for _ in range(rng.integers(1, 10))
+            )
+            report = eventually_bounded(SetSequence(grid, sets))
+            brute = tuple(
+                diameter(grid, PointSet(grid, [i for s in sets[k:] for i in s]))
+                for k in range(len(sets))
+            )
+            assert report.tail_diameters == brute
+
+
+def test_singleton_distance_memory_is_independent_of_grid_size():
+    grid = circle_grid(circle_space(), 5000)
+    a, b = PointSet(grid, [0]), PointSet(grid, [2500])
+    tracemalloc.start()
+    try:
+        assert d_subset(a, b) == pytest.approx(math.pi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_approachable_minimizers_trajectories():
