@@ -16,10 +16,12 @@ import concurrent.futures
 import copy
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,9 +30,10 @@ from .cost_model import power_cost
 from .metric_core import Point, euclidean_space, line_grid
 from . import lln_lab
 
-EXPERIMENT_IDS = ("median", "circle", "regression", "ulln", "fixtures")
-
 THREADS_ENV_VAR = "FRECHET_SETS_THREADS"
+
+#: Upper bound on the regression coefficient grid, beta_points**(dimension+1).
+MAX_BETA_GRID = 10**6
 
 _TOP_LEVEL_KEYS = {
     "experiment",
@@ -41,34 +44,132 @@ _TOP_LEVEL_KEYS = {
     "out_dir",
     "thresholds",
 }
-_SCHEDULE_KEYS = {"kind", "c", "exponent"}
-_PARAM_KEYS = {
-    "median": {"dimension"},
-    "circle": {"grid_size", "alpha"},
-    "regression": {"dimension", "noise", "design_law", "beta_extent", "beta_points"},
-    "ulln": {"grid_points", "alpha", "n_list"},
-    "fixtures": {"horizon", "grid_max", "diameter_cap"},
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    # an int or float that converts to a float without overflow
+    return isinstance(v, float) or (_is_int(v) and abs(v) <= sys.float_info.max)
+
+
+def _is_real(v) -> bool:
+    return _is_number(v) and math.isfinite(v)
+
+
+def _is_seed(v) -> bool:
+    return _is_int(v) and 0 <= v <= lln_lab.MASK64
+
+
+@dataclass(frozen=True)
+class Param:
+    """One experiment parameter: its default and the values it accepts."""
+
+    default: object
+    rule: str  # completes "'params.<name>' must be ..."
+    ok: Callable[[object], bool]
+
+
+def _int(default: int, lo: int = 1, hi: "int | None" = None) -> Param:
+    rule = f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    return Param(default, rule, lambda v: _is_int(v) and lo <= v and (hi is None or v <= hi))
+
+
+def _real(default: float, strict: bool = False) -> Param:
+    rule = "a finite number > 0" if strict else "a finite number >= 0"
+    return Param(default, rule, lambda v: _is_real(v) and (v > 0 if strict else v >= 0))
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment id: default horizon, params, cross-field checks, runner.
+
+    ``run(params, schedule, n_max, seed)`` looks its ``lln_lab`` runner up
+    at call time, so a runner rebound on the module is the one called.
+    ``checks`` pairs ``ok(params)`` with its message; they run once every
+    param is valid on its own.
+    """
+
+    n_max: int
+    params: dict[str, Param]
+    run: Callable[..., "lln_lab.ExperimentResult"]
+    checks: tuple = ()
+
+
+def _run_ulln(p: dict, seed: int) -> lln_lab.ExperimentResult:
+    grid = line_grid(euclidean_space(1), np.linspace(0.0, 1.0, p["grid_points"]))
+    dist = FiniteDistribution.uniform((Point.vector(0.0), Point.vector(1.0)))
+    cost = power_cost(p["alpha"], Point.vector(0.0))
+    return lln_lab.run_ulln_single(dist, cost, grid, p["n_list"], seed)
+
+
+EXPERIMENTS = {
+    "median": Experiment(
+        4096,
+        {"dimension": _int(1)},
+        lambda p, schedule, n_max, seed: lln_lab.run_median_experiment(
+            p["dimension"], schedule, n_max, seed
+        ),
+    ),
+    "circle": Experiment(
+        4096,
+        {"grid_size": _int(360), "alpha": _real(2.0, strict=True)},
+        lambda p, schedule, n_max, seed: lln_lab.run_circle_experiment(
+            p["grid_size"], n_max, seed, alpha=p["alpha"]
+        ),
+    ),
+    "regression": Experiment(
+        10000,
+        {
+            "dimension": _int(1, hi=7),  # symmetric_lambda_min stops at 8 x 8
+            "noise": _real(0.5),
+            "design_law": Param("rademacher", "'rademacher'", lambda v: v == "rademacher"),
+            "beta_extent": _real(2.0),
+            "beta_points": _int(9),
+        },
+        lambda p, schedule, n_max, seed: lln_lab.run_regression_certificate(
+            p["dimension"], n_max, seed, **{k: v for k, v in p.items() if k != "dimension"}
+        ),
+        checks=(
+            (
+                lambda p: p["beta_points"] ** (p["dimension"] + 1) <= MAX_BETA_GRID,
+                f"'params.beta_points' ** (dimension + 1) must be <= {MAX_BETA_GRID}",
+            ),
+        ),
+    ),
+    "ulln": Experiment(
+        10000,
+        {
+            "grid_points": _int(21),
+            "alpha": _real(2.0, strict=True),
+            "n_list": Param(
+                [100, 10000],
+                "a nonempty list of integers >= 1",
+                lambda v: isinstance(v, list)
+                and len(v) > 0
+                and all(_is_int(n) and n >= 1 for n in v),
+            ),
+        },
+        lambda p, schedule, n_max, seed: _run_ulln(p, seed),
+    ),
+    "fixtures": Experiment(
+        100,
+        {"horizon": _int(100), "grid_max": _int(100), "diameter_cap": _real(50.0)},
+        lambda p, schedule, n_max, seed: replace(
+            lln_lab.run_fixture_diagnostics(**p), seed=seed
+        ),
+        checks=(
+            (
+                lambda p: p["horizon"] <= p["grid_max"],
+                "'params.horizon' must be <= 'params.grid_max'",
+            ),
+        ),
+    ),
 }
-_PARAM_DEFAULTS = {
-    "median": {"dimension": 1},
-    "circle": {"grid_size": 360, "alpha": 2.0},
-    "regression": {
-        "dimension": 1,
-        "noise": 0.5,
-        "design_law": "rademacher",
-        "beta_extent": 2.0,
-        "beta_points": 9,
-    },
-    "ulln": {"grid_points": 21, "alpha": 2.0, "n_list": [100, 10000]},
-    "fixtures": {"horizon": 100, "grid_max": 100, "diameter_cap": 50.0},
-}
-_N_MAX_DEFAULTS = {
-    "median": 4096,
-    "circle": 4096,
-    "regression": 10000,
-    "ulln": 10000,
-    "fixtures": 100,
-}
+
+EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
 
 class ConfigError(ValueError):
@@ -112,6 +213,7 @@ def validate_config(raw: dict) -> tuple[dict, ValidationReport]:
             f"unknown experiment {experiment!r}; valid ids: {', '.join(EXPERIMENT_IDS)}"
         )
         return echo, report
+    spec = EXPERIMENTS[experiment]
 
     seeds = raw.get("seeds")
     if seeds is None:
@@ -120,12 +222,10 @@ def validate_config(raw: dict) -> tuple[dict, ValidationReport]:
             report.defaulted.append("seeds")
         else:
             report.issues.append("missing required field 'seeds'")
-    elif (
-        not isinstance(seeds, list)
-        or not seeds
-        or not all(isinstance(s, int) and s >= 0 for s in seeds)
-    ):
-        report.issues.append("'seeds' must be a nonempty list of nonnegative integers")
+    elif not isinstance(seeds, list) or not seeds or not all(map(_is_seed, seeds)):
+        report.issues.append(
+            "'seeds' must be a nonempty list of nonnegative integers below 2**64"
+        )
     final_seeds = echo.get("seeds")
     if (
         isinstance(final_seeds, list)
@@ -136,9 +236,9 @@ def validate_config(raw: dict) -> tuple[dict, ValidationReport]:
 
     n_max = raw.get("n_max")
     if n_max is None:
-        echo["n_max"] = _N_MAX_DEFAULTS[experiment]
+        echo["n_max"] = spec.n_max
         report.defaulted.append("n_max")
-    elif not isinstance(n_max, int) or n_max < 2:
+    elif not _is_int(n_max) or n_max < 2:
         report.issues.append("'n_max' must be an integer >= 2")
 
     schedule = raw.get("schedule")
@@ -148,41 +248,43 @@ def validate_config(raw: dict) -> tuple[dict, ValidationReport]:
     elif not isinstance(schedule, dict):
         report.issues.append("'schedule' must be an object")
     else:
+        filled = {"kind": "constant", "c": 0.0, "exponent": 0.0}
         for key in schedule:
-            if key not in _SCHEDULE_KEYS:
+            if key not in filled:
                 report.warnings.append(f"unknown schedule key {key!r} ignored")
-        kind = schedule.get("kind", "constant")
-        if kind not in ("constant", "power-decay"):
-            report.issues.append("schedule kind must be 'constant' or 'power-decay'")
-        c = schedule.get("c", 0.0)
-        exponent = schedule.get("exponent", 0.0)
-        if not isinstance(c, (int, float)) or c < 0:
-            report.issues.append("schedule constant must be >= 0")
-        if not isinstance(exponent, (int, float)) or exponent < 0:
-            report.issues.append("schedule exponent must be >= 0")
-        filled = {"kind": kind, "c": float(c), "exponent": float(exponent)}
-        if filled.keys() - schedule.keys():
-            report.defaulted.extend(
-                f"schedule.{k}" for k in sorted(filled.keys() - schedule.keys())
-            )
+        report.defaulted.extend(
+            f"schedule.{k}" for k in sorted(filled.keys() - schedule.keys())
+        )
+        filled.update((k, v) for k, v in schedule.items() if k in filled)
+        if not (_is_number(filled["c"]) and _is_number(filled["exponent"])):
+            report.issues.append("schedule c and exponent must be numbers in float range")
+        else:
+            filled["c"], filled["exponent"] = float(filled["c"]), float(filled["exponent"])
+            try:
+                EpsilonSchedule(**filled)
+            except ValueError as exc:
+                report.issues.append(str(exc))
         echo["schedule"] = filled
 
     params = raw.get("params", {})
     if not isinstance(params, dict):
         report.issues.append("'params' must be an object")
         params = {}
-    else:
-        for key in params:
-            if key not in _PARAM_KEYS[experiment]:
-                report.warnings.append(
-                    f"unknown param {key!r} for experiment {experiment!r} ignored"
-                )
-    filled_params = dict(_PARAM_DEFAULTS[experiment])
-    filled_params.update(
-        {k: v for k, v in params.items() if k in _PARAM_KEYS[experiment]}
-    )
-    for key in sorted(set(filled_params) - set(params)):
+    for key in params:
+        if key not in spec.params:
+            report.warnings.append(
+                f"unknown param {key!r} for experiment {experiment!r} ignored"
+            )
+    filled_params = {
+        key: params[key] if key in params else copy.deepcopy(rule.default)
+        for key, rule in spec.params.items()
+    }
+    for key in sorted(filled_params.keys() - params.keys()):
         report.defaulted.append(f"params.{key}")
+    bad = [key for key, rule in spec.params.items() if not rule.ok(filled_params[key])]
+    report.issues.extend(f"'params.{key}' must be {spec.params[key].rule}" for key in bad)
+    if not bad:
+        report.issues.extend(msg for ok, msg in spec.checks if not ok(filled_params))
     echo["params"] = filled_params
 
     if "out_dir" not in raw:
@@ -208,46 +310,10 @@ def load_config(path: str) -> dict:
 # -- experiment dispatch -------------------------------------------------------
 
 
-def _schedule_from(echo: dict) -> EpsilonSchedule:
-    sched = echo["schedule"]
-    return EpsilonSchedule(sched["kind"], c=sched["c"], exponent=sched["exponent"])
-
-
 def _run_one_seed(echo: dict, seed: int) -> lln_lab.ExperimentResult:
-    experiment = echo["experiment"]
-    params = echo["params"]
-    n_max = echo["n_max"]
-    if experiment == "median":
-        return lln_lab.run_median_experiment(
-            params["dimension"], _schedule_from(echo), n_max, seed
-        )
-    if experiment == "circle":
-        return lln_lab.run_circle_experiment(
-            params["grid_size"], n_max, seed, alpha=params["alpha"]
-        )
-    if experiment == "regression":
-        return lln_lab.run_regression_certificate(
-            params["dimension"],
-            n_max,
-            seed,
-            design_law=params["design_law"],
-            noise=params["noise"],
-            beta_extent=params["beta_extent"],
-            beta_points=params["beta_points"],
-        )
-    if experiment == "ulln":
-        space = euclidean_space(1)
-        grid = line_grid(space, np.linspace(0.0, 1.0, params["grid_points"]))
-        dist = FiniteDistribution.uniform((Point.vector(0.0), Point.vector(1.0)))
-        cost = power_cost(params["alpha"], Point.vector(0.0))
-        return lln_lab.run_ulln_single(dist, cost, grid, params["n_list"], seed)
-    result = lln_lab.run_fixture_diagnostics(
-        horizon=params["horizon"],
-        grid_max=params["grid_max"],
-        diameter_cap=params["diameter_cap"],
-    )
-    result.seed = seed
-    return result
+    schedule = EpsilonSchedule(**echo["schedule"])
+    spec = EXPERIMENTS[echo["experiment"]]
+    return spec.run(echo["params"], schedule, echo["n_max"], seed)
 
 
 def _sha256(path: Path) -> str:
@@ -270,6 +336,13 @@ def run(
         print(f"error: {exc}", file=sys.stderr)
         return 2
     echo, report = validate_config(raw)
+    if seed_override is not None and not _is_seed(seed_override):
+        report.issues.append("--seed-override must be an integer in [0, 2**64)")
+    if jobs is None:
+        try:
+            jobs = int(os.environ.get(THREADS_ENV_VAR) or 1)
+        except ValueError:
+            report.issues.append(f"{THREADS_ENV_VAR} must be an integer")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not report.ok:
@@ -280,11 +353,9 @@ def run(
         print(f"config ok; defaulted fields: {', '.join(report.defaulted) or 'none'}")
         return 0
     if seed_override is not None:
-        echo["seeds"] = [int(seed_override)]
+        echo["seeds"] = [seed_override]
     if out_dir is not None:
         echo["out_dir"] = out_dir
-    if jobs is None:
-        jobs = int(os.environ.get(THREADS_ENV_VAR, "1") or "1")
     jobs = max(1, jobs)
 
     try:

@@ -86,16 +86,6 @@ class NondecreasingFn:
         out = np.where(arr > bp[-1], tail, inner)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
-    @property
-    def doubling_constant(self) -> float:
-        """Estimated doubling constant over a default probe range, cached."""
-        cached = getattr(self, "_doubling_cache", None)
-        if cached is None:
-            x_max = max(1.0, 2.0 * self.breakpoints[-1])
-            cached = estimate_doubling_constant(self, x_max)
-            object.__setattr__(self, "_doubling_cache", cached)
-        return cached
-
 
 class IntegratedH:
     """The exact integral H(x) of a piecewise-linear nondecreasing h.

@@ -11,6 +11,7 @@ per-axis mean sets into a product grid.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -90,9 +91,13 @@ class EpsilonSchedule:
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "power-decay"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise ValueError("schedule kind must be 'constant' or 'power-decay'")
+        if not math.isfinite(self.c):
+            raise ValueError("schedule constant must be finite")
         if self.c < 0:
             raise ValueError("schedule constant must be >= 0")
+        if not math.isfinite(self.exponent):
+            raise ValueError("schedule exponent must be finite")
         if self.exponent < 0:
             raise ValueError("schedule exponent must be >= 0")
 

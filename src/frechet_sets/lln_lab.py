@@ -97,9 +97,6 @@ class SplitMix64:
     def next_float(self) -> float:
         return (self.next_u64() >> 11) * _FLOAT_SCALE
 
-    def next_bit(self) -> int:
-        return self.next_u64() >> 63
-
     def floats_block(self, count: int) -> np.ndarray:
         return (self.next_block(count) >> np.uint64(11)).astype(np.float64) * _FLOAT_SCALE
 
@@ -110,9 +107,9 @@ class SplitMix64:
 @dataclass(frozen=True, eq=False)
 class SamplingDistribution:
     """A named sampling law with a documented per-draw budget of generator
-    outputs: finite-support and circle-antipodal use one output per draw,
-    bernoulli-product uses one per coordinate, regression uses one per
-    design coordinate plus one for the noise term."""
+    outputs: finite-support laws (the circle's antipodal pair among them)
+    use one output per draw, bernoulli-product uses one per coordinate,
+    regression uses one per design coordinate plus one for the noise term."""
 
     kind: str
     support: "tuple | None" = None
@@ -136,7 +133,10 @@ class SamplingDistribution:
 
     @staticmethod
     def circle_antipodal() -> "SamplingDistribution":
-        return SamplingDistribution("circle-antipodal")
+        # one float per draw; the top bit alone decides u >= 1/2
+        return SamplingDistribution.finite_support(
+            (Point.angle(0.0), Point.angle(math.pi)), (0.5, 0.5)
+        )
 
     @staticmethod
     def regression(
@@ -164,10 +164,6 @@ class SamplingDistribution:
         if self.kind == "bernoulli-product":
             bits = rng.bits_block(n * self.dimension)
             return bits.reshape(n, self.dimension)
-        if self.kind == "circle-antipodal":
-            bits = rng.bits_block(n)
-            zero, pi = Point.angle(0.0), Point.angle(math.pi)
-            return [pi if b else zero for b in bits]
         # regression: per sample, dimension design outputs then one noise output
         p = self.dimension + 1
         block = rng.next_block(n * p).reshape(n, p)
@@ -322,10 +318,8 @@ def run_median_experiment(
     Per-n trajectories (every n up to n_max) drive the summary counters;
     full interval solves and set distances are recorded on the n-grid.
     """
-    if s < 1:
-        raise ValueError("s must be positive")
     rng = SplitMix64(seed)
-    bits = rng.bits_block(n_max * s).reshape(n_max, s)
+    bits = SamplingDistribution.bernoulli_product(s).draw(rng, n_max)
     ones = np.cumsum(bits, axis=0)
     n_col = np.arange(1, n_max + 1, dtype=np.int64)[:, None]
     walks = 2 * ones - n_col

@@ -60,10 +60,50 @@ def test_validate_defaults_are_listed():
     assert echo["params"]["horizon"] == 100
 
 
-@pytest.mark.parametrize("bad_seeds", [5, "abc", [[1]], [1, 1], [-2], []])
+@pytest.mark.parametrize("bad_seeds", [5, "abc", [[1]], [1, 1], [-2], [], [True]])
 def test_validate_rejects_malformed_seeds(bad_seeds):
     echo, report = validate_config({"experiment": "median", "seeds": bad_seeds})
     assert not report.ok
+
+
+@pytest.mark.parametrize(
+    "experiment,overrides,field",
+    [
+        ("circle", {"params": {"grid_size": 0}}, "params.grid_size"),
+        ("circle", {"params": {"alpha": -1}}, "params.alpha"),
+        ("median", {"params": {"dimension": 0}}, "params.dimension"),
+        ("regression", {"params": {"dimension": "2"}}, "params.dimension"),
+        ("regression", {"params": {"dimension": 8}}, "params.dimension"),
+        ("regression", {"params": {"noise": -1}}, "params.noise"),
+        ("regression", {"params": {"design_law": "gaussian"}}, "params.design_law"),
+        ("regression", {"params": {"beta_points": 0}}, "params.beta_points"),
+        ("median", {"schedule": {"c": float("nan")}}, "schedule constant"),
+        ("ulln", {"params": {"n_list": []}}, "params.n_list"),
+        ("ulln", {"params": {"n_list": [0, 10]}}, "params.n_list"),
+        ("ulln", {"params": {"grid_points": 0}}, "params.grid_points"),
+        ("fixtures", {"params": {"horizon": 200, "grid_max": 100}}, "params.horizon"),
+    ],
+)
+def test_validate_only_rejects_out_of_range_config(
+    tmp_path, capsys, experiment, overrides, field
+):
+    path, _ = write_config(tmp_path, experiment=experiment, **overrides)
+    assert run(str(path), validate_only=True) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_bad_threads_env_var_exits_2(tmp_path, capsys, monkeypatch):
+    path, _ = write_config(tmp_path)
+    monkeypatch.setenv(THREADS_ENV_VAR, "abc")
+    assert run(str(path), validate_only=True) == 2
+    assert THREADS_ENV_VAR in capsys.readouterr().err
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    path, _ = write_config(tmp_path)
+    assert run(str(path), seed_override=-1, validate_only=True) == 2
+    assert "--seed-override" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_rejects_negative_exponent():

@@ -327,6 +327,10 @@ def test_epsilon_schedule():
         EpsilonSchedule("power-decay", c=1.0, exponent=-1.0)
     with pytest.raises(ValueError):
         EpsilonSchedule("weird")
+    with pytest.raises(ValueError, match="constant must be finite"):
+        EpsilonSchedule.constant(math.nan)
+    with pytest.raises(ValueError, match="exponent must be finite"):
+        EpsilonSchedule.power_decay(1.0, math.inf)
 
 
 def test_objective_validation():
