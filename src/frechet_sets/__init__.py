@@ -87,7 +87,6 @@ from .lln_lab import (
     run_fixture_diagnostics,
     run_median_experiment,
     run_regression_certificate,
-    run_ulln_diagnostic,
     run_ulln_single,
     symmetric_lambda_min,
     ulln_table,

@@ -2,7 +2,9 @@
 
 Objectives are vectors of cost values over a candidate grid. Empirical
 objectives use compensated summation in a fixed index order so that the
-same sample produces bit-identical values on every platform. The module
+same sample produces bit-identical values on every platform; one pass over
+a sample yields the objective of every requested prefix, since the state
+of the compensated sum after n rows is the prefix-n sum. The module
 also provides the exact epsilon-argmin interval of the 1-D absolute-loss
 objective over the whole real line, and the Cartesian composition of
 per-axis mean sets into a product grid.
@@ -132,22 +134,43 @@ def population_objective(
 
 
 def empirical_objective(
-    sample: Sequence, cost: CostFunction, grid: CandidateGrid
-) -> Objective:
+    sample: Sequence,
+    cost: CostFunction,
+    grid: CandidateGrid,
+    ns: "Sequence[int] | None" = None,
+) -> "Objective | list[Objective]":
     """Mean cost of a sample on a grid, via compensated summation.
 
     Rows are accumulated in sample index order with Kahan compensation, so
     the result is bit-reproducible. Rows for repeated data points are
     memoized when the data points are hashable.
+
+    Without ``ns`` the objective of the whole sample is returned. With
+    ``ns``, a nondecreasing list of prefix lengths in [1, len(sample)], the
+    sample is walked once and the list of prefix objectives, one per entry
+    of ``ns``, is returned: the compensated sum is a left fold, so its state
+    after n rows is exactly the prefix-n sum.
     """
     sample = list(sample)
     if not sample:
         raise ValueError("sample must be nonempty")
+    checkpoints = [len(sample)] if ns is None else [int(n) for n in ns]
+    if (
+        not checkpoints
+        or checkpoints != sorted(checkpoints)
+        or checkpoints[0] < 1
+        or checkpoints[-1] > len(sample)
+    ):
+        raise ValueError(
+            "ns must be a nonempty nondecreasing list of prefix lengths "
+            "in [1, len(sample)]"
+        )
     space = grid.space
-    total = np.zeros(len(grid))
-    comp = np.zeros(len(grid))
+    total, comp, delta, bumped = (np.zeros(len(grid)) for _ in range(4))
     cache: dict = {}
-    for y in sample:
+    objectives = []
+    k = 0
+    for n, y in enumerate(sample[: checkpoints[-1]], start=1):
         try:
             row = cache.get(y)
             cacheable = True
@@ -157,13 +180,19 @@ def empirical_objective(
             row = cost.row(space, y, grid)
             if cacheable:
                 cache[y] = row
-        delta = row - comp
-        bumped = total + delta
-        comp = (bumped - total) - delta
-        total = bumped
-    return Objective(
-        grid, total / len(sample), provenance="empirical", sample_size=len(sample)
-    )
+        # Kahan step in place: delta = row - comp, bumped = total + delta,
+        # comp = (bumped - total) - delta, in that order, then swap
+        np.subtract(row, comp, out=delta)
+        np.add(total, delta, out=bumped)
+        np.subtract(bumped, total, out=comp)
+        np.subtract(comp, delta, out=comp)
+        total, bumped = bumped, total
+        while k < len(checkpoints) and checkpoints[k] == n:
+            objectives.append(
+                Objective(grid, total / n, provenance="empirical", sample_size=n)
+            )
+            k += 1
+    return objectives[0] if ns is None else objectives
 
 
 def eps_argmin(obj: Objective, eps: float) -> PointSet:

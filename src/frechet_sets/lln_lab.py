@@ -472,8 +472,7 @@ def run_circle_experiment(
     sample = SamplingDistribution.circle_antipodal().draw(rng, n_max)
     records = []
     grid_ns = make_n_grid(n_max)
-    for n in grid_ns:
-        emp = empirical_objective(sample[:n], cost, grid)
+    for n, emp in zip(grid_ns, empirical_objective(sample, cost, grid, ns=grid_ns)):
         emp_set = eps_argmin(emp, 0.0)
         records.append(
             {
@@ -575,8 +574,9 @@ def run_regression_certificate(
     rng = SplitMix64(seed)
     x, y = dist.draw(rng, n_max)
     p = s + 1
-    outer = np.einsum("ni,nj->nij", x, x)
-    gram_cum = np.cumsum(outer, axis=0)
+    # design entries are +-1, so every Gram entry is an integer and summing
+    # the rows checkpoint by checkpoint is exact; xy_cum keeps the row order
+    gram_sum = np.zeros((p, p))
     xy_cum = np.cumsum(x * y[:, None], axis=0)
 
     betas = np.array(
@@ -588,8 +588,11 @@ def run_regression_certificate(
     records = []
     a_plus_traj = []
     a_minus_traj = []
+    done = 0
     for n in grid_ns:
-        gram = gram_cum[n - 1] / n
+        gram_sum += x[done:n].T @ x[done:n]
+        done = n
+        gram = gram_sum / n
         v = xy_cum[n - 1] / n
         a_plus_n = max(0.0, symmetric_lambda_min(gram))
         a_minus_n = 2.0 * float(np.linalg.norm(v))
@@ -667,8 +670,7 @@ def run_ulln_single(
     rng = SplitMix64(seed)
     sample = sampler.draw(rng, n_list[-1])
     records = []
-    for n in n_list:
-        emp = empirical_objective(sample[:n], cost, grid)
+    for n, emp in zip(n_list, empirical_objective(sample, cost, grid, ns=n_list)):
         sup_dev = float(np.abs(emp.values - population.values).max())
         records.append({"n": n, "sup_dev": sup_dev})
     config = {"n_list": n_list, "grid_size": len(grid)}
@@ -680,17 +682,6 @@ def run_ulln_single(
         records=records,
         summary={"final_sup_dev": records[-1]["sup_dev"]},
     )
-
-
-def run_ulln_diagnostic(
-    dist: FiniteDistribution,
-    cost: CostFunction,
-    grid: CandidateGrid,
-    n_list: Sequence[int],
-    seeds: Sequence[int],
-) -> list[ExperimentResult]:
-    """One sup-deviation table per seed; aggregate with :func:`ulln_table`."""
-    return [run_ulln_single(dist, cost, grid, n_list, seed) for seed in seeds]
 
 
 def ulln_table(results: Sequence[ExperimentResult]) -> dict[int, list[float]]:

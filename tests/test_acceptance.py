@@ -28,7 +28,7 @@ from frechet_sets.lln_lab import (
     markov_bound,
     run_median_experiment,
     run_regression_certificate,
-    run_ulln_diagnostic,
+    run_ulln_single,
     ulln_table,
 )
 from frechet_sets.metric_core import Point, euclidean_space, line_grid, product_grid
@@ -47,6 +47,14 @@ GOLDEN_E3_SEED42_CSV_SHA256 = (
 GOLDEN_E3_SEED42_JSON_SHA256 = (
     "3a04cbbfb878395386f3d756223937039e92927735b69579b9e6bea9d18034b4"
 )
+#: SHA-256 of the outputs of the bundled circle and ulln configs, pinned
+#: before their runners moved to one compensated pass per sample.
+GOLDEN_BUNDLED_SHA256 = {
+    "circle.json": "9f7d6048ea8f5d38881924da8e48b9ff83742b724f090bd1d47873ab04be533b",
+    "circle.csv": "a206ede0da5c9e5dcecb15cb4beeefb7ba7372cce3808a5932d25abf4742ec28",
+    "ulln.json": "97a1b7ae5f5865dd863b0cfdfc276dab8dc7ca0dff2e59609527ab16a18da4e8",
+    "ulln.csv": "bb1b0e29c891dd200e5b318f46b6a0db19b69f4016646b115cd8b16a5ea5c94a",
+}
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -254,7 +262,7 @@ def test_c09_uniform_law_diagnostic():
     dist = FiniteDistribution.uniform((Point.vector(0.0), Point.vector(1.0)))
     cost = fs.power_cost(2.0, Point.vector(0.0))
     table = ulln_table(
-        run_ulln_diagnostic(dist, cost, grid, [100, 10_000], seeds=ULLN_SEEDS)
+        [run_ulln_single(dist, cost, grid, [100, 10_000], seed) for seed in ULLN_SEEDS]
     )
     med_small = float(np.median(table[100]))
     med_large = float(np.median(table[10_000]))
@@ -314,4 +322,23 @@ def test_c11_byte_identical_reruns(tmp_path):
         "C11 determinism: byte-identical reruns and pinned golden outputs",
         ok,
         f"csv sha256 {csv_digest[:12]}...",
+    )
+
+
+def test_c11_bundled_circle_and_ulln_golden_outputs(tmp_path):
+    from frechet_sets.cli import run
+
+    ok = True
+    digests = {}
+    for experiment in ("circle", "ulln"):
+        out = tmp_path / experiment
+        ok &= run(str(CONFIG_DIR / f"{experiment}.json"), out_dir=str(out)) == 0
+        for suffix in ("json", "csv"):
+            name = f"{experiment}.{suffix}"
+            digests[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    ok &= digests == GOLDEN_BUNDLED_SHA256
+    report(
+        "C11 determinism: pinned outputs of the bundled circle and ulln configs",
+        ok,
+        ", ".join(f"{name} {digest[:12]}..." for name, digest in digests.items()),
     )

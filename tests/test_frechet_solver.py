@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frechet_sets.cost_model import power_cost
+from frechet_sets.cost_model import NondecreasingFn, h_cost, power_cost, table_cost
 from frechet_sets.frechet_solver import (
     EpsilonSchedule,
     FiniteDistribution,
@@ -104,6 +104,61 @@ def test_empirical_objective_matches_weighted_form():
     emp = empirical_objective(sample, power_cost(1.0, ORIGIN), grid)
     expected = np.array([p * abs(1 - q) + (1 - p) * abs(q) - p for q in (0.0, 0.5, 1.0)])
     assert np.array_equal(emp.values, expected)
+
+
+def _scalar_kahan_means(rows: np.ndarray, n: int) -> np.ndarray:
+    # reference: one plain Python Kahan loop per grid point over the first n rows
+    means = []
+    for j in range(rows.shape[1]):
+        total = comp = 0.0
+        for i in range(n):
+            delta = float(rows[i, j]) - comp
+            bumped = total + delta
+            comp = (bumped - total) - delta
+            total = bumped
+        means.append(total / n)
+    return np.array(means)
+
+
+def _prefix_case(kind: str):
+    space = euclidean_space(1)
+    grid = line_grid(space, np.linspace(-3.0, 5.0, 17))
+    rng = np.random.default_rng(53)
+    if kind == "table":
+        entries = {
+            (i, j): float(v) for i in range(6) for j, v in enumerate(rng.normal(0, 1e3, 17))
+        }
+        return [int(i) for i in rng.integers(0, 6, 60)], table_cost(entries, grid), grid
+    # mixed scales plus repeats, so compensation and the row memo both act
+    values = np.concatenate([rng.uniform(-4.0, 6.0, 40), 1e6 * rng.uniform(-1, 1, 5)])
+    values = np.concatenate([values, values[:15]])
+    rng.shuffle(values)
+    sample = [Point.vector(float(v)) for v in values]
+    if kind == "power":
+        return sample, power_cost(1.5, ORIGIN), grid
+    return sample, h_cost(NondecreasingFn((0.0, 1.0), (0.5, 2.0), 1.0), ORIGIN), grid
+
+
+@pytest.mark.parametrize("kind", ["power", "integrated", "table"])
+@pytest.mark.parametrize("ns", [[1], [2, 2, 7, 7, 7, 31], [60], [1, 1, 60, 60]])
+def test_prefix_objectives_match_scalar_kahan_loop(kind, ns):
+    sample, cost, grid = _prefix_case(kind)
+    rows = np.vstack([cost.row(grid.space, y, grid) for y in sample])
+    objectives = empirical_objective(sample, cost, grid, ns=ns)
+    assert [obj.sample_size for obj in objectives] == ns
+    for n, obj in zip(ns, objectives):
+        assert np.array_equal(obj.values, _scalar_kahan_means(rows, n))
+        assert obj.provenance == "empirical"
+    whole = empirical_objective(sample, cost, grid)
+    assert np.array_equal(whole.values, _scalar_kahan_means(rows, len(sample)))
+
+
+@pytest.mark.parametrize("ns", [[3, 2], [0, 4], [-1], [61], [5, 61], []])
+def test_prefix_objectives_reject_bad_checkpoints(ns):
+    sample, cost, grid = _prefix_case("power")
+    assert len(sample) == 60
+    with pytest.raises(ValueError, match="ns must be"):
+        empirical_objective(sample, cost, grid, ns=ns)
 
 
 def test_eps_argmin_examples():

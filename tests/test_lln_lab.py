@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from frechet_sets.lln_lab import (
     run_fixture_diagnostics,
     run_median_experiment,
     run_regression_certificate,
-    run_ulln_diagnostic,
     run_ulln_single,
     symmetric_lambda_min,
     ulln_table,
@@ -264,6 +264,28 @@ def test_regression_early_singular_gram_reports_zero():
     assert first["a_plus_n"] == 0.0  # rank-1 Gram from one sample
 
 
+def test_regression_gram_checkpoints_match_cumulative_outer_products():
+    for s in range(1, 8):
+        result = run_regression_certificate(s, 300, seed=s, beta_points=2)
+        x, _ = SamplingDistribution.regression(s).draw(SplitMix64(s), 300)
+        gram_cum = np.cumsum(np.einsum("ni,nj->nij", x, x), axis=0)
+        for record in result.records:
+            n = record["n"]
+            expected = max(0.0, symmetric_lambda_min(gram_cum[n - 1] / n))
+            assert record["a_plus_n"] == expected
+
+
+def test_regression_memory_does_not_hold_per_sample_gram_matrices():
+    # one n_max x p x p float array at dimension 7 and n_max 40,000 is 20.48 MB
+    tracemalloc.start()
+    try:
+        run_regression_certificate(7, 40_000, seed=0, beta_points=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_500_000
+
+
 def test_regression_gram_form_equals_mean_cost():
     # the quadratic-form objective is the algebraic rewriting of the mean of
     # (y - b.x)**2 - y**2; the two agree to rounding
@@ -295,7 +317,9 @@ def test_ulln_deviation_bounded_and_tightening():
     grid = line_grid(space, np.linspace(0, 1, 21))
     dist = FiniteDistribution.uniform((Point.vector(0.0), Point.vector(1.0)))
     cost = power_cost(2.0, Point.vector(0.0))
-    results = run_ulln_diagnostic(dist, cost, grid, [100, 10_000], seeds=range(10))
+    results = [
+        run_ulln_single(dist, cost, grid, [100, 10_000], seed) for seed in range(10)
+    ]
     table = ulln_table(results)
     assert len(table[100]) == 10
     # cost spread on this grid bounds every deviation
