@@ -35,6 +35,10 @@ THREADS_ENV_VAR = "FRECHET_SETS_THREADS"
 #: Upper bound on the regression coefficient grid, beta_points**(dimension+1).
 MAX_BETA_GRID = 10**6
 
+#: Upper bound on the generator outputs one replication draws (each runner
+#: draws its whole sample at once, so this also bounds its memory).
+MAX_DRAWS = 2**24
+
 _TOP_LEVEL_KEYS = {
     "experiment",
     "seeds",
@@ -88,14 +92,22 @@ class Experiment:
 
     ``run(params, schedule, n_max, seed)`` looks its ``lln_lab`` runner up
     at call time, so a runner rebound on the module is the one called.
-    ``checks`` pairs ``ok(params)`` with its message; they run once every
-    param is valid on its own.
+    ``checks`` pairs ``ok(params, n_max)`` with its message; they run once
+    ``n_max`` and every param are valid on their own.
     """
 
     n_max: int
     params: dict[str, Param]
     run: Callable[..., "lln_lab.ExperimentResult"]
     checks: tuple = ()
+
+
+def _draws(count: Callable[[dict, int], int], what: str) -> tuple:
+    """A ``checks`` row bounding the generator outputs of one replication."""
+    return (
+        lambda p, n_max: count(p, n_max) <= MAX_DRAWS,
+        f"{what} must be <= {MAX_DRAWS} generator outputs",
+    )
 
 
 def _run_ulln(p: dict, seed: int) -> lln_lab.ExperimentResult:
@@ -112,6 +124,7 @@ EXPERIMENTS = {
         lambda p, schedule, n_max, seed: lln_lab.run_median_experiment(
             p["dimension"], schedule, n_max, seed
         ),
+        checks=(_draws(lambda p, n: n * p["dimension"], "'n_max' x 'params.dimension'"),),
     ),
     "circle": Experiment(
         4096,
@@ -119,6 +132,7 @@ EXPERIMENTS = {
         lambda p, schedule, n_max, seed: lln_lab.run_circle_experiment(
             p["grid_size"], n_max, seed, alpha=p["alpha"]
         ),
+        checks=(_draws(lambda p, n: n, "'n_max'"),),
     ),
     "regression": Experiment(
         10000,
@@ -134,9 +148,10 @@ EXPERIMENTS = {
         ),
         checks=(
             (
-                lambda p: p["beta_points"] ** (p["dimension"] + 1) <= MAX_BETA_GRID,
+                lambda p, n_max: p["beta_points"] ** (p["dimension"] + 1) <= MAX_BETA_GRID,
                 f"'params.beta_points' ** (dimension + 1) must be <= {MAX_BETA_GRID}",
             ),
+            _draws(lambda p, n: n * (p["dimension"] + 1), "'n_max' x ('params.dimension' + 1)"),
         ),
     ),
     "ulln": Experiment(
@@ -153,6 +168,7 @@ EXPERIMENTS = {
             ),
         },
         lambda p, schedule, n_max, seed: _run_ulln(p, seed),
+        checks=(_draws(lambda p, n: max(p["n_list"]), "'params.n_list' entries"),),
     ),
     "fixtures": Experiment(
         100,
@@ -162,7 +178,7 @@ EXPERIMENTS = {
         ),
         checks=(
             (
-                lambda p: p["horizon"] <= p["grid_max"],
+                lambda p, n_max: p["horizon"] <= p["grid_max"],
                 "'params.horizon' must be <= 'params.grid_max'",
             ),
         ),
@@ -235,10 +251,11 @@ def validate_config(raw: dict) -> tuple[dict, ValidationReport]:
         report.issues.append("'seeds' must not repeat")
 
     n_max = raw.get("n_max")
+    n_max_ok = n_max is None or (_is_int(n_max) and n_max >= 2)
     if n_max is None:
         echo["n_max"] = spec.n_max
         report.defaulted.append("n_max")
-    elif not _is_int(n_max) or n_max < 2:
+    elif not n_max_ok:
         report.issues.append("'n_max' must be an integer >= 2")
 
     schedule = raw.get("schedule")
@@ -283,8 +300,8 @@ def validate_config(raw: dict) -> tuple[dict, ValidationReport]:
         report.defaulted.append(f"params.{key}")
     bad = [key for key, rule in spec.params.items() if not rule.ok(filled_params[key])]
     report.issues.extend(f"'params.{key}' must be {spec.params[key].rule}" for key in bad)
-    if not bad:
-        report.issues.extend(msg for ok, msg in spec.checks if not ok(filled_params))
+    if not bad and n_max_ok:
+        report.issues.extend(msg for ok, msg in spec.checks if not ok(filled_params, echo["n_max"]))
     echo["params"] = filled_params
 
     if "out_dir" not in raw:

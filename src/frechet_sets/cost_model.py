@@ -196,25 +196,21 @@ class CostFunction:
                 raise ValueError("table cost needs a table and its grid")
 
     def evaluate(self, space: MetricSpace, y, q: Point) -> float:
-        if self.kind is CostKind.POWER:
-            dq = space.distance(y, q)
-            do = space.distance(y, self.anchor)
-            return float(_stable_pow(dq, self.alpha) - _stable_pow(do, self.alpha))
-        if self.kind is CostKind.INTEGRATED:
-            dq = space.distance(y, q)
-            do = space.distance(y, self.anchor)
-            return float(self.integral(dq) - self.integral(do))
-        return self._table_lookup(y, self.table_grid.index_of(q))
+        if self.kind is CostKind.TABLE:
+            return self._table_lookup(y, self.table_grid.index_of(q))
+        return float(self._anchored(space, y, space.distance(y, q)))
 
     def row(self, space: MetricSpace, y, grid: CandidateGrid) -> np.ndarray:
         """Cost of y against every grid point, as one vector."""
         if self.kind is CostKind.TABLE:
             if grid is not self.table_grid:
                 raise ValueError("table cost rows are only defined on the table grid")
-            return np.array(
-                [self._table_lookup(y, j) for j in range(len(grid))], dtype=float
-            )
-        dq = grid.distances_from(y)
+            return np.array([self._table_lookup(y, j) for j in range(len(grid))], dtype=float)
+        return self._anchored(space, y, grid.distances_from(y))
+
+    def _anchored(self, space: MetricSpace, y, dq: "np.ndarray | float") -> "np.ndarray | float":
+        """f(d(y, q)) - f(d(y, o)) for the power and integrated kinds, where
+        ``dq`` holds d(y, q) as a float or as one entry per grid point."""
         do = space.distance(y, self.anchor)
         if self.kind is CostKind.POWER:
             return _stable_pow(dq, self.alpha) - _stable_pow(do, self.alpha)
@@ -401,7 +397,7 @@ def construct_h(
     empty empirical tail; the result extends linearly beyond the last
     breakpoint, which keeps every invariant checkable on finite data.
     """
-    xs = np.sort(np.asarray(list(sample), dtype=float))
+    xs = np.sort(np.asarray(sample, dtype=float))
     if xs.size == 0:
         raise ValueError("sample must be nonempty")
     if xs[0] < 0:

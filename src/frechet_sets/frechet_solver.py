@@ -111,11 +111,6 @@ class EpsilonSchedule:
     def power_decay(c: float, exponent: float) -> "EpsilonSchedule":
         return EpsilonSchedule("power-decay", c=c, exponent=exponent)
 
-    def value(self, n: int) -> float:
-        if self.kind == "constant":
-            return self.c
-        return self.c * float(n) ** (-self.exponent)
-
     def values(self, ns: np.ndarray) -> np.ndarray:
         if self.kind == "constant":
             return np.full(len(ns), self.c)
@@ -142,8 +137,9 @@ def empirical_objective(
     """Mean cost of a sample on a grid, via compensated summation.
 
     Rows are accumulated in sample index order with Kahan compensation, so
-    the result is bit-reproducible. Rows for repeated data points are
-    memoized when the data points are hashable.
+    the result is bit-reproducible. Data points are hashable (``Point``s or
+    integer data indices), and the row of a repeated data point is
+    computed once.
 
     Without ``ns`` the objective of the whole sample is returned. With
     ``ns``, a nondecreasing list of prefix lengths in [1, len(sample)], the
@@ -171,15 +167,9 @@ def empirical_objective(
     objectives = []
     k = 0
     for n, y in enumerate(sample[: checkpoints[-1]], start=1):
-        try:
-            row = cache.get(y)
-            cacheable = True
-        except TypeError:
-            row, cacheable = None, False
+        row = cache.get(y)
         if row is None:
-            row = cost.row(space, y, grid)
-            if cacheable:
-                cache[y] = row
+            row = cache[y] = cost.row(space, y, grid)
         # Kahan step in place: delta = row - comp, bumped = total + delta,
         # comp = (bumped - total) - delta, in that order, then swap
         np.subtract(row, comp, out=delta)
@@ -218,7 +208,7 @@ def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    xs = np.sort(np.asarray(list(sample), dtype=float))
+    xs = np.sort(np.asarray(sample, dtype=float))
     n = xs.size
     if n == 0:
         raise ValueError("sample must be nonempty")
@@ -277,15 +267,10 @@ def product_mean_set(
     for axis_set, axis in zip(per_axis_sets, product.axes):
         if axis_set.grid is not axis:
             raise GridMismatchError("axis set does not match the product axis grid")
-    sizes = [len(axis) for axis in product.axes]
-    strides = np.ones(len(sizes), dtype=np.int64)
-    for k in range(len(sizes) - 2, -1, -1):
-        strides[k] = strides[k + 1] * sizes[k + 1]
-    indices = [0]
-    for axis_set, stride in zip(per_axis_sets, strides):
-        indices = [
-            base + int(stride) * i for base in indices for i in axis_set.indices
-        ]
+    # row-major index of (i_0, ..., i_k) is (...(i_0 * n_1 + i_1) ...) * n_k + i_k
+    indices = np.zeros(1, dtype=np.intp)
+    for axis_set, axis in zip(per_axis_sets, product.axes):
+        indices = (indices[:, None] * len(axis) + axis_set.indices).ravel()
     return PointSet(product, indices)
 
 
@@ -308,8 +293,7 @@ def objective_to_csv(obj: Objective, path: str) -> None:
 
 def point_set_to_csv(ps: PointSet, path: str) -> None:
     """Write rows of (grid index, coordinates..., membership flag)."""
-    members = set(ps.indices)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for i, p in enumerate(ps.grid.points):
-            writer.writerow([i, *_point_columns(p), int(i in members)])
+            writer.writerow([i, *_point_columns(p), int(i in ps)])

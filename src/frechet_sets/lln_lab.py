@@ -358,14 +358,11 @@ def run_median_experiment(
     target_grid_set = PointSet.full(box_grid)
     target_box = [(0.0, 1.0)] * s
 
-    float_bits = bits.astype(float)
     records = []
     grid_ns = make_n_grid(n_max)
     for n in grid_ns:
-        eps_n = schedule.value(n)
-        intervals = [
-            median_interval_1d(float_bits[:n, k], eps_n) for k in range(s)
-        ]
+        eps_n = eps[n - 1]
+        intervals = [median_interval_1d(bits[:n, k], eps_n) for k in range(s)]
         axis_sets = [
             grid_restrict_interval(axes[k], *intervals[k]) for k in range(s)
         ]
@@ -482,7 +479,7 @@ def run_circle_experiment(
             }
         )
     summary = {
-        "population_indices": list(population_set.indices),
+        "population_indices": population_set.indices.tolist(),
         "population_angles": [grid[i].value for i in population_set.indices],
         "population_cardinality": len(population_set),
     }

@@ -334,13 +334,13 @@ class CandidateGrid:
         return self.space.distances(_pack_points(self.space, (q,)), self._packed)[0]
 
     def distance_matrix(
-        self, rows: "Iterable[int] | None" = None, cols: "Iterable[int] | None" = None
+        self, rows: "np.ndarray | None" = None, cols: "np.ndarray | None" = None
     ) -> np.ndarray:
         """The |rows| x |cols| block of grid distances, computed on each call;
-        either index list defaults to every grid point."""
+        either index array defaults to every grid point."""
         packed = self._packed
-        row_pts = packed if rows is None else packed[np.fromiter(rows, dtype=np.intp)]
-        col_pts = packed if cols is None else packed[np.fromiter(cols, dtype=np.intp)]
+        row_pts = packed if rows is None else packed[np.asarray(rows, dtype=np.intp)]
+        col_pts = packed if cols is None else packed[np.asarray(cols, dtype=np.intp)]
         return self.space.distances(row_pts, col_pts)
 
 
@@ -350,7 +350,8 @@ def _pack_points(space: MetricSpace, pts: Sequence[Point]) -> np.ndarray:
 
 
 class PointSet:
-    """A finite subset of a grid, stored as sorted deduplicated indices.
+    """A finite subset of a grid, stored as one read-only, sorted,
+    deduplicated ``np.intp`` array of grid indices (``indices``).
 
     Equality requires the *same* grid object; sets over different grids
     never compare equal and may not be mixed in set operations.
@@ -358,16 +359,20 @@ class PointSet:
 
     __slots__ = ("grid", "indices")
 
-    def __init__(self, grid: CandidateGrid, indices: Iterable[int]) -> None:
-        idx = tuple(sorted(set(int(i) for i in indices)))
-        if idx and (idx[0] < 0 or idx[-1] >= len(grid)):
+    def __init__(self, grid: CandidateGrid, indices: "np.ndarray | Sequence[int]") -> None:
+        idx = np.sort(np.asarray(indices, dtype=np.intp))
+        if idx.size and (idx[0] < 0 or idx[-1] >= len(grid)):
             raise ValueError(f"indices out of range for grid of size {len(grid)}")
+        keep = np.ones(idx.size, dtype=bool)  # drop repeats of the left neighbour
+        keep[1:] = idx[1:] != idx[:-1]
+        idx = idx[keep]
+        idx.setflags(write=False)
         self.grid = grid
         self.indices = idx
 
     @staticmethod
     def full(grid: CandidateGrid) -> "PointSet":
-        return PointSet(grid, range(len(grid)))
+        return PointSet(grid, np.arange(len(grid)))
 
     @staticmethod
     def empty(grid: CandidateGrid) -> "PointSet":
@@ -375,7 +380,7 @@ class PointSet:
 
     @staticmethod
     def from_points(grid: CandidateGrid, points: Iterable[Point]) -> "PointSet":
-        return PointSet(grid, (grid.index_of(p) for p in points))
+        return PointSet(grid, [grid.index_of(p) for p in points])
 
     def points(self) -> tuple[Point, ...]:
         return tuple(self.grid.points[i] for i in self.indices)
@@ -387,26 +392,24 @@ class PointSet:
         return iter(self.indices)
 
     def __contains__(self, index: int) -> bool:
-        return index in self.indices
+        pos = int(np.searchsorted(self.indices, index))
+        return pos < len(self.indices) and bool(self.indices[pos] == index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        return self.grid is other.grid and self.indices == other.indices
+        return self.grid is other.grid and np.array_equal(self.indices, other.indices)
 
     def __hash__(self) -> int:
-        return hash((id(self.grid), self.indices))
+        return hash((id(self.grid), self.indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"PointSet({len(self.indices)} of {len(self.grid)})"
 
     def is_subset_of(self, other: "PointSet") -> bool:
         _require_same_grid(self, other)
-        return set(self.indices) <= set(other.indices)
-
-    def union(self, other: "PointSet") -> "PointSet":
-        _require_same_grid(self, other)
-        return PointSet(self.grid, self.indices + other.indices)
+        pos = np.searchsorted(other.indices, self.indices)
+        return bool((pos < len(other)).all()) and np.array_equal(other.indices[pos], self.indices)
 
 
 def _require_same_grid(a: PointSet, b: PointSet) -> None:

@@ -59,9 +59,9 @@ def d_subset(a: PointSet, b: PointSet) -> float:
     """
     if a.grid is not b.grid:
         raise GridMismatchError("point sets belong to different grids")
-    if not a.indices:
+    if not len(a):
         return 0.0
-    if not b.indices:
+    if not len(b):
         return math.inf
     return float(a.grid.distance_matrix(a.indices, b.indices).min(axis=1).max())
 
@@ -126,17 +126,15 @@ def eventually_bounded(seq: SetSequence, cap: float = math.inf) -> BoundednessRe
     """
     grid = seq.grid
     in_union = np.zeros(len(grid), dtype=bool)
-    union: list[int] = []
     diam = 0.0
     diam_from: list[float] = []
     # walk tails from the back: each tail's diameter is the previous one or
     # a distance from a newly added point to the union so far
     for s in reversed(seq.sets):
-        new = [i for i in s.indices if not in_union[i]]
-        if new:
+        new = s.indices[~in_union[s.indices]]
+        if new.size:
             in_union[new] = True
-            union.extend(new)
-            diam = max(diam, float(grid.distance_matrix(new, union).max()))
+            diam = max(diam, float(grid.distance_matrix(new, np.flatnonzero(in_union)).max()))
         diam_from.append(diam)
     diam_from.reverse()
     for start, diam in enumerate(diam_from):
@@ -224,14 +222,12 @@ def uniform_on_bounded_check(
     """Per-n sup over ``subset`` of |f_n - f|."""
     if subset.grid is not limit.grid:
         raise GridMismatchError("subset must live on the objectives' grid")
-    idx = np.fromiter(subset.indices, np.intp)
+    idx = subset.indices
     out = np.empty(len(objectives))
     for i, obj in enumerate(objectives):
         if obj.grid is not limit.grid:
             raise GridMismatchError("all objectives must share one grid")
-        out[i] = (
-            np.abs(obj.values[idx] - limit.values[idx]).max() if idx.size else 0.0
-        )
+        out[i] = np.abs(obj.values[idx] - limit.values[idx]).max() if idx.size else 0.0
     return out
 
 
@@ -249,8 +245,8 @@ class LimitReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "outer": list(self.outer_limit.indices),
-            "inner": list(self.inner_limit.indices),
+            "outer": self.outer_limit.indices.tolist(),
+            "inner": self.inner_limit.indices.tolist(),
             "d_sub": list(self.d_subset_trajectory),
             "d_haus": list(self.d_hausdorff_trajectory),
             "bounded": self.eventually_bounded,
@@ -293,7 +289,7 @@ def analyze_sequence(
             "tail_start": tail_start,
             "tol": tol,
             "diameter_cap": diameter_cap,
-            "reference": None if reference is None else list(reference.indices),
+            "reference": None if reference is None else reference.indices.tolist(),
         },
     )
 

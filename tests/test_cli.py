@@ -82,6 +82,14 @@ def test_validate_rejects_malformed_seeds(bad_seeds):
         ("ulln", {"params": {"n_list": [0, 10]}}, "params.n_list"),
         ("ulln", {"params": {"grid_points": 0}}, "params.grid_points"),
         ("fixtures", {"params": {"horizon": 200, "grid_max": 100}}, "params.horizon"),
+        ("median", {"n_max": 2**24 // 3 + 1, "params": {"dimension": 3}}, "'n_max' x"),
+        ("circle", {"n_max": 2**24 + 1}, "'n_max' must be <= 16777216"),
+        (
+            "regression",
+            {"n_max": 2**21 + 1, "params": {"dimension": 7, "beta_points": 2}},
+            "'n_max' x ('params.dimension' + 1)",
+        ),
+        ("ulln", {"params": {"n_list": [100, 2**24 + 1]}}, "'params.n_list' entries"),
     ],
 )
 def test_validate_only_rejects_out_of_range_config(
@@ -90,6 +98,18 @@ def test_validate_only_rejects_out_of_range_config(
     path, _ = write_config(tmp_path, experiment=experiment, **overrides)
     assert run(str(path), validate_only=True) == 2
     assert field in capsys.readouterr().err
+
+
+def test_draw_bound_admits_its_limit():
+    # validation only: running these would draw 2**24 generator outputs
+    for config in (
+        {"experiment": "median", "n_max": 2**23, "params": {"dimension": 2}},
+        {"experiment": "circle", "n_max": 2**24},
+        {"experiment": "regression", "n_max": 2**21, "params": {"dimension": 7, "beta_points": 2}},
+        {"experiment": "ulln", "params": {"n_list": [2**24]}},
+    ):
+        echo, report = validate_config(dict(config, seeds=[0]))
+        assert report.ok, report.issues
 
 
 def test_bad_threads_env_var_exits_2(tmp_path, capsys, monkeypatch):

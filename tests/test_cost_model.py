@@ -167,7 +167,7 @@ def test_anchor_independence_of_argmin():
             sets = []
             for anchor in (Point.vector(0.0), Point.vector(1.5)):
                 obj = population_objective(dist, power_cost(alpha, anchor), grid)
-                sets.append(eps_argmin(obj, 0.0).indices)
+                sets.append(eps_argmin(obj, 0.0).indices.tolist())
             assert sets[0] == sets[1]
 
 

@@ -165,10 +165,10 @@ def test_eps_argmin_examples():
     space = euclidean_space(1)
     grid = line_grid(space, [0.0, 0.5, 1.0])
     flat = Objective(grid, np.zeros(3), provenance="synthetic")
-    assert eps_argmin(flat, 0.0).indices == (0, 1, 2)
+    assert eps_argmin(flat, 0.0).indices.tolist() == [0, 1, 2]
     bumpy = Objective(grid, np.array([0.3, 0.0, 0.1]), provenance="synthetic")
-    assert eps_argmin(bumpy, 0.1).indices == (1, 2)
-    assert eps_argmin(bumpy, 0.0).indices == (1,)
+    assert eps_argmin(bumpy, 0.1).indices.tolist() == [1, 2]
+    assert eps_argmin(bumpy, 0.0).indices.tolist() == [1]
     with pytest.raises(ValueError):
         eps_argmin(bumpy, -0.1)
 
@@ -225,6 +225,20 @@ def test_median_interval_unit_box_criterion():
             lo, hi = median_interval_1d(sample, eps=eps) if eps > 0 else median_interval_1d(sample)
             contains = lo <= 0.0 and hi >= 1.0
             assert contains == (gap <= eps)
+
+
+def test_median_interval_reads_strided_columns_like_lists():
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2, size=(301, 3))  # integer, as the median runner draws
+    mixed = np.column_stack([rng.normal(size=301), rng.uniform(-1e8, 1e8, 301)])
+    for data in (bits, mixed):
+        for k in range(data.shape[1]):
+            for n in (1, 2, 17, 300, 301):
+                column = data[:n, k]  # a strided view
+                for eps in (0.0, 1e-3, 0.05):
+                    assert median_interval_1d(column, eps) == median_interval_1d(
+                        column.tolist(), eps
+                    )
 
 
 def brute_force_interval(sample, eps, lo_probe, hi_probe, step=1e-4):
@@ -373,10 +387,8 @@ def test_empirical_values_tighten_with_sample_size():
 
 def test_epsilon_schedule():
     const = EpsilonSchedule.constant(0.5)
-    assert const.value(10) == 0.5
-    assert np.array_equal(const.values(np.array([1, 5])), [0.5, 0.5])
+    assert np.array_equal(const.values(np.array([1, 5, 10])), [0.5, 0.5, 0.5])
     decay = EpsilonSchedule.power_decay(1.0, 0.25)
-    assert decay.value(16) == pytest.approx(16.0**-0.25)
     assert np.allclose(decay.values(np.array([1, 16])), [1.0, 16.0**-0.25])
     with pytest.raises(ValueError, match="exponent must be >= 0"):
         EpsilonSchedule("power-decay", c=1.0, exponent=-1.0)

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frechet_sets.cost_model import IntegratedH, construct_h
 from frechet_sets.metric_core import (
     CandidateGrid,
+    GridMismatchError,
     InvalidPointError,
     MetricTransform,
     Point,
@@ -160,10 +163,10 @@ def test_boundedness_preserved_under_transforms():
 
 def test_ball_members_examples():
     grid = line_grid(euclidean_space(1), [0.0, 0.5, 1.0])
-    assert ball_members(grid, Point.vector(0.0), 0.6).indices == (0, 1)
-    assert ball_members(grid, Point.vector(0.0), 10.0).indices == (0, 1, 2)
+    assert ball_members(grid, Point.vector(0.0), 0.6).indices.tolist() == [0, 1]
+    assert ball_members(grid, Point.vector(0.0), 10.0).indices.tolist() == [0, 1, 2]
     unit = integer_grid(n0_unit_space(), 10)
-    assert ball_members(unit, Point.index(0), 1.0).indices == (0,)
+    assert ball_members(unit, Point.index(0), 1.0).indices.tolist() == [0]
 
 
 def test_diameter_examples():
@@ -173,6 +176,45 @@ def test_diameter_examples():
     assert diameter(grid, PointSet.empty(grid)) == 0.0
     unit = integer_grid(n0_unit_space(), 10)
     assert diameter(unit, PointSet(unit, [0, 5, 9])) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(1, 12),
+    raw_a=st.lists(st.integers(0, 11), max_size=20),
+    raw_b=st.lists(st.integers(0, 11), max_size=20),
+    probe=st.integers(-3, 14),
+    outside=st.integers(1, 10**6),
+)
+def test_point_set_matches_frozenset_oracle(size, raw_a, raw_b, probe, outside):
+    grid = integer_grid(n0_unit_space(), size)
+    raw_a = [i % size for i in raw_a]  # unsorted, with repeats, possibly empty
+    raw_b = [i % size for i in raw_b]
+    a, b = PointSet(grid, raw_a), PointSet(grid, np.array(raw_b[::-1], dtype=np.int64))
+    oracle_a, oracle_b = frozenset(raw_a), frozenset(raw_b)
+    assert a.indices.dtype == np.intp and not a.indices.flags.writeable
+    assert a.indices.tolist() == sorted(oracle_a)
+    assert len(a) == len(oracle_a)
+    assert (probe in a) == (probe in oracle_a)
+    assert (a == b) == (oracle_a == oracle_b)
+    assert a == PointSet(grid, sorted(oracle_a))
+    assert hash(a) == hash(PointSet(grid, sorted(oracle_a)))
+    assert a.is_subset_of(b) == (oracle_a <= oracle_b)
+    assert PointSet.empty(grid).is_subset_of(a)
+    assert a.is_subset_of(PointSet.full(grid))
+    for bad in (-outside, size - 1 + outside):
+        with pytest.raises(ValueError, match="out of range"):
+            PointSet(grid, raw_a + [bad])
+
+
+def test_point_sets_on_different_grids_never_mix():
+    grid, other = integer_grid(n0_unit_space(), 4), integer_grid(n0_unit_space(), 4)
+    a = PointSet(grid, [1, 2])
+    assert a != PointSet(other, [1, 2])
+    with pytest.raises(GridMismatchError):
+        a.is_subset_of(PointSet(other, [1, 2]))
+    with pytest.raises(ValueError):
+        a.indices[0] = 3
 
 
 def test_n0_space_distances():
