@@ -1,10 +1,12 @@
 """Population and empirical Frechet objectives and their epsilon-argmin sets.
 
-Objectives are vectors of cost values over a candidate grid. Empirical
-objectives use compensated summation in a fixed index order so that the
-same sample produces bit-identical values on every platform; one pass over
-a sample yields the objective of every requested prefix, since the state
-of the compensated sum after n rows is the prefix-n sum. The module
+Objectives are vectors of cost values over a candidate grid. A sample
+of a finite law is an array of indices into its support, so an empirical
+objective needs one cost row per support point; the rows are summed with
+compensation in sample order so that the same sample produces
+bit-identical values on every platform, and one pass over a sample yields
+the objective of every requested prefix, since the state of the
+compensated sum after n rows is the prefix-n sum. The module
 also provides the exact epsilon-argmin interval of the 1-D absolute-loss
 objective over the whole real line, and the Cartesian composition of
 per-axis mean sets into a product grid.
@@ -129,17 +131,19 @@ def population_objective(
 
 
 def empirical_objective(
-    sample: Sequence,
+    support: Sequence,
+    sample: "np.ndarray | Sequence[int]",
     cost: CostFunction,
     grid: CandidateGrid,
     ns: "Sequence[int] | None" = None,
 ) -> "Objective | list[Objective]":
     """Mean cost of a sample on a grid, via compensated summation.
 
-    Rows are accumulated in sample index order with Kahan compensation, so
-    the result is bit-reproducible. Data points are hashable (``Point``s or
-    integer data indices), and the row of a repeated data point is
-    computed once.
+    ``support`` lists the data points (``Point``s or integer data indices)
+    and ``sample`` is an integer array of indices into it, as a finite law
+    draws them. One cost row is computed per support point; the rows are
+    then accumulated in sample order with Kahan compensation, so the result
+    is bit-reproducible.
 
     Without ``ns`` the objective of the whole sample is returned. With
     ``ns``, a nondecreasing list of prefix lengths in [1, len(sample)], the
@@ -147,9 +151,11 @@ def empirical_objective(
     of ``ns``, is returned: the compensated sum is a left fold, so its state
     after n rows is exactly the prefix-n sum.
     """
-    sample = list(sample)
-    if not sample:
-        raise ValueError("sample must be nonempty")
+    sample = np.asarray(sample)
+    if sample.ndim != 1 or not sample.size or sample.dtype.kind not in "iu":
+        raise ValueError("sample must be a nonempty 1-D array of support indices")
+    if sample.min() < 0 or sample.max() >= len(support):
+        raise ValueError("sample indices must lie in [0, len(support))")
     checkpoints = [len(sample)] if ns is None else [int(n) for n in ns]
     if (
         not checkpoints
@@ -162,17 +168,14 @@ def empirical_objective(
             "in [1, len(sample)]"
         )
     space = grid.space
+    rows = [cost.row(space, y, grid) for y in support]
     total, comp, delta, bumped = (np.zeros(len(grid)) for _ in range(4))
-    cache: dict = {}
     objectives = []
     k = 0
-    for n, y in enumerate(sample[: checkpoints[-1]], start=1):
-        row = cache.get(y)
-        if row is None:
-            row = cache[y] = cost.row(space, y, grid)
+    for n, i in enumerate(sample[: checkpoints[-1]].tolist(), start=1):
         # Kahan step in place: delta = row - comp, bumped = total + delta,
         # comp = (bumped - total) - delta, in that order, then swap
-        np.subtract(row, comp, out=delta)
+        np.subtract(rows[i], comp, out=delta)
         np.add(total, delta, out=bumped)
         np.subtract(bumped, total, out=comp)
         np.subtract(comp, delta, out=comp)
@@ -204,7 +207,8 @@ def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float
     statistics. With eps > 0 the piecewise-linear objective is solved in
     closed form: the interval boundary lies where the unscaled objective
     G(q) = sum |y_i - q| crosses min G + n * eps, found by walking the
-    sorted knots and inverting the linear segment that crosses.
+    sorted knots and inverting the linear segment that crosses; the result
+    always has finite endpoints containing the eps = 0 interval.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -226,26 +230,21 @@ def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float
     g_min = float(g_knots.min())
     threshold = g_min + n * eps
 
+    # the median knots always bound the crossing segments: rounding in
+    # g_knots must not move an end past them, where a slope would be 0
     inside = g_knots <= threshold
-    lo_idx = int(np.argmax(inside))
-    hi_idx = int(n - 1 - np.argmax(inside[::-1]))
-
-    if lo_idx == 0:
-        lo = xs[0] - (threshold - g_knots[0]) / n
-    else:
-        slope = n - 2 * lo_idx  # descent rate of G just left of knot lo_idx
-        lo = xs[lo_idx] - (threshold - g_knots[lo_idx]) / slope
-    if hi_idx == n - 1:
-        hi = xs[-1] + (threshold - g_knots[-1]) / n
-    else:
-        slope = 2 * (hi_idx + 1) - n  # ascent rate of G just right of knot hi_idx
-        hi = xs[hi_idx] + (threshold - g_knots[hi_idx]) / slope
-    return float(lo), float(hi)
+    lo_idx = min(int(np.argmax(inside)), (n - 1) // 2)
+    hi_idx = max(int(n - 1 - np.argmax(inside[::-1])), n // 2)
+    # descent rate of G just left of knot lo_idx, ascent rate just right of hi_idx
+    lo = xs[lo_idx] - (threshold - g_knots[lo_idx]) / (n - 2 * lo_idx)
+    hi = xs[hi_idx] + (threshold - g_knots[hi_idx]) / (2 * (hi_idx + 1) - n)
+    # and the interval always contains the eps = 0 median interval
+    return float(min(lo, xs[(n - 1) // 2])), float(max(hi, xs[n // 2]))
 
 
 def grid_restrict_interval(axis: CandidateGrid, lo: float, hi: float) -> PointSet:
     """Grid points of a 1-D vector grid lying in the closed interval [lo, hi]."""
-    coords = np.array([p.value[0] for p in axis.points])
+    coords = axis.coords[:, 0]
     return PointSet(axis, np.flatnonzero((coords >= lo) & (coords <= hi)))
 
 

@@ -1,7 +1,8 @@
 """Seeded Monte-Carlo experiments for empirical mean-set convergence.
 
 A pinned SplitMix64 generator (identical streams on every platform, one
-documented draw per primitive), sampling distributions, and the
+documented draw per primitive), sampling distributions (a finite law is a
+``FiniteDistribution`` and draws arrays of support indices), and the
 experiment runners:
 
 * the product-median experiment (escaping Hausdorff distance at slack 0,
@@ -107,36 +108,25 @@ class SplitMix64:
 @dataclass(frozen=True, eq=False)
 class SamplingDistribution:
     """A named sampling law with a documented per-draw budget of generator
-    outputs: finite-support laws (the circle's antipodal pair among them)
-    use one output per draw, bernoulli-product uses one per coordinate,
-    regression uses one per design coordinate plus one for the noise term."""
+    outputs: finite laws use one output per draw and yield support indices,
+    bernoulli-product uses one per coordinate, regression uses one per
+    design coordinate plus one for the noise term."""
 
     kind: str
-    support: "tuple | None" = None
-    weights: "np.ndarray | None" = None
+    law: "FiniteDistribution | None" = None
     dimension: int = 1
     noise: float = 0.5
     design_law: str = "rademacher"
 
     @staticmethod
-    def finite_support(points: Sequence, weights: Sequence[float]) -> "SamplingDistribution":
-        w = np.asarray(weights, dtype=float)
-        if abs(float(w.sum()) - 1.0) > 1e-12 or np.any(w < 0):
-            raise ValueError("weights must be nonnegative and sum to 1")
-        return SamplingDistribution("finite-support", support=tuple(points), weights=w)
+    def finite(law: FiniteDistribution) -> "SamplingDistribution":
+        return SamplingDistribution("finite-support", law=law)
 
     @staticmethod
     def bernoulli_product(dimension: int) -> "SamplingDistribution":
         if dimension < 1:
             raise ValueError("dimension must be positive")
         return SamplingDistribution("bernoulli-product", dimension=dimension)
-
-    @staticmethod
-    def circle_antipodal() -> "SamplingDistribution":
-        # one float per draw; the top bit alone decides u >= 1/2
-        return SamplingDistribution.finite_support(
-            (Point.angle(0.0), Point.angle(math.pi)), (0.5, 0.5)
-        )
 
     @staticmethod
     def regression(
@@ -156,11 +146,8 @@ class SamplingDistribution:
             raise ValueError("n must be positive")
         if self.kind == "finite-support":
             u = rng.floats_block(n)
-            cum = np.cumsum(self.weights)
-            idx = np.minimum(
-                np.searchsorted(cum, u, side="right"), len(self.support) - 1
-            )
-            return [self.support[i] for i in idx]
+            cum = np.cumsum(self.law.weights)
+            return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
         if self.kind == "bernoulli-product":
             bits = rng.bits_block(n * self.dimension)
             return bits.reshape(n, self.dimension)
@@ -465,11 +452,11 @@ def run_circle_experiment(
     population = population_objective(dist, cost, grid)
     population_set = eps_argmin(population, 0.0)
 
-    rng = SplitMix64(seed)
-    sample = SamplingDistribution.circle_antipodal().draw(rng, n_max)
+    sample = SamplingDistribution.finite(dist).draw(SplitMix64(seed), n_max)
     records = []
     grid_ns = make_n_grid(n_max)
-    for n, emp in zip(grid_ns, empirical_objective(sample, cost, grid, ns=grid_ns)):
+    objectives = empirical_objective(dist.support, sample, cost, grid, ns=grid_ns)
+    for n, emp in zip(grid_ns, objectives):
         emp_set = eps_argmin(emp, 0.0)
         records.append(
             {
@@ -663,11 +650,10 @@ def run_ulln_single(
     if not n_list or n_list[0] < 1:
         raise ValueError("n_list must hold positive sample sizes")
     population = population_objective(dist, cost, grid)
-    sampler = SamplingDistribution.finite_support(dist.support, dist.weights)
-    rng = SplitMix64(seed)
-    sample = sampler.draw(rng, n_list[-1])
+    sample = SamplingDistribution.finite(dist).draw(SplitMix64(seed), n_list[-1])
     records = []
-    for n, emp in zip(n_list, empirical_objective(sample, cost, grid, ns=n_list)):
+    objectives = empirical_objective(dist.support, sample, cost, grid, ns=n_list)
+    for n, emp in zip(n_list, objectives):
         sup_dev = float(np.abs(emp.values - population.values).max())
         records.append({"n": n, "sup_dev": sup_dev})
     config = {"n_list": n_list, "grid_size": len(grid)}

@@ -282,10 +282,11 @@ class CandidateGrid:
 
     ``mesh`` records the maximum distance from any intended domain point to
     its nearest grid point (0 for exactly finite spaces). ``axes`` is set by
-    :func:`product_grid` so product structure can be recovered.
+    :func:`product_grid` so product structure can be recovered. ``coords``
+    is the read-only array of packed point values, one row per point.
     """
 
-    __slots__ = ("space", "points", "mesh", "axes", "_index_of", "_packed")
+    __slots__ = ("space", "points", "mesh", "axes", "_index_of", "coords")
 
     def __init__(
         self,
@@ -308,7 +309,8 @@ class CandidateGrid:
         self.mesh = float(mesh)
         self.axes = axes
         self._index_of = {p: i for i, p in enumerate(pts)}
-        self._packed = _pack_points(space, pts)
+        self.coords = _pack_points(space, pts)
+        self.coords.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -331,14 +333,14 @@ class CandidateGrid:
     def distances_from(self, q: Point) -> np.ndarray:
         """Distances from ``q`` (any point of the space) to every grid point."""
         self.space.validate_point(q)
-        return self.space.distances(_pack_points(self.space, (q,)), self._packed)[0]
+        return self.space.distances(_pack_points(self.space, (q,)), self.coords)[0]
 
     def distance_matrix(
         self, rows: "np.ndarray | None" = None, cols: "np.ndarray | None" = None
     ) -> np.ndarray:
         """The |rows| x |cols| block of grid distances, computed on each call;
         either index array defaults to every grid point."""
-        packed = self._packed
+        packed = self.coords
         row_pts = packed if rows is None else packed[np.asarray(rows, dtype=np.intp)]
         col_pts = packed if cols is None else packed[np.asarray(cols, dtype=np.intp)]
         return self.space.distances(row_pts, col_pts)

@@ -55,6 +55,18 @@ GOLDEN_BUNDLED_SHA256 = {
     "ulln.json": "97a1b7ae5f5865dd863b0cfdfc276dab8dc7ca0dff2e59609527ab16a18da4e8",
     "ulln.csv": "bb1b0e29c891dd200e5b318f46b6a0db19b69f4016646b115cd8b16a5ea5c94a",
 }
+#: SHA-256 of the outputs of the other bundled configs (e3 is pinned at
+#: seed 42 above), keyed by config name and output file.
+GOLDEN_OTHER_BUNDLED_SHA256 = {
+    ("e1", "median.json"): "44cf7ce1916571c1d8917449c3b74c03d3d16e4664f59caa4b11f69f7cf418a9",
+    ("e1", "median.csv"): "9b51e8b86d07cfd31f4d6753efdad3340f816a3f3fad871bf4eeec41e1eb7863",
+    ("e2", "median.json"): "ed74c5fdd1681b7d7c12476c69b9f87913ad994af7ef6e8780208be25c43fc38",
+    ("e2", "median.csv"): "295b0dab6ca4f09314f4a2c4ce85c7b4f185e40638630a7037002ac606442802",
+    ("fixtures", "fixtures.json"): "8bba7bc46c56f3a6f0b3f7379fe16bb15515597b1a8eb8be25ede4166ebb7a22",
+    ("fixtures", "fixtures.csv"): "05f34adcfe50711412f2baf770d092dfe0f68256e7288bbd10e4e798a4d1c4f5",
+    ("regression", "regression.json"): "04341714fe97b683be2426c566a8e64633273772c0fe86deac3ae3aa3af3b8b1",
+    ("regression", "regression.csv"): "04875a0878553101d92984f0549f4b501258719c6e906efd3c407b84d042b7f6",
+}
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -341,4 +353,22 @@ def test_c11_bundled_circle_and_ulln_golden_outputs(tmp_path):
         "C11 determinism: pinned outputs of the bundled circle and ulln configs",
         ok,
         ", ".join(f"{name} {digest[:12]}..." for name, digest in digests.items()),
+    )
+
+
+def test_c11_bundled_median_fixtures_and_regression_golden_outputs(tmp_path):
+    from frechet_sets.cli import run
+
+    ok = True
+    digests = {}
+    for config in sorted({config for config, _ in GOLDEN_OTHER_BUNDLED_SHA256}):
+        out = tmp_path / config
+        ok &= run(str(CONFIG_DIR / f"{config}.json"), out_dir=str(out)) == 0
+        for name in sorted(p.name for p in out.iterdir() if p.name != "manifest.json"):
+            digests[config, name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    ok &= digests == GOLDEN_OTHER_BUNDLED_SHA256
+    report(
+        "C11 determinism: pinned outputs of the bundled e1, e2, fixtures and regression configs",
+        ok,
+        ", ".join(f"{c}/{n} {d[:12]}..." for (c, n), d in digests.items()),
     )

@@ -78,8 +78,7 @@ def test_empirical_matches_population_on_multiplicity_sample():
     support = (Point.vector(0.0), Point.vector(1.0))
     dist = FiniteDistribution.uniform(support)
     cost = power_cost(2.0, ORIGIN)
-    sample = [support[0], support[1], support[0], support[1]]
-    emp = empirical_objective(sample, cost, grid)
+    emp = empirical_objective(support, np.array([0, 1, 0, 1]), cost, grid)
     pop = population_objective(dist, cost, grid)
     assert np.array_equal(emp.values, pop.values)
     assert emp.provenance == "empirical" and emp.sample_size == 4
@@ -89,7 +88,7 @@ def test_empirical_single_point_objective():
     space = euclidean_space(1)
     grid = line_grid(space, [0.0, 0.5, 1.0])
     y = Point.vector(1.0)
-    emp = empirical_objective([y], power_cost(2.0, ORIGIN), grid)
+    emp = empirical_objective([y], np.arange(1), power_cost(2.0, ORIGIN), grid)
     expected = np.array([(1 - g) ** 2 - 1.0 for g in (0.0, 0.5, 1.0)])
     assert np.allclose(emp.values, expected, atol=1e-15)
 
@@ -99,9 +98,9 @@ def test_empirical_objective_matches_weighted_form():
     # p|1-q| + (1-p)|q| - p at every grid point, exactly
     space = euclidean_space(1)
     grid = line_grid(space, [0.0, 0.5, 1.0])
-    sample = [Point.vector(1.0), Point.vector(1.0), Point.vector(0.0), Point.vector(1.0)]
+    points = [Point.vector(1.0), Point.vector(1.0), Point.vector(0.0), Point.vector(1.0)]
     p = 0.75
-    emp = empirical_objective(sample, power_cost(1.0, ORIGIN), grid)
+    emp = empirical_objective(points, np.arange(len(points)), power_cost(1.0, ORIGIN), grid)
     expected = np.array([p * abs(1 - q) + (1 - p) * abs(q) - p for q in (0.0, 0.5, 1.0)])
     assert np.array_equal(emp.values, expected)
 
@@ -128,37 +127,57 @@ def _prefix_case(kind: str):
         entries = {
             (i, j): float(v) for i in range(6) for j, v in enumerate(rng.normal(0, 1e3, 17))
         }
-        return [int(i) for i in rng.integers(0, 6, 60)], table_cost(entries, grid), grid
-    # mixed scales plus repeats, so compensation and the row memo both act
+        return tuple(range(6)), rng.integers(0, 6, 60), table_cost(entries, grid), grid
+    # mixed scales plus repeated support indices, so compensation acts and
+    # rows are shared between draws
     values = np.concatenate([rng.uniform(-4.0, 6.0, 40), 1e6 * rng.uniform(-1, 1, 5)])
-    values = np.concatenate([values, values[:15]])
-    rng.shuffle(values)
-    sample = [Point.vector(float(v)) for v in values]
+    support = tuple(Point.vector(float(v)) for v in values)
+    sample = np.concatenate([np.arange(45), np.arange(15)])
+    rng.shuffle(sample)
     if kind == "power":
-        return sample, power_cost(1.5, ORIGIN), grid
-    return sample, h_cost(NondecreasingFn((0.0, 1.0), (0.5, 2.0), 1.0), ORIGIN), grid
+        return support, sample, power_cost(1.5, ORIGIN), grid
+    cost = h_cost(NondecreasingFn((0.0, 1.0), (0.5, 2.0), 1.0), ORIGIN)
+    return support, sample, cost, grid
 
 
 @pytest.mark.parametrize("kind", ["power", "integrated", "table"])
 @pytest.mark.parametrize("ns", [[1], [2, 2, 7, 7, 7, 31], [60], [1, 1, 60, 60]])
 def test_prefix_objectives_match_scalar_kahan_loop(kind, ns):
-    sample, cost, grid = _prefix_case(kind)
-    rows = np.vstack([cost.row(grid.space, y, grid) for y in sample])
-    objectives = empirical_objective(sample, cost, grid, ns=ns)
+    support, sample, cost, grid = _prefix_case(kind)
+    rows = np.vstack([cost.row(grid.space, support[i], grid) for i in sample])
+    objectives = empirical_objective(support, sample, cost, grid, ns=ns)
     assert [obj.sample_size for obj in objectives] == ns
     for n, obj in zip(ns, objectives):
         assert np.array_equal(obj.values, _scalar_kahan_means(rows, n))
         assert obj.provenance == "empirical"
-    whole = empirical_objective(sample, cost, grid)
+    whole = empirical_objective(support, sample, cost, grid)
     assert np.array_equal(whole.values, _scalar_kahan_means(rows, len(sample)))
 
 
 @pytest.mark.parametrize("ns", [[3, 2], [0, 4], [-1], [61], [5, 61], []])
 def test_prefix_objectives_reject_bad_checkpoints(ns):
-    sample, cost, grid = _prefix_case("power")
+    support, sample, cost, grid = _prefix_case("power")
     assert len(sample) == 60
     with pytest.raises(ValueError, match="ns must be"):
-        empirical_objective(sample, cost, grid, ns=ns)
+        empirical_objective(support, sample, cost, grid, ns=ns)
+
+
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        ([0, 2], r"indices must lie in \[0, len\(support\)\)"),
+        ([-1, 0], r"indices must lie in \[0, len\(support\)\)"),
+        ([0.0, 1.0], "support indices"),
+        ([], "support indices"),
+        ([[0, 1]], "support indices"),
+    ],
+)
+def test_empirical_objective_rejects_bad_sample_indices(sample, message):
+    # a negative index would otherwise pick a row from the end of the support
+    grid = line_grid(euclidean_space(1), [0.0, 1.0])
+    support = (Point.vector(0.0), Point.vector(1.0))
+    with pytest.raises(ValueError, match=message):
+        empirical_objective(support, np.array(sample), power_cost(1.0, ORIGIN), grid)
 
 
 def test_eps_argmin_examples():
@@ -178,8 +197,8 @@ def test_eps_argmin_majority_sample_on_endpoints():
     # endpoint grid is the majority endpoint alone
     space = euclidean_space(1)
     grid = line_grid(space, [0.0, 1.0])
-    sample = [Point.vector(v) for v in (1.0, 1.0, 0.0, 1.0, 1.0)]
-    emp = empirical_objective(sample, power_cost(1.0, ORIGIN), grid)
+    points = [Point.vector(v) for v in (1.0, 1.0, 0.0, 1.0, 1.0)]
+    emp = empirical_objective(points, np.arange(len(points)), power_cost(1.0, ORIGIN), grid)
     assert eps_argmin(emp, 0.0).points() == (Point.vector(1.0),)
 
 
@@ -261,6 +280,40 @@ def test_median_interval_against_dense_scan(sample, eps):
     assert hi == pytest.approx(b_hi, abs=5e-4)
 
 
+@pytest.mark.parametrize("eps", [1e-17, 4.2e-110])
+def test_median_interval_tiny_eps_keeps_the_median_interval(eps):
+    # the rounding of G at the knots dwarfs n * eps here; the interval must
+    # stay finite and contain the eps = 0 interval
+    assert median_interval_1d([0.3, 0.1], eps) == (0.1, 0.3)
+
+
+_interval_samples = st.one_of(
+    st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0]), min_size=1, max_size=11),
+    st.lists(
+        st.one_of(st.floats(-1e8, 1e8), st.sampled_from([-1e8, 0.1, 0.3, 1e8])),
+        min_size=1,
+        max_size=11,
+    ),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=11),
+)
+
+
+@given(
+    sample=_interval_samples,
+    exponents=st.tuples(st.floats(-300.0, 0.0), st.floats(-300.0, 0.0)),
+)
+@settings(max_examples=400, deadline=None)
+def test_median_interval_finite_containing_and_growing(sample, exponents):
+    # ties, mixed scale and eps log-uniform down to 1e-300
+    small, large = sorted(10.0**e for e in exponents)
+    base_lo, base_hi = median_interval_1d(sample)
+    lo_s, hi_s = median_interval_1d(sample, small)
+    lo_l, hi_l = median_interval_1d(sample, large)
+    assert all(math.isfinite(v) for v in (lo_s, hi_s, lo_l, hi_l))
+    assert lo_s <= base_lo and base_hi <= hi_s
+    assert lo_l <= lo_s and hi_s <= hi_l
+
+
 def test_median_interval_endpoints_sit_on_threshold():
     rng = np.random.default_rng(23)
     for _ in range(200):
@@ -282,7 +335,8 @@ def test_median_interval_consistent_with_grid_argmin():
         sample = np.round(rng.uniform(-2, 2, int(rng.integers(1, 9))), 2)
         coords = np.unique(np.concatenate([sample, rng.uniform(-3, 3, 12)]))
         grid = line_grid(space, coords)
-        emp = empirical_objective([Point.vector(v) for v in sample], power_cost(1.0, ORIGIN), grid)
+        points = [Point.vector(v) for v in sample]
+        emp = empirical_objective(points, np.arange(len(points)), power_cost(1.0, ORIGIN), grid)
         for eps in (0.0, 0.3):
             lo, hi = median_interval_1d(sample, eps=eps)
             expected = grid_restrict_interval(grid, lo, hi)
@@ -369,14 +423,14 @@ def test_empirical_values_tighten_with_sample_size():
     dist = FiniteDistribution.uniform(support)
     cost = power_cost(2.0, ORIGIN)
     pop = population_objective(dist, cost, grid)
-    sampler = SamplingDistribution.finite_support(dist.support, dist.weights)
+    sampler = SamplingDistribution.finite(dist)
     improved = 0
     for seed in range(50):
         rng = SplitMix64(seed)
         sample = sampler.draw(rng, 10_000)
         dev = {}
         for n in (100, 10_000):
-            emp = empirical_objective(sample[:n], cost, grid)
+            emp = empirical_objective(dist.support, sample[:n], cost, grid)
             dev[n] = float(np.abs(emp.values - pop.values).max())
         improved += dev[10_000] < dev[100]
     assert improved >= 45  # at least 90% of seeds

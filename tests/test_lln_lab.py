@@ -26,6 +26,8 @@ from frechet_sets.lln_lab import (
 )
 from frechet_sets.metric_core import Point, euclidean_space, line_grid
 
+ANTIPODAL = FiniteDistribution.uniform((Point.angle(0.0), Point.angle(math.pi)))
+
 # reference stream of the pinned generator; the seed-0 values agree with
 # the widely published test vector for this mixer
 GOLDEN_SEED0 = (
@@ -95,7 +97,7 @@ def test_sampling_draw_budgets():
     assert base.state == stepped.state
 
     base = SplitMix64(17)
-    SamplingDistribution.circle_antipodal().draw(base, 9)
+    SamplingDistribution.finite(ANTIPODAL).draw(base, 9)
     stepped = SplitMix64(17)
     stepped.next_block(9)
     assert base.state == stepped.state
@@ -103,11 +105,14 @@ def test_sampling_draw_budgets():
 
 def test_sampling_values():
     rng = SplitMix64(3)
-    angles = SamplingDistribution.circle_antipodal().draw(rng, 200)
-    assert set(a.value for a in angles) == {0.0, math.pi}
+    indices = SamplingDistribution.finite(ANTIPODAL).draw(rng, 200)
+    assert indices.dtype == np.intp and set(indices.tolist()) == {0, 1}
+    # index k is drawn exactly when the float lies in k's cumulative slot
+    u = SplitMix64(3).floats_block(200)
+    assert np.array_equal(indices, (u >= 0.5).astype(np.intp))
 
-    mass = SamplingDistribution.finite_support((Point.vector(2.0),), [1.0])
-    assert mass.draw(SplitMix64(5), 5) == [Point.vector(2.0)] * 5
+    mass = SamplingDistribution.finite(FiniteDistribution((Point.vector(2.0),), [1.0]))
+    assert np.array_equal(mass.draw(SplitMix64(5), 5), np.zeros(5, dtype=np.intp))
 
     bits = SamplingDistribution.bernoulli_product(1).draw(SplitMix64(9), 1000)
     p = bits.mean()
@@ -370,8 +375,9 @@ def test_heavy_tail_median_stays_put_demo(capsys):
     adapted = construct_h(sample)
     for n in (250, 1000, 4000):
         pts = [Point.vector(float(v)) for v in sample[:n]]
-        med = eps_argmin(empirical_objective(pts, power_cost(1.0, anchor), grid), 0.0)
-        mean = eps_argmin(empirical_objective(pts, power_cost(2.0, anchor), grid), 0.0)
+        idx = np.arange(n)
+        med = eps_argmin(empirical_objective(pts, idx, power_cost(1.0, anchor), grid), 0.0)
+        mean = eps_argmin(empirical_objective(pts, idx, power_cost(2.0, anchor), grid), 0.0)
         med_at = grid[med.indices[0]].value[0]
         mean_at = grid[mean.indices[0]].value[0]
         rows.append((n, med_at, mean_at))

@@ -303,6 +303,13 @@ def test_distance_matrix_matches_scalar_path():
             np.testing.assert_allclose(block, expected, rtol=0, atol=ATOL)
 
 
+def test_grid_coords_are_read_only_point_values():
+    grid = line_grid(euclidean_space(1), [0.5, -1.0, 2.0])
+    assert grid.coords.tolist() == [list(p.value) for p in grid.points]
+    with pytest.raises(ValueError, match="read-only"):
+        grid.coords[0, 0] = 9.0
+
+
 def test_circle_grid_contains_quarter_points():
     grid = circle_grid(circle_space(), 360)
     assert grid.contains_point(Point.angle(math.pi / 2))
