@@ -6,7 +6,10 @@ objective needs one cost row per support point; the rows are summed with
 compensation in sample order so that the same sample produces
 bit-identical values on every platform, and one pass over a sample yields
 the objective of every requested prefix, since the state of the
-compensated sum after n rows is the prefix-n sum. The module
+compensated sum after n rows is the prefix-n sum. The pass walks the
+sample segment by segment between checkpoints, over one block that holds
+the cost rows and the sum state with every row on a 64-byte boundary, so
+its speed does not depend on where the heap places its buffers. The module
 also provides the exact epsilon-argmin interval of the 1-D absolute-loss
 objective over the whole real line, and the Cartesian composition of
 per-axis mean sets into a product grid.
@@ -130,6 +133,14 @@ def population_objective(
     return Objective(grid, total, provenance="population")
 
 
+def _aligned_block(rows: int, cols: int) -> np.ndarray:
+    """Zeroed float64 (rows, cols) array whose rows start on 64-byte boundaries."""
+    stride = -(-cols // 8) * 8  # row stride padded to whole 64-byte lines
+    raw = np.zeros(rows * stride + 7)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + rows * stride].reshape(rows, stride)[:, :cols]
+
+
 def empirical_objective(
     support: Sequence,
     sample: "np.ndarray | Sequence[int]",
@@ -168,23 +179,24 @@ def empirical_objective(
             "in [1, len(sample)]"
         )
     space = grid.space
-    rows = [cost.row(space, y, grid) for y in support]
-    total, comp, delta, bumped = (np.zeros(len(grid)) for _ in range(4))
+    # one aligned block: the cost rows, then the Kahan state
+    block = _aligned_block(len(support) + 4, len(grid))
+    for row, y in zip(block, support):
+        row[:] = cost.row(space, y, grid)
+    *rows, total, comp, delta, bumped = block
     objectives = []
-    k = 0
-    for n, i in enumerate(sample[: checkpoints[-1]].tolist(), start=1):
-        # Kahan step in place: delta = row - comp, bumped = total + delta,
-        # comp = (bumped - total) - delta, in that order, then swap
-        np.subtract(rows[i], comp, out=delta)
-        np.add(total, delta, out=bumped)
-        np.subtract(bumped, total, out=comp)
-        np.subtract(comp, delta, out=comp)
-        total, bumped = bumped, total
-        while k < len(checkpoints) and checkpoints[k] == n:
-            objectives.append(
-                Objective(grid, total / n, provenance="empirical", sample_size=n)
-            )
-            k += 1
+    start = 0
+    for n in checkpoints:
+        for i in sample[start:n].tolist():
+            # Kahan step in place: delta = row - comp, bumped = total + delta,
+            # comp = (bumped - total) - delta, in that order, then swap
+            np.subtract(rows[i], comp, out=delta)
+            np.add(total, delta, out=bumped)
+            np.subtract(bumped, total, out=comp)
+            np.subtract(comp, delta, out=comp)
+            total, bumped = bumped, total
+        start = n
+        objectives.append(Objective(grid, total / n, provenance="empirical", sample_size=n))
     return objectives[0] if ns is None else objectives
 
 

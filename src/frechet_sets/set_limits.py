@@ -86,16 +86,17 @@ def outer_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) ->
     Finite-horizon surrogate for the outer limit (points of accumulation
     of selections): min over n >= tail_start of dist(B_n, q) <= tol. On a
     finite horizon this over-approximates the true outer limit, since a
-    point hit once in the tail cannot be ruled out as recurrent.
+    point hit once in the tail cannot be ruled out as recurrent. The
+    minimum is taken in one pass over the tail union, since
+    min_n dist(q, B_n) = dist(q, union_n B_n) (+inf when every tail set
+    is empty).
     """
     if not 0 <= tail_start < len(seq):
         raise ValueError("tail_start must index into the sequence")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    best = np.full(len(seq.grid), math.inf)
-    for s in seq.sets[tail_start:]:
-        best = np.minimum(best, _distance_to_set_per_point(s))
-    return PointSet(seq.grid, np.flatnonzero(best <= tol))
+    union = PointSet(seq.grid, np.concatenate([s.indices for s in seq.sets[tail_start:]]))
+    return PointSet(seq.grid, np.flatnonzero(_distance_to_set_per_point(union) <= tol))
 
 
 def inner_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) -> PointSet:

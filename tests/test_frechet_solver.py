@@ -13,6 +13,7 @@ from frechet_sets.frechet_solver import (
     EpsilonSchedule,
     FiniteDistribution,
     Objective,
+    _aligned_block,
     empirical_objective,
     eps_argmin,
     grid_restrict_interval,
@@ -138,6 +139,17 @@ def _prefix_case(kind: str):
         return support, sample, power_cost(1.5, ORIGIN), grid
     cost = h_cost(NondecreasingFn((0.0, 1.0), (0.5, 2.0), 1.0), ORIGIN)
     return support, sample, cost, grid
+
+
+@pytest.mark.parametrize("rows", [2, 6, 10])
+@pytest.mark.parametrize("cols", [1, 7, 8, 17, 201, 3600])
+def test_aligned_block_rows_start_on_cache_lines(rows, cols):
+    block = _aligned_block(rows, cols)
+    assert block.shape == (rows, cols) and block.dtype == np.float64
+    assert block.flags.writeable and not block.any()
+    assert all(row.ctypes.data % 64 == 0 for row in block)
+    block[:] = np.arange(rows)[:, None]  # rows do not overlap
+    assert np.array_equal(block[:, -1], np.arange(rows))
 
 
 @pytest.mark.parametrize("kind", ["power", "integrated", "table"])

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frechet_sets.frechet_solver import Objective, eps_argmin
 from frechet_sets.metric_core import (
@@ -136,6 +138,37 @@ def test_inner_subset_of_outer_random():
             ),
         )
         assert inner_limit_estimate(seq, 3).is_subset_of(outer_limit_estimate(seq, 3))
+
+
+def _outer_per_set(seq, tail_start, tol):
+    # oracle: the per-set form min over tail sets of dist(q, B_n)
+    best = np.full(len(seq.grid), math.inf)
+    for s in seq.sets[tail_start:]:
+        if len(s):
+            best = np.minimum(best, seq.grid.distance_matrix(None, s.indices).min(axis=1))
+    return np.flatnonzero(best <= tol)
+
+
+@st.composite
+def _tail_cases(draw):
+    space = draw(st.sampled_from([n0_line_space, n0_unit_space]))()
+    size = draw(st.integers(1, 12))
+    sets = draw(
+        st.lists(st.lists(st.integers(0, size - 1), max_size=4), min_size=1, max_size=8)
+    )
+    tail_start = draw(st.integers(0, len(sets) - 1))
+    tol = draw(st.sampled_from([0.0, 1.0, 3.5]))
+    grid = integer_grid(space, size)
+    return SetSequence(grid, tuple(PointSet(grid, s) for s in sets)), tail_start, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tail_cases())
+def test_outer_limit_is_distance_to_the_tail_union(case):
+    seq, tail_start, tol = case
+    outer = outer_limit_estimate(seq, tail_start, tol)
+    assert np.array_equal(outer.indices, _outer_per_set(seq, tail_start, tol))
+    assert inner_limit_estimate(seq, tail_start, tol).is_subset_of(outer)
 
 
 def test_eventually_bounded_examples():
