@@ -19,7 +19,6 @@ from .metric_core import (
     circle_grid,
     circle_space,
     diameter,
-    distance,
     euclidean_space,
     integer_grid,
     line_grid,

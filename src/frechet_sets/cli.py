@@ -355,11 +355,15 @@ def run(
     echo, report = validate_config(raw)
     if seed_override is not None and not _is_seed(seed_override):
         report.issues.append("--seed-override must be an integer in [0, 2**64)")
+    jobs_source = "--jobs"
     if jobs is None:
+        jobs_source = THREADS_ENV_VAR
         try:
             jobs = int(os.environ.get(THREADS_ENV_VAR) or 1)
         except ValueError:
-            report.issues.append(f"{THREADS_ENV_VAR} must be an integer")
+            pass
+    if jobs is None or jobs < 1:
+        report.issues.append(f"{jobs_source} must be an integer >= 1")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not report.ok:
@@ -373,7 +377,6 @@ def run(
         echo["seeds"] = [seed_override]
     if out_dir is not None:
         echo["out_dir"] = out_dir
-    jobs = max(1, jobs)
 
     try:
         seeds = echo["seeds"]
@@ -424,7 +427,7 @@ def main(argv: "list[str] | None" = None) -> None:
         "--jobs",
         type=int,
         default=None,
-        help=f"seed-level parallelism (default: ${THREADS_ENV_VAR} or 1)",
+        help=f"seed-level parallelism, >= 1 (default: ${THREADS_ENV_VAR} or 1)",
     )
     parser.add_argument(
         "--validate-only",

@@ -1,11 +1,14 @@
 """Cost functions for generalized Frechet objectives.
 
-Three cost families over a metric space with anchor point o:
+A cost is either an anchored profile or a table. An anchored profile f
+with anchor point o gives c(y, q) = f(d(y, q)) - f(d(y, o)); the two
+profiles built here are
 
-* power costs  c(y, q) = d(y, q)**alpha - d(y, o)**alpha,
-* integrated costs c(y, q) = H(d(y, q)) - H(d(y, o)) where H is the exact
-  integral of a piecewise-linear nondecreasing function h,
-* generic tabulated costs keyed by (data index, grid index).
+* the power f(x) = x**alpha (``power_cost``),
+* the exact integral H of a piecewise-linear nondecreasing function h
+  (``h_cost``).
+
+A table cost looks c up by (data index, grid index) (``table_cost``).
 
 The module also provides the numeric doubling-constant estimate for h,
 the three-inequality consistency check tying H, h, and the doubling
@@ -17,10 +20,10 @@ breakpoints and a finite empirical mean.
 from __future__ import annotations
 
 import csv
-import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -161,60 +164,42 @@ class IntegratedH:
         return float(out) if np.isscalar(y) or arr.ndim == 0 else out
 
 
-class CostKind(enum.Enum):
-    POWER = "power"
-    INTEGRATED = "h-integrated"
-    TABLE = "generic-table"
-
-
 @dataclass(frozen=True, eq=False)
 class CostFunction:
-    """A cost c(y, q): power, integrated, or tabulated, with anchor o.
+    """A cost c(y, q): an anchored profile or a table.
 
-    Power and integrated kinds are anchor-normalized: c(y, o) = 0 exactly.
-    Tabulated kinds look up (data index, grid index) pairs directly.
+    With a ``profile`` f, a float-or-array map on distances, the cost is
+    c(y, q) = f(d(y, q)) - f(d(y, o)) for the ``anchor`` o, so c(y, o) = 0
+    exactly. Without one, c(y, q) is ``table[(y, j)]`` for the index j of
+    q in ``table_grid``.
     """
 
-    kind: CostKind
-    anchor: "Point | None"
-    alpha: float = 2.0
-    integral: "IntegratedH | None" = None
+    profile: "Callable[[np.ndarray | float], np.ndarray | float] | None" = None
+    anchor: "Point | None" = None
     table: "Mapping[tuple[int, int], float] | None" = None
     table_grid: "CandidateGrid | None" = None
 
     def __post_init__(self) -> None:
-        if self.kind is CostKind.POWER:
-            if self.alpha <= 0:
-                raise ValueError("power cost needs alpha > 0")
+        if self.profile is not None:
             if self.anchor is None:
-                raise ValueError("power cost needs an anchor point")
-        elif self.kind is CostKind.INTEGRATED:
-            if self.integral is None or self.anchor is None:
-                raise ValueError("integrated cost needs an integral and an anchor")
-        else:
-            if self.table is None or self.table_grid is None:
-                raise ValueError("table cost needs a table and its grid")
+                raise ValueError("profile cost needs an anchor point")
+        elif self.table is None or self.table_grid is None:
+            raise ValueError("table cost needs a table and its grid")
 
     def evaluate(self, space: MetricSpace, y, q: Point) -> float:
-        if self.kind is CostKind.TABLE:
+        if self.profile is None:
             return self._table_lookup(y, self.table_grid.index_of(q))
-        return float(self._anchored(space, y, space.distance(y, q)))
+        f = self.profile
+        return float(f(space.distance(y, q)) - f(space.distance(y, self.anchor)))
 
-    def row(self, space: MetricSpace, y, grid: CandidateGrid) -> np.ndarray:
-        """Cost of y against every grid point, as one vector."""
-        if self.kind is CostKind.TABLE:
+    def row(self, y, grid: CandidateGrid) -> np.ndarray:
+        """Cost of y against every point of ``grid``, as one vector."""
+        if self.profile is None:
             if grid is not self.table_grid:
                 raise ValueError("table cost rows are only defined on the table grid")
             return np.array([self._table_lookup(y, j) for j in range(len(grid))], dtype=float)
-        return self._anchored(space, y, grid.distances_from(y))
-
-    def _anchored(self, space: MetricSpace, y, dq: "np.ndarray | float") -> "np.ndarray | float":
-        """f(d(y, q)) - f(d(y, o)) for the power and integrated kinds, where
-        ``dq`` holds d(y, q) as a float or as one entry per grid point."""
-        do = space.distance(y, self.anchor)
-        if self.kind is CostKind.POWER:
-            return _stable_pow(dq, self.alpha) - _stable_pow(do, self.alpha)
-        return self.integral(dq) - self.integral(do)
+        f = self.profile
+        return f(grid.distances_from(y)) - f(grid.space.distance(y, self.anchor))
 
     def _table_lookup(self, y, j: int) -> float:
         try:
@@ -224,22 +209,23 @@ class CostFunction:
 
 
 def power_cost(alpha: float, anchor: Point) -> CostFunction:
-    return CostFunction(CostKind.POWER, anchor=anchor, alpha=alpha)
+    """c(y, q) = d(y, q)**alpha - d(y, o)**alpha for alpha > 0."""
+    if not alpha > 0:
+        raise ValueError("power cost needs alpha > 0")
+    return CostFunction(functools.partial(_stable_pow, alpha=alpha), anchor)
 
 
 def h_cost(h: "NondecreasingFn | IntegratedH", anchor: Point) -> CostFunction:
+    """c(y, q) = H(d(y, q)) - H(d(y, o)) for H the exact integral of h."""
     integral = h if isinstance(h, IntegratedH) else IntegratedH(h)
-    return CostFunction(CostKind.INTEGRATED, anchor=anchor, integral=integral)
+    return CostFunction(integral, anchor)
 
 
 def table_cost(
-    entries: Mapping[tuple[int, int], float],
-    grid: CandidateGrid,
-    anchor: "Point | None" = None,
+    entries: Mapping[tuple[int, int], float], grid: CandidateGrid
 ) -> CostFunction:
-    return CostFunction(
-        CostKind.TABLE, anchor=anchor, table=dict(entries), table_grid=grid
-    )
+    """c(y, q) = entries[(y, j)] for the index j of q in ``grid``."""
+    return CostFunction(table=dict(entries), table_grid=grid)
 
 
 # -- doubling constant and inequality suite ----------------------------------
@@ -520,9 +506,7 @@ def nondecreasing_fn_from_csv(path: str) -> NondecreasingFn:
     return NondecreasingFn(bp, vals, tail)
 
 
-def load_cost_table_csv(
-    path: str, grid: CandidateGrid, anchor: "Point | None" = None
-) -> CostFunction:
+def load_cost_table_csv(path: str, grid: CandidateGrid) -> CostFunction:
     """Load a tabulated cost from rows of (data index, grid index, cost)."""
     entries: dict[tuple[int, int], float] = {}
     with open(path, newline="") as fh:
@@ -530,4 +514,4 @@ def load_cost_table_csv(
             if not row:
                 continue
             entries[(int(row[0]), int(row[1]))] = float(row[2])
-    return table_cost(entries, grid, anchor=anchor)
+    return table_cost(entries, grid)

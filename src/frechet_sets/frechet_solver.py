@@ -52,6 +52,8 @@ class FiniteDistribution:
             raise ValueError("support must be nonempty")
         if weights.shape != (len(support),):
             raise ValueError("weights must match the support length")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
@@ -126,10 +128,9 @@ def population_objective(
     dist: FiniteDistribution, cost: CostFunction, grid: CandidateGrid
 ) -> Objective:
     """Exact weighted cost sum of a finite-support distribution on a grid."""
-    space = grid.space
     total = np.zeros(len(grid))
     for y, w in zip(dist.support, dist.weights):
-        total += w * cost.row(space, y, grid)
+        total += w * cost.row(y, grid)
     return Objective(grid, total, provenance="population")
 
 
@@ -178,11 +179,10 @@ def empirical_objective(
             "ns must be a nonempty nondecreasing list of prefix lengths "
             "in [1, len(sample)]"
         )
-    space = grid.space
     # one aligned block: the cost rows, then the Kahan state
     block = _aligned_block(len(support) + 4, len(grid))
     for row, y in zip(block, support):
-        row[:] = cost.row(space, y, grid)
+        row[:] = cost.row(y, grid)
     *rows, total, comp, delta, bumped = block
     objectives = []
     start = 0
@@ -206,7 +206,7 @@ def eps_argmin(obj: Objective, eps: float) -> PointSet:
     Membership uses the documented absolute tolerance ARGMIN_ABS_TOL on top
     of the threshold, so exact ties survive floating-point noise.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     threshold = obj.min_value() + eps + ARGMIN_ABS_TOL
     return PointSet(obj.grid, np.flatnonzero(obj.values <= threshold))
@@ -222,7 +222,7 @@ def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float
     sorted knots and inverting the linear segment that crosses; the result
     always has finite endpoints containing the eps = 0 interval.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     xs = np.sort(np.asarray(sample, dtype=float))
     n = xs.size

@@ -195,7 +195,6 @@ class ExperimentResult:
     n_grid: list[int]
     records: list[dict]
     summary: dict
-    schema_version: int = RESULT_SCHEMA_VERSION
     certificate: "LowerBoundCertificate | None" = field(
         default=None, repr=False, compare=False
     )
@@ -233,7 +232,7 @@ def _plain(value):
 
 def result_to_jsonable(result: ExperimentResult) -> dict:
     return {
-        "schema_version": result.schema_version,
+        "schema_version": RESULT_SCHEMA_VERSION,
         "experiment": result.experiment,
         "seed": result.seed,
         "config": _plain(result.config),
@@ -422,7 +421,7 @@ def markov_bound(n: int, eps: float, fourth_central_moment: float) -> float:
 
     The raw bound is n**-3 * m4 / (eps/2)**4, clamped into [0, 1].
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if n < 1:
         raise ValueError("n must be positive")
@@ -484,13 +483,17 @@ def run_circle_experiment(
 # -- regression certificate ----------------------------------------------------
 
 
-def symmetric_lambda_min(matrix: np.ndarray, off_target: float = 1e-12) -> float:
+#: Off-diagonal Frobenius norm at which the Jacobi sweeps stop.
+JACOBI_OFF_TARGET = 1e-12
+
+
+def symmetric_lambda_min(matrix: np.ndarray) -> float:
     """Smallest eigenvalue of a small symmetric matrix by cyclic Jacobi sweeps.
 
     Rotations run until the off-diagonal Frobenius norm falls below
-    ``off_target`` (or the rounding floor of the matrix scale, whichever
-    is larger). Inputs must be symmetric within 1e-10 and of dimension
-    at most 8.
+    ``JACOBI_OFF_TARGET`` (or the rounding floor of the matrix scale,
+    whichever is larger). Inputs must be symmetric within 1e-10 and of
+    dimension at most 8.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -503,7 +506,7 @@ def symmetric_lambda_min(matrix: np.ndarray, off_target: float = 1e-12) -> float
     a = (a + a.T) / 2.0
     if dim == 1:
         return float(a[0, 0])
-    floor = max(off_target, 1e-15 * np.linalg.norm(a))
+    floor = max(JACOBI_OFF_TARGET, 1e-15 * np.linalg.norm(a))
     off_mask = ~np.eye(dim, dtype=bool)
     for _ in range(60):
         off = math.sqrt(float((a[off_mask] ** 2).sum()))

@@ -3,9 +3,9 @@
 Every downstream computation sees points and distances only through this
 module: tagged points, a handful of concrete space kinds (Euclidean,
 L1 products, the circle with arc-length, tabulated discrete metrics, and
-the two nonnegative-integer spaces with unit and line metrics), optional
-metric transforms (power d^alpha and concave-inverse), candidate grids,
-balls, and diameters.
+the two nonnegative-integer spaces with unit and line metrics), an
+optional metric transform d -> fn(d) built as a power d^alpha or a
+concave inverse, candidate grids, balls, and diameters.
 
 Grid distances come from one block kernel, ``MetricSpace.distances``;
 grids compute only the rows x cols block a caller asks for and cache no
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,11 +57,6 @@ _VECTOR_KINDS = frozenset({SpaceKind.EUCLIDEAN_L2, SpaceKind.PRODUCT_L1})
 _INDEX_KINDS = frozenset(
     {SpaceKind.DISCRETE_TABLE, SpaceKind.N0_UNIT, SpaceKind.N0_LINE}
 )
-
-
-class TransformKind(enum.Enum):
-    POWER = "power"
-    CONCAVE_INVERSE = "concave-inverse"
 
 
 @dataclass(frozen=True)
@@ -105,39 +101,30 @@ class Point:
 
 @dataclass(frozen=True, eq=False)
 class MetricTransform:
-    """A distance-rescaling map applied after the base metric.
+    """A distance-rescaling map d -> fn(d) applied after the base metric.
 
-    ``power`` maps d to d**alpha with alpha in (0, 1]; ``concave-inverse``
-    maps d through a user-supplied nondecreasing concave function fixing 0
-    (typically the inverse of an integrated nondecreasing function). Both
-    preserve the metric axioms.
+    ``fn`` takes a float or an array of distances. Build it with
+    ``power``, which maps d to d**alpha with alpha in (0, 1], or with
+    ``concave_inverse``, which maps d through a user-supplied
+    nondecreasing concave function fixing 0 (typically the inverse of an
+    integrated nondecreasing function). Both preserve the metric axioms.
     """
 
-    kind: TransformKind
-    alpha: float = 1.0
-    inverse_fn: Callable[[np.ndarray | float], np.ndarray | float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is TransformKind.POWER:
-            if not 0.0 < self.alpha <= 1.0:
-                raise ValueError(f"power transform needs alpha in (0, 1], got {self.alpha}")
-        elif self.inverse_fn is None:
-            raise ValueError("concave-inverse transform needs an inverse_fn")
+    fn: Callable[[np.ndarray | float], np.ndarray | float]
 
     @staticmethod
     def power(alpha: float) -> "MetricTransform":
-        return MetricTransform(TransformKind.POWER, alpha=alpha)
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"power transform needs alpha in (0, 1], got {alpha}")
+        return MetricTransform(functools.partial(_stable_pow, alpha=alpha))
 
     @staticmethod
     def concave_inverse(
         inverse_fn: "Callable[[np.ndarray | float], np.ndarray | float]",
     ) -> "MetricTransform":
-        return MetricTransform(TransformKind.CONCAVE_INVERSE, inverse_fn=inverse_fn)
-
-    def apply(self, d: "np.ndarray | float") -> "np.ndarray | float":
-        if self.kind is TransformKind.POWER:
-            return _stable_pow(d, self.alpha)
-        return self.inverse_fn(d)
+        if inverse_fn is None:
+            raise ValueError("concave-inverse transform needs an inverse_fn")
+        return MetricTransform(inverse_fn)
 
 
 def _stable_pow(d: "np.ndarray | float", alpha: float) -> "np.ndarray | float":
@@ -202,28 +189,26 @@ class MetricSpace:
 
     # -- distances ----------------------------------------------------------
 
-    def base_distance(self, q: Point, p: Point) -> float:
+    def distance(self, q: Point, p: Point) -> float:
+        """Distance between two points, transform applied last."""
         self.validate_point(q)
         self.validate_point(p)
         kind = self.kind
         if kind is SpaceKind.EUCLIDEAN_L2:
-            return math.sqrt(sum((a - b) ** 2 for a, b in zip(q.value, p.value)))
-        if kind is SpaceKind.PRODUCT_L1:
-            return sum(abs(a - b) for a, b in zip(q.value, p.value))
-        if kind is SpaceKind.CIRCLE_ARCLENGTH:
+            d = math.sqrt(sum((a - b) ** 2 for a, b in zip(q.value, p.value)))
+        elif kind is SpaceKind.PRODUCT_L1:
+            d = sum(abs(a - b) for a, b in zip(q.value, p.value))
+        elif kind is SpaceKind.CIRCLE_ARCLENGTH:
             gap = abs(q.value - p.value)
-            return min(gap, TWO_PI - gap)
-        if kind is SpaceKind.DISCRETE_TABLE:
-            return float(self.distance_table[q.value, p.value])
-        if kind is SpaceKind.N0_UNIT:
-            return 0.0 if q.value == p.value else 1.0
-        return float(abs(q.value - p.value))  # N0_LINE
-
-    def distance(self, q: Point, p: Point) -> float:
-        """Distance between two points, transform applied last."""
-        d = self.base_distance(q, p)
+            d = min(gap, TWO_PI - gap)
+        elif kind is SpaceKind.DISCRETE_TABLE:
+            d = float(self.distance_table[q.value, p.value])
+        elif kind is SpaceKind.N0_UNIT:
+            d = 0.0 if q.value == p.value else 1.0
+        else:  # N0_LINE
+            d = float(abs(q.value - p.value))
         if self.transform is not None:
-            return float(self.transform.apply(d))
+            return float(self.transform.fn(d))
         return d
 
     def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -246,7 +231,7 @@ class MetricSpace:
             else:  # N0_LINE
                 block = gap.astype(float)
         if self.transform is not None:
-            block = np.asarray(self.transform.apply(block), dtype=float)
+            block = np.asarray(self.transform.fn(block), dtype=float)
         return block
 
 
@@ -280,33 +265,28 @@ def _validate_distance_table(table: np.ndarray) -> None:
 class CandidateGrid:
     """An ordered, pairwise-distinct finite set of points of one space.
 
-    ``mesh`` records the maximum distance from any intended domain point to
-    its nearest grid point (0 for exactly finite spaces). ``axes`` is set by
-    :func:`product_grid` so product structure can be recovered. ``coords``
-    is the read-only array of packed point values, one row per point.
+    ``axes`` is set by :func:`product_grid` so product structure can be
+    recovered. ``coords`` is the read-only array of packed point values,
+    one row per point.
     """
 
-    __slots__ = ("space", "points", "mesh", "axes", "_index_of", "coords")
+    __slots__ = ("space", "points", "axes", "_index_of", "coords")
 
     def __init__(
         self,
         space: MetricSpace,
         points: Iterable[Point],
-        mesh: float = 0.0,
         axes: "tuple[CandidateGrid, ...] | None" = None,
     ) -> None:
         pts = tuple(points)
         if not pts:
             raise ValueError("a candidate grid needs at least one point")
-        if mesh < 0:
-            raise ValueError("mesh must be nonnegative")
         for p in pts:
             space.validate_point(p)
         if len(set(pts)) != len(pts):
             raise ValueError("grid points must be pairwise distinct")
         self.space = space
         self.points = pts
-        self.mesh = float(mesh)
         self.axes = axes
         self._index_of = {p: i for i, p in enumerate(pts)}
         self.coords = _pack_points(space, pts)
@@ -422,14 +402,9 @@ def _require_same_grid(a: PointSet, b: PointSet) -> None:
 # -- operations --------------------------------------------------------------
 
 
-def distance(space: MetricSpace, q: Point, p: Point) -> float:
-    """Metric distance in ``space``, with the transform applied last."""
-    return space.distance(q, p)
-
-
 def ball_members(grid: CandidateGrid, center: Point, radius: float) -> PointSet:
     """Grid points at distance strictly less than ``radius`` from ``center``."""
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     row = grid.distances_from(center)
     return PointSet(grid, np.flatnonzero(row < radius))
@@ -471,21 +446,21 @@ def n0_line_space() -> MetricSpace:
     return MetricSpace(SpaceKind.N0_LINE)
 
 
-def line_grid(space: MetricSpace, values: Iterable[float], mesh: float = 0.0) -> CandidateGrid:
+def line_grid(space: MetricSpace, values: Iterable[float]) -> CandidateGrid:
     """Grid of 1-D vector points from a list of coordinates."""
     if space.kind not in _VECTOR_KINDS or space.dimension != 1:
         raise ValueError("line_grid needs a 1-dimensional vector space")
-    return CandidateGrid(space, (Point.vector(v) for v in values), mesh=mesh)
+    return CandidateGrid(space, (Point.vector(v) for v in values))
 
 
 def circle_grid(space: MetricSpace, count: int) -> CandidateGrid:
-    """Grid of ``count`` equally spaced angles; mesh is half the spacing."""
+    """Grid of ``count`` equally spaced angles starting at 0."""
     if space.kind is not SpaceKind.CIRCLE_ARCLENGTH:
         raise ValueError("circle_grid needs a circle space")
     if count < 1:
         raise ValueError("count must be positive")
     angles = (Point.angle(TWO_PI * (k / count)) for k in range(count))
-    return CandidateGrid(space, angles, mesh=math.pi / count)
+    return CandidateGrid(space, angles)
 
 
 def integer_grid(space: MetricSpace, count: int) -> CandidateGrid:
@@ -497,7 +472,7 @@ def integer_grid(space: MetricSpace, count: int) -> CandidateGrid:
     return CandidateGrid(space, (Point.index(i) for i in range(count)))
 
 
-def product_grid(axes: Sequence[CandidateGrid], mesh: float = 0.0) -> CandidateGrid:
+def product_grid(axes: Sequence[CandidateGrid]) -> CandidateGrid:
     """Row-major Cartesian product of 1-D vector grids, under the L1 metric."""
     if not axes:
         raise ValueError("product_grid needs at least one axis")
@@ -509,7 +484,7 @@ def product_grid(axes: Sequence[CandidateGrid], mesh: float = 0.0) -> CandidateG
         Point.vector(*(p.value[0] for p in combo))
         for combo in itertools.product(*(axis.points for axis in axes))
     ]
-    return CandidateGrid(space, points, mesh=mesh, axes=tuple(axes))
+    return CandidateGrid(space, points, axes=tuple(axes))
 
 
 # -- CSV interfaces ----------------------------------------------------------

@@ -93,7 +93,7 @@ def outer_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) ->
     """
     if not 0 <= tail_start < len(seq):
         raise ValueError("tail_start must index into the sequence")
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     union = PointSet(seq.grid, np.concatenate([s.indices for s in seq.sets[tail_start:]]))
     return PointSet(seq.grid, np.flatnonzero(_distance_to_set_per_point(union) <= tol))
@@ -103,7 +103,7 @@ def inner_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) ->
     """Points whose distance to every tail set is at most tol."""
     if not 0 <= tail_start < len(seq):
         raise ValueError("tail_start must index into the sequence")
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     worst = np.zeros(len(seq.grid))
     for s in seq.sets[tail_start:]:
@@ -125,6 +125,8 @@ def eventually_bounded(seq: SetSequence, cap: float = math.inf) -> BoundednessRe
     the cap. On a finite grid with cap = inf this is always true; a finite
     cap makes the check meaningful on integer-line truncations.
     """
+    if not cap >= 0:
+        raise ValueError("cap must be nonnegative")
     grid = seq.grid
     in_union = np.zeros(len(grid), dtype=bool)
     diam = 0.0
@@ -153,7 +155,7 @@ def approachable_minimizers_check(
     while eps shrinks is the signature of non-approachable minimizers.
     """
     eps_list = list(eps_list)
-    if any(e <= 0 for e in eps_list):
+    if not all(e > 0 for e in eps_list):
         raise ValueError("eps values must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps values must be strictly decreasing")
@@ -201,7 +203,7 @@ def epi_convergence_surrogate(
     for obj in objectives:
         if obj.grid is not grid:
             raise GridMismatchError("all objectives must share one grid")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if not 0 <= tail_start < len(objectives):
         raise ValueError("tail_start must index into the sequence")
@@ -415,26 +417,22 @@ class FixtureDiagnostics:
 
 
 def diagnose_fixture(
-    fixture: CounterexampleFixture,
-    diameter_cap: float = 50.0,
-    uniform_tol: "float | None" = None,
+    fixture: CounterexampleFixture, diameter_cap: float = 50.0
 ) -> FixtureDiagnostics:
     """Evaluate the three hypotheses and the escape trajectory of a fixture.
 
     Uniform convergence is judged by the final sup-deviation over the
-    fixture's designated bounded subset falling below ``uniform_tol``
-    (default 2/horizon, the resolution of a horizon-length run, so a 1/n
-    decay passes while a deviation pinned at 1 fails); eventual boundedness
-    by the tail unions of the argmin sequence under the cap; approachability
-    by the last entry of the eps trajectory on the limit objective. The
-    escape distances are d_subset(argmin f_n, argmin f) per n.
+    fixture's designated bounded subset falling below 2/horizon (the
+    resolution of a horizon-length run, so a 1/n decay passes while a
+    deviation pinned at 1 fails); eventual boundedness by the tail unions
+    of the argmin sequence under the cap; approachability by the last entry
+    of the eps trajectory on the limit objective. The escape distances are
+    d_subset(argmin f_n, argmin f) per n.
     """
     sup_dev = uniform_on_bounded_check(
         fixture.objective_sequence, fixture.limit_objective, fixture.bounded_subset
     )
-    if uniform_tol is None:
-        uniform_tol = 2.0 / len(fixture.objective_sequence)
-    uniform_ok = bool(sup_dev[-1] <= uniform_tol)
+    uniform_ok = bool(sup_dev[-1] <= 2.0 / len(fixture.objective_sequence))
     bounded = eventually_bounded(fixture.argmin_sequence, diameter_cap)
     approach = approachable_minimizers_check(
         fixture.limit_objective, fixture.approachability_eps

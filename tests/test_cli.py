@@ -215,6 +215,24 @@ def test_run_parallel_jobs_matches_serial(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("validate_only", [True, False])
+@pytest.mark.parametrize(
+    "jobs,env,source",
+    [(0, None, "--jobs"), (-3, None, "--jobs"), (None, "0", THREADS_ENV_VAR)],
+)
+def test_job_count_below_one_exits_2(
+    tmp_path, capsys, monkeypatch, validate_only, jobs, env, source
+):
+    path, _ = write_config(tmp_path)
+    if env is None:
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(THREADS_ENV_VAR, env)
+    assert run(str(path), jobs=jobs, validate_only=validate_only) == 2
+    assert f"{source} must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_threads_env_var_fallback(tmp_path, monkeypatch):
     path, _ = write_config(tmp_path)
     monkeypatch.setenv(THREADS_ENV_VAR, "2")

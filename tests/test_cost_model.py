@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from frechet_sets.cost_model import (
+    CostFunction,
     IntegratedH,
     MissingCostError,
     NondecreasingFn,
@@ -27,7 +28,7 @@ from frechet_sets.frechet_solver import (
     eps_argmin,
     population_objective,
 )
-from frechet_sets.metric_core import Point, euclidean_space, line_grid
+from frechet_sets.metric_core import MetricTransform, Point, euclidean_space, line_grid
 
 
 def random_h(rng) -> NondecreasingFn:
@@ -143,7 +144,7 @@ def test_power_and_integrated_costs_agree_for_squares():
     grid = line_grid(space, np.linspace(-3, 3, 13))
     for _ in range(50):
         y = Point.vector(float(rng.uniform(-4, 4)))
-        assert np.array_equal(square.row(space, y, grid), integrated.row(space, y, grid))
+        assert np.array_equal(square.row(y, grid), integrated.row(y, grid))
 
 
 def test_table_cost_lookup_and_errors():
@@ -151,9 +152,50 @@ def test_table_cost_lookup_and_errors():
     grid = line_grid(space, [0.0, 1.0])
     cost = table_cost({(0, 0): 1.5, (0, 1): -2.0}, grid)
     assert cost.evaluate(space, 0, Point.vector(1.0)) == -2.0
-    assert np.array_equal(cost.row(space, 0, grid), np.array([1.5, -2.0]))
+    assert np.array_equal(cost.row(0, grid), np.array([1.5, -2.0]))
     with pytest.raises(MissingCostError):
         cost.evaluate(space, 1, Point.vector(0.0))
+
+
+@pytest.mark.parametrize("transform", [None, MetricTransform.power(0.5)], ids=["plain", "sqrt"])
+@pytest.mark.parametrize("kind", ["power-0.5", "power-1", "power-2", "power-3", "h", "table"])
+def test_cost_row_matches_scalar_evaluate(kind, transform):
+    space = euclidean_space(1, transform=transform)
+    grid = line_grid(space, np.linspace(-2.0, 3.0, 11))
+    anchor = Point.vector(0.7)
+    if kind == "table":
+        rng = np.random.default_rng(5)
+        cost = table_cost({(y, j): float(rng.normal()) for y in range(3) for j in range(11)}, grid)
+        data = range(3)
+    else:
+        if kind == "h":
+            cost = h_cost(NondecreasingFn((0.0, 1.0, 2.5), (0.5, 0.5, 2.0), 0.25), anchor)
+        else:
+            cost = power_cost(float(kind.split("-")[1]), anchor)
+        data = [Point.vector(v) for v in (-3.1, -0.4, 0.0, 0.7, 1.25, 4.0)]
+    for y in data:
+        expected = [cost.evaluate(grid.space, y, q) for q in grid]
+        # d**3 takes numpy's vector pow in a row and libm's pow in a scalar,
+        # which may differ in the last bit
+        np.testing.assert_allclose(cost.row(y, grid), expected, rtol=1e-15, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: power_cost(0.0, Point.vector(0.0)),
+        lambda: power_cost(-1.0, Point.vector(0.0)),
+        lambda: power_cost(float("nan"), Point.vector(0.0)),
+        lambda: power_cost(2.0, None),
+        lambda: h_cost(NondecreasingFn.identity(), None),
+        lambda: CostFunction(profile=abs),
+        lambda: CostFunction(),
+        lambda: CostFunction(table={}),
+    ],
+)
+def test_cost_factories_reject_bad_input(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_anchor_independence_of_argmin():

@@ -156,7 +156,7 @@ def test_aligned_block_rows_start_on_cache_lines(rows, cols):
 @pytest.mark.parametrize("ns", [[1], [2, 2, 7, 7, 7, 31], [60], [1, 1, 60, 60]])
 def test_prefix_objectives_match_scalar_kahan_loop(kind, ns):
     support, sample, cost, grid = _prefix_case(kind)
-    rows = np.vstack([cost.row(grid.space, support[i], grid) for i in sample])
+    rows = np.vstack([cost.row(support[i], grid) for i in sample])
     objectives = empirical_objective(support, sample, cost, grid, ns=ns)
     assert [obj.sample_size for obj in objectives] == ns
     for n, obj in zip(ns, objectives):

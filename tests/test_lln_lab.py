@@ -328,7 +328,7 @@ def test_ulln_deviation_bounded_and_tightening():
     table = ulln_table(results)
     assert len(table[100]) == 10
     # cost spread on this grid bounds every deviation
-    rows = [cost.row(grid.space, y, grid) for y in dist.support]
+    rows = [cost.row(y, grid) for y in dist.support]
     spread = float(np.abs(np.vstack(rows)).max())
     assert all(dev <= spread for devs in table.values() for dev in devs)
     assert np.median(table[10_000]) < np.median(table[100])

@@ -117,6 +117,17 @@ def test_power_transform_preserves_triangle(alpha):
         assert space.distance(q, r) <= space.distance(q, p) + space.distance(p, r) + ATOL
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, float("nan"), float("inf")])
+def test_power_transform_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha in"):
+        MetricTransform.power(alpha)
+
+
+def test_concave_inverse_transform_rejects_missing_function():
+    with pytest.raises(ValueError, match="inverse_fn"):
+        MetricTransform.concave_inverse(None)
+
+
 @pytest.mark.parametrize(
     "sample",
     [

@@ -10,11 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frechet_sets.frechet_solver import Objective, eps_argmin
+from frechet_sets.frechet_solver import (
+    FiniteDistribution,
+    Objective,
+    eps_argmin,
+    median_interval_1d,
+)
+from frechet_sets.lln_lab import markov_bound
 from frechet_sets.metric_core import (
     GridMismatchError,
     Point,
     PointSet,
+    ball_members,
     circle_grid,
     circle_space,
     diameter,
@@ -476,3 +483,55 @@ def test_sequence_space_embedding_counterexample():
     )
     assert all(d_subset(s, origin) == 1.0 for s in seq.sets)
     assert inner_limit_estimate(seq, tail_start=0).indices.tolist() == [0]
+
+
+_NAN = float("nan")
+
+
+def _nan_cases():
+    grid = line_integer_grid(5)
+    obj = Objective(grid, np.arange(5.0), provenance="synthetic")
+    seq = SetSequence(grid, (PointSet(grid, [0]), PointSet(grid, [0, 1])))
+    return {
+        "eps_argmin": (lambda: eps_argmin(obj, _NAN), "eps must be nonnegative"),
+        "median_interval_1d": (
+            lambda: median_interval_1d([0.0, 1.0, 3.0], _NAN),
+            "eps must be nonnegative",
+        ),
+        "outer_limit_estimate": (
+            lambda: outer_limit_estimate(seq, 0, tol=_NAN),
+            "tol must be nonnegative",
+        ),
+        "inner_limit_estimate": (
+            lambda: inner_limit_estimate(seq, 0, tol=_NAN),
+            "tol must be nonnegative",
+        ),
+        "ball_members": (
+            lambda: ball_members(grid, grid[0], _NAN),
+            "radius must be positive",
+        ),
+        "eventually_bounded": (
+            lambda: eventually_bounded(seq, cap=_NAN),
+            "cap must be nonnegative",
+        ),
+        "epi_convergence_surrogate": (
+            lambda: epi_convergence_surrogate([obj], obj, delta=_NAN, tol=0.0),
+            "delta must be positive",
+        ),
+        "approachable_minimizers_check": (
+            lambda: approachable_minimizers_check(obj, [0.5, _NAN]),
+            "eps values must be positive",
+        ),
+        "markov_bound": (lambda: markov_bound(10, _NAN, 1.0), "eps must be positive"),
+        "FiniteDistribution": (
+            lambda: FiniteDistribution((0, 1), [_NAN, 1.0]),
+            "weights must be finite",
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_nan_cases()))
+def test_nan_parameters_are_rejected(name):
+    call, message = _nan_cases()[name]
+    with pytest.raises(ValueError, match=message):
+        call()
