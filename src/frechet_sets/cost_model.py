@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .metric_core import CandidateGrid, MetricSpace, Point, _stable_pow
+from .metric_core import CandidateGrid, Point, _stable_pow
 
 
 class NonInvertibleError(ValueError):
@@ -186,26 +186,20 @@ class CostFunction:
         elif self.table is None or self.table_grid is None:
             raise ValueError("table cost needs a table and its grid")
 
-    def evaluate(self, space: MetricSpace, y, q: Point) -> float:
-        if self.profile is None:
-            return self._table_lookup(y, self.table_grid.index_of(q))
-        f = self.profile
-        return float(f(space.distance(y, q)) - f(space.distance(y, self.anchor)))
-
     def row(self, y, grid: CandidateGrid) -> np.ndarray:
         """Cost of y against every point of ``grid``, as one vector."""
         if self.profile is None:
             if grid is not self.table_grid:
                 raise ValueError("table cost rows are only defined on the table grid")
-            return np.array([self._table_lookup(y, j) for j in range(len(grid))], dtype=float)
+            try:
+                return np.array([self.table[(y, j)] for j in range(len(grid))], dtype=float)
+            except KeyError as missing:
+                _, j = missing.args[0]
+                raise MissingCostError(f"no cost entry for data {y!r}, grid index {j}") from None
+        # f(d(y, o)) stays one scalar profile call, so an array pow cannot
+        # move the anchor term's bits
         f = self.profile
         return f(grid.distances_from(y)) - f(grid.space.distance(y, self.anchor))
-
-    def _table_lookup(self, y, j: int) -> float:
-        try:
-            return float(self.table[(y, j)])
-        except KeyError:
-            raise MissingCostError(f"no cost entry for data {y!r}, grid index {j}") from None
 
 
 def power_cost(alpha: float, anchor: Point) -> CostFunction:
@@ -388,7 +382,7 @@ def construct_h(
         raise ValueError("sample must be nonempty")
     if xs[0] < 0:
         raise ValueError("sample values must be nonnegative")
-    if bounded_hint is not None and bounded_hint <= 0:
+    if bounded_hint is not None and not bounded_hint > 0:
         raise ValueError("bounded_hint must be positive")
     cdf = StepCdf(xs)
     if bounded_hint is not None or xs[0] == xs[-1]:

@@ -228,6 +228,8 @@ def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float
     n = xs.size
     if n == 0:
         raise ValueError("sample must be nonempty")
+    if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):  # NaN sorts last
+        raise ValueError("sample values must be finite")
     if eps == 0.0:
         if n % 2 == 1:
             mid = xs[(n - 1) // 2]

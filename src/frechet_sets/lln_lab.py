@@ -69,22 +69,17 @@ class SplitMix64:
     """The pinned pseudo-random generator.
 
     64-bit state advanced by a fixed odd constant, finalized by the
-    standard two-round multiply-xorshift mix. ``next_block`` produces
-    exactly the same stream as repeated ``next_u64`` calls. Derived draws:
-    a uniform float uses the top 53 bits, a fair bit uses the top bit.
+    standard two-round multiply-xorshift mix. ``next_block`` returns the
+    next ``count`` outputs at once and is the only stream path; a block of
+    k outputs followed by a block of m equals one block of k + m. Derived
+    draws: a uniform float uses the top 53 bits (``floats_block``), a fair
+    bit uses the top bit (``bits_block``).
     """
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int) -> None:
         self.state = int(seed) & MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return z ^ (z >> 31)
 
     def next_block(self, count: int) -> np.ndarray:
         steps = np.arange(1, count + 1, dtype=np.uint64)
@@ -94,9 +89,6 @@ class SplitMix64:
         z = z ^ (z >> np.uint64(31))
         self.state = (self.state + count * _GAMMA) & MASK64
         return z
-
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * _FLOAT_SCALE
 
     def floats_block(self, count: int) -> np.ndarray:
         return (self.next_block(count) >> np.uint64(11)).astype(np.float64) * _FLOAT_SCALE
@@ -425,7 +417,7 @@ def markov_bound(n: int, eps: float, fourth_central_moment: float) -> float:
         raise ValueError("eps must be positive")
     if n < 1:
         raise ValueError("n must be positive")
-    if fourth_central_moment < 0:
+    if not fourth_central_moment >= 0:
         raise ValueError("the fourth central moment must be nonnegative")
     raw = float(n) ** -3 * fourth_central_moment / (2.0**-4 * eps**4)
     return min(1.0, raw)

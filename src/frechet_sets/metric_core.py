@@ -7,8 +7,10 @@ the two nonnegative-integer spaces with unit and line metrics), an
 optional metric transform d -> fn(d) built as a power d^alpha or a
 concave inverse, candidate grids, balls, and diameters.
 
-Grid distances come from one block kernel, ``MetricSpace.distances``;
-grids compute only the rows x cols block a caller asks for and cache no
+Every distance comes from one block kernel, ``MetricSpace.distances``,
+over arrays that ``MetricSpace.pack`` validates and packs; the scalar
+``MetricSpace.distance`` is its 1x1 block. Grids pack their points once
+and compute only the rows x cols block a caller asks for, caching no
 grid-sized matrix.
 
 All types are immutable after construction and all operations are pure.
@@ -166,54 +168,45 @@ class MetricSpace:
         elif self.distance_table is not None:
             raise ValueError("distance_table is only valid for discrete-table spaces")
 
-    # -- point validation ---------------------------------------------------
+    # -- points and distances -----------------------------------------------
 
-    def validate_point(self, p: Point) -> None:
-        if self.kind in _VECTOR_KINDS:
-            if not p.is_vector or len(p.value) != self.dimension:
-                raise InvalidPointError(
-                    f"expected a {self.dimension}-dimensional vector point, got {p!r}"
-                )
-        elif self.kind is SpaceKind.CIRCLE_ARCLENGTH:
-            if not p.is_angle:
-                raise InvalidPointError(f"expected a circle angle point, got {p!r}")
-        else:
+    def pack(self, points: Sequence[Point]) -> np.ndarray:
+        """Validate ``points`` and pack their values into the array that
+        ``distances`` reads: one row of float coordinates per point for the
+        vector kinds, one float angle or one int64 index per point otherwise.
+        Coordinates and angles must be finite."""
+        kind = self.kind
+        if kind in _VECTOR_KINDS:
+            for p in points:
+                if not p.is_vector or len(p.value) != self.dimension:
+                    raise InvalidPointError(
+                        f"expected a {self.dimension}-dimensional vector point, got {p!r}"
+                    )
+                if not all(map(math.isfinite, p.value)):
+                    raise InvalidPointError(f"point coordinates must be finite, got {p!r}")
+            return np.array([p.value for p in points], dtype=float).reshape(-1, self.dimension)
+        if kind is SpaceKind.CIRCLE_ARCLENGTH:
+            for p in points:
+                if not p.is_angle:
+                    raise InvalidPointError(f"expected a circle angle point, got {p!r}")
+                if not math.isfinite(p.value):
+                    raise InvalidPointError(f"point coordinates must be finite, got {p!r}")
+            return np.array([p.value for p in points], dtype=float)
+        size = len(self.distance_table) if kind is SpaceKind.DISCRETE_TABLE else None
+        for p in points:
             if not p.is_index:
                 raise InvalidPointError(f"expected a discrete index point, got {p!r}")
-            if self.kind is SpaceKind.DISCRETE_TABLE and p.value >= len(
-                self.distance_table
-            ):
-                raise InvalidPointError(
-                    f"index {p.value} outside table of size {len(self.distance_table)}"
-                )
-
-    # -- distances ----------------------------------------------------------
+            if size is not None and p.value >= size:
+                raise InvalidPointError(f"index {p.value} outside table of size {size}")
+        return np.array([p.value for p in points], dtype=np.int64)
 
     def distance(self, q: Point, p: Point) -> float:
-        """Distance between two points, transform applied last."""
-        self.validate_point(q)
-        self.validate_point(p)
-        kind = self.kind
-        if kind is SpaceKind.EUCLIDEAN_L2:
-            d = math.sqrt(sum((a - b) ** 2 for a, b in zip(q.value, p.value)))
-        elif kind is SpaceKind.PRODUCT_L1:
-            d = sum(abs(a - b) for a, b in zip(q.value, p.value))
-        elif kind is SpaceKind.CIRCLE_ARCLENGTH:
-            gap = abs(q.value - p.value)
-            d = min(gap, TWO_PI - gap)
-        elif kind is SpaceKind.DISCRETE_TABLE:
-            d = float(self.distance_table[q.value, p.value])
-        elif kind is SpaceKind.N0_UNIT:
-            d = 0.0 if q.value == p.value else 1.0
-        else:  # N0_LINE
-            d = float(abs(q.value - p.value))
-        if self.transform is not None:
-            return float(self.transform.fn(d))
-        return d
+        """Distance between two points: the 1x1 block of ``distances``."""
+        return float(self.distances(self.pack((q,)), self.pack((p,)))[0, 0])
 
     def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Distances between grid-packed points, one row per ``rows`` entry,
-        with the transform applied last."""
+        """Distances between packed points, one row per ``rows`` entry, with
+        the transform applied last: the one place each kind's formula lives."""
         kind = self.kind
         if kind is SpaceKind.EUCLIDEAN_L2:
             diff = cols[None, :, :] - rows[:, None, :]
@@ -281,16 +274,15 @@ class CandidateGrid:
         pts = tuple(points)
         if not pts:
             raise ValueError("a candidate grid needs at least one point")
-        for p in pts:
-            space.validate_point(p)
+        coords = space.pack(pts)
         if len(set(pts)) != len(pts):
             raise ValueError("grid points must be pairwise distinct")
+        coords.setflags(write=False)
         self.space = space
         self.points = pts
         self.axes = axes
         self._index_of = {p: i for i, p in enumerate(pts)}
-        self.coords = _pack_points(space, pts)
-        self.coords.setflags(write=False)
+        self.coords = coords
 
     def __len__(self) -> int:
         return len(self.points)
@@ -312,8 +304,7 @@ class CandidateGrid:
 
     def distances_from(self, q: Point) -> np.ndarray:
         """Distances from ``q`` (any point of the space) to every grid point."""
-        self.space.validate_point(q)
-        return self.space.distances(_pack_points(self.space, (q,)), self.coords)[0]
+        return self.space.distances(self.space.pack((q,)), self.coords)[0]
 
     def distance_matrix(
         self, rows: "np.ndarray | None" = None, cols: "np.ndarray | None" = None
@@ -324,11 +315,6 @@ class CandidateGrid:
         row_pts = packed if rows is None else packed[np.asarray(rows, dtype=np.intp)]
         col_pts = packed if cols is None else packed[np.asarray(cols, dtype=np.intp)]
         return self.space.distances(row_pts, col_pts)
-
-
-def _pack_points(space: MetricSpace, pts: Sequence[Point]) -> np.ndarray:
-    dtype = np.int64 if space.kind in _INDEX_KINDS else float
-    return np.array([p.value for p in pts], dtype=dtype)
 
 
 class PointSet:

@@ -205,6 +205,8 @@ def epi_convergence_surrogate(
             raise GridMismatchError("all objectives must share one grid")
     if not delta > 0:
         raise ValueError("delta must be positive")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     if not 0 <= tail_start < len(objectives):
         raise ValueError("tail_start must index into the sequence")
     values = np.vstack([obj.values for obj in objectives[tail_start:]])

@@ -128,11 +128,12 @@ def test_invert_H_flat_head_rules():
 def test_cost_examples():
     space = euclidean_space(1)
     origin = Point.vector(0.0)
+    grid = line_grid(space, [0.0, 0.5, 5.0])
     square = power_cost(2.0, origin)
-    assert square.evaluate(space, Point.vector(1.0), Point.vector(0.5)) == -0.75
-    assert square.evaluate(space, Point.vector(1.0), origin) == 0.0
+    assert square.row(Point.vector(1.0), grid)[1] == -0.75
+    assert square.row(Point.vector(1.0), grid)[0] == 0.0
     absolute = power_cost(1.0, origin)
-    assert absolute.evaluate(space, Point.vector(3.0), Point.vector(5.0)) == -1.0
+    assert absolute.row(Point.vector(3.0), grid)[2] == -1.0
 
 
 def test_power_and_integrated_costs_agree_for_squares():
@@ -151,10 +152,10 @@ def test_table_cost_lookup_and_errors():
     space = euclidean_space(1)
     grid = line_grid(space, [0.0, 1.0])
     cost = table_cost({(0, 0): 1.5, (0, 1): -2.0}, grid)
-    assert cost.evaluate(space, 0, Point.vector(1.0)) == -2.0
+    assert cost.row(0, grid)[1] == -2.0
     assert np.array_equal(cost.row(0, grid), np.array([1.5, -2.0]))
     with pytest.raises(MissingCostError):
-        cost.evaluate(space, 1, Point.vector(0.0))
+        cost.row(1, grid)
 
 
 @pytest.mark.parametrize("transform", [None, MetricTransform.power(0.5)], ids=["plain", "sqrt"])
@@ -163,9 +164,15 @@ def test_cost_row_matches_scalar_evaluate(kind, transform):
     space = euclidean_space(1, transform=transform)
     grid = line_grid(space, np.linspace(-2.0, 3.0, 11))
     anchor = Point.vector(0.7)
+
+    def d(y, q):  # the scalar line distance, transform applied last
+        gap = abs(y.value[0] - q.value[0])
+        return gap if transform is None else math.sqrt(gap)
+
     if kind == "table":
         rng = np.random.default_rng(5)
-        cost = table_cost({(y, j): float(rng.normal()) for y in range(3) for j in range(11)}, grid)
+        entries = {(y, j): float(rng.normal()) for y in range(3) for j in range(11)}
+        cost = table_cost(entries, grid)
         data = range(3)
     else:
         if kind == "h":
@@ -174,7 +181,11 @@ def test_cost_row_matches_scalar_evaluate(kind, transform):
             cost = power_cost(float(kind.split("-")[1]), anchor)
         data = [Point.vector(v) for v in (-3.1, -0.4, 0.0, 0.7, 1.25, 4.0)]
     for y in data:
-        expected = [cost.evaluate(grid.space, y, q) for q in grid]
+        if kind == "table":
+            expected = [entries[(y, j)] for j in range(len(grid))]
+        else:
+            f = cost.profile
+            expected = [f(d(y, q)) - f(d(y, anchor)) for q in grid]
         # d**3 takes numpy's vector pow in a row and libm's pow in a scalar,
         # which may differ in the last bit
         np.testing.assert_allclose(cost.row(y, grid), expected, rtol=1e-15, atol=1e-12)
@@ -338,4 +349,4 @@ def test_cost_table_csv(tmp_path):
     path = tmp_path / "cost.csv"
     path.write_text("0,0,1.5\n0,1,-2.0\n")
     cost = load_cost_table_csv(str(path), grid)
-    assert cost.evaluate(space, 0, Point.vector(0.0)) == 1.5
+    assert cost.row(0, grid)[0] == 1.5

@@ -2,6 +2,7 @@
 product composition, each checked against an independent brute-force oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -324,6 +325,38 @@ def test_median_interval_finite_containing_and_growing(sample, exponents):
     assert all(math.isfinite(v) for v in (lo_s, hi_s, lo_l, hi_l))
     assert lo_s <= base_lo and base_hi <= hi_s
     assert lo_l <= lo_s and hi_s <= hi_l
+
+
+_normal_samples = st.tuples(st.integers(1, 11), st.integers(0, 2**32 - 1)).map(
+    lambda size_seed: np.random.default_rng(size_seed[1]).normal(size=size_seed[0]).tolist()
+)
+
+
+@given(sample=st.one_of(_interval_samples, _normal_samples), exponent=st.floats(-300.0, 0.0))
+@settings(max_examples=400, deadline=None)
+def test_median_interval_endpoints_within_rounding_bound(sample, exponent):
+    # in exact arithmetic, G(q) = sum |y_i - q| at each endpoint is the
+    # threshold min G + n * eps up to 8u * (sum |y_i| + n * max(|lo|, |hi|))
+    eps = 10.0**exponent
+    lo, hi = median_interval_1d(sample, eps)
+    ys = sorted(Fraction(y) for y in sample)
+    n = len(ys)
+
+    def g(q):
+        return sum(abs(y - q) for y in ys)
+
+    threshold = g(ys[(n - 1) // 2]) + n * Fraction(eps)
+    scale = sum(abs(y) for y in ys) + n * max(abs(Fraction(lo)), abs(Fraction(hi)))
+    bound = 8 * Fraction(1, 2**53) * scale
+    assert abs(g(Fraction(lo)) - threshold) <= bound
+    assert abs(g(Fraction(hi)) - threshold) <= bound
+
+
+def test_median_interval_rejects_non_finite_samples():
+    for sample in ([float("nan"), 1.0, 2.0], [float("inf"), 1.0], [1.0, -float("inf")]):
+        for eps in (0.0, 0.1):
+            with pytest.raises(ValueError, match="finite"):
+                median_interval_1d(sample, eps)
 
 
 def test_median_interval_endpoints_sit_on_threshold():

@@ -56,29 +56,44 @@ GOLDEN_SEED42 = (
 )
 
 
+MASK64 = (1 << 64) - 1
+
+
+def scalar_stream(seed, count):
+    """The SplitMix64 step in plain integer arithmetic, one output at a
+    time: the oracle for the library's block path."""
+    state = seed & MASK64
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def test_rng_golden_streams():
     for seed, golden in ((0, GOLDEN_SEED0), (42, GOLDEN_SEED42)):
-        rng = SplitMix64(seed)
-        assert tuple(rng.next_u64() for _ in range(10)) == golden
+        assert tuple(scalar_stream(seed, 10)) == golden
+        assert tuple(int(v) for v in SplitMix64(seed).next_block(10)) == golden
 
 
 def test_rng_block_matches_scalar_stream():
-    a, b = SplitMix64(987654321), SplitMix64(987654321)
-    block = b.next_block(257)
-    scalars = [a.next_u64() for _ in range(257)]
-    assert [int(v) for v in block] == scalars
+    rng = SplitMix64(987654321)
+    scalars = scalar_stream(987654321, 257 + 1 + 5)
+    assert [int(v) for v in rng.next_block(257)] == scalars[:257]
     # continuation after a block stays aligned
-    assert a.next_u64() == b.next_u64()
+    assert [int(v) for v in rng.next_block(1)] == scalars[257:258]
+    assert [int(v) for v in rng.next_block(5)] == scalars[258:]
 
 
 def test_rng_derived_draws():
-    rng = SplitMix64(7)
-    floats = [rng.next_float() for _ in range(100)]
+    outputs = scalar_stream(7, 100)
+    floats = [(u >> 11) * 2.0**-53 for u in outputs]
     assert all(0.0 <= f < 1.0 for f in floats)
-    rng2 = SplitMix64(7)
-    assert np.array_equal(rng2.floats_block(100), np.array(floats))
-    rng3 = SplitMix64(7)
-    scalar_bits = [rng3.next_u64() >> 63 for _ in range(100)]
+    assert np.array_equal(SplitMix64(7).floats_block(100), np.array(floats))
+    scalar_bits = [u >> 63 for u in outputs]
     assert SplitMix64(7).bits_block(100).tolist() == scalar_bits
 
 
@@ -363,7 +378,7 @@ def test_heavy_tail_median_stays_put_demo(capsys):
     # absolute-loss mean set stays in a fixed window while the squared-loss
     # minimizer drifts with the largest observations
     rng = SplitMix64(2024)
-    u = np.array([rng.next_float() for _ in range(4000)])
+    u = rng.floats_block(4000)
     sample = (1.0 / (1.0 - u)) ** (1.0 / 1.2)  # infinite variance regime
     space = euclidean_space(1)
     grid = line_grid(space, np.linspace(0.0, 50.0, 201))

@@ -48,6 +48,26 @@ def random_table_space(rng, size):
     return table_space(table)
 
 
+def scalar_distance(space, q, p):
+    """Per-kind scalar formulas, the oracle for the block kernel
+    ``MetricSpace.distances`` (and so for ``MetricSpace.distance``)."""
+    kind = space.kind
+    if kind is SpaceKind.EUCLIDEAN_L2:
+        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(q.value, p.value)))
+    elif kind is SpaceKind.PRODUCT_L1:
+        d = sum(abs(a - b) for a, b in zip(q.value, p.value))
+    elif kind is SpaceKind.CIRCLE_ARCLENGTH:
+        gap = abs(q.value - p.value)
+        d = min(gap, 2 * math.pi - gap)
+    elif kind is SpaceKind.DISCRETE_TABLE:
+        d = float(space.distance_table[q.value, p.value])
+    elif kind is SpaceKind.N0_UNIT:
+        d = 0.0 if q.value == p.value else 1.0
+    else:  # N0_LINE
+        d = float(abs(q.value - p.value))
+    return d if space.transform is None else float(space.transform.fn(d))
+
+
 def sample_point(rng, space):
     kind = space.kind
     if kind in (SpaceKind.EUCLIDEAN_L2, SpaceKind.PRODUCT_L1):
@@ -280,6 +300,28 @@ def test_invalid_points_rejected():
         Point.index(-1)
 
 
+def test_pack_rejects_non_finite_coordinates():
+    plane, circ = euclidean_space(2), circle_space()
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidPointError, match="finite"):
+            plane.pack([Point.vector(0.0, 1.0), Point.vector(2.0, bad)])
+        with pytest.raises(InvalidPointError, match="finite"):
+            circ.distance(Point.angle(0.0), Point.angle(bad))
+        with pytest.raises(InvalidPointError, match="finite"):
+            line_grid(euclidean_space(1), [0.0, bad])
+        grid = line_grid(euclidean_space(1), [0.0, 1.0])
+        with pytest.raises(InvalidPointError, match="finite"):
+            ball_members(grid, Point.vector(bad), 1.0)
+    assert plane.pack([Point.vector(0.0, 1.0), Point.vector(2.0, 3.0)]).tolist() == [
+        [0.0, 1.0],
+        [2.0, 3.0],
+    ]
+    assert plane.pack([]).shape == (0, 2)
+    assert n0_line_space().pack([Point.index(3), Point.index(0)]).dtype == np.int64
+    with pytest.raises(InvalidPointError, match="outside table"):
+        table_space(np.array([[0.0, 1.0], [1.0, 0.0]])).pack([Point.index(2)])
+
+
 def test_grid_requires_distinct_points():
     with pytest.raises(ValueError, match="distinct"):
         line_grid(euclidean_space(1), [0.0, 0.0])
@@ -299,8 +341,11 @@ def test_distance_matrix_matches_scalar_path():
     for space in spaces:
         points = list(dict.fromkeys(sample_point(rng, space) for _ in range(15)))
         grid = CandidateGrid(space, points)
-        # the scalar distance is the oracle for every block and row
-        oracle = np.array([[space.distance(p, q) for q in points] for p in points])
+        # the test-local scalar formulas are the oracle for every block, row
+        # and 1x1 block (the library's scalar distance)
+        oracle = np.array([[scalar_distance(space, p, q) for q in points] for p in points])
+        scalar = np.array([[space.distance(p, q) for q in points] for p in points])
+        np.testing.assert_allclose(scalar, oracle, rtol=0, atol=ATOL)
         np.testing.assert_allclose(grid.distance_matrix(), oracle, rtol=0, atol=ATOL)
         for i, p in enumerate(points):
             np.testing.assert_allclose(grid.distances_from(p), oracle[i], rtol=0, atol=ATOL)

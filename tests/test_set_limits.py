@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frechet_sets.cost_model import construct_h, power_cost
 from frechet_sets.frechet_solver import (
     FiniteDistribution,
     Objective,
@@ -490,6 +491,7 @@ _NAN = float("nan")
 
 def _nan_cases():
     grid = line_integer_grid(5)
+    line = line_grid(euclidean_space(1), [0.0, 1.0])
     obj = Objective(grid, np.arange(5.0), provenance="synthetic")
     seq = SetSequence(grid, (PointSet(grid, [0]), PointSet(grid, [0, 1])))
     return {
@@ -526,6 +528,30 @@ def _nan_cases():
         "FiniteDistribution": (
             lambda: FiniteDistribution((0, 1), [_NAN, 1.0]),
             "weights must be finite",
+        ),
+        "epi_convergence_surrogate_tol": (
+            lambda: epi_convergence_surrogate([obj], obj, delta=1.0, tol=_NAN),
+            "tol must be nonnegative",
+        ),
+        "markov_bound_fourth_moment": (
+            lambda: markov_bound(10, 1.0, fourth_central_moment=_NAN),
+            "fourth central moment must be nonnegative",
+        ),
+        "construct_h": (
+            lambda: construct_h([0.0, 1.0, 2.0], bounded_hint=_NAN),
+            "bounded_hint must be positive",
+        ),
+        "median_interval_1d_sample": (
+            lambda: median_interval_1d([_NAN, 1.0, 2.0], 0.1),
+            "sample values must be finite",
+        ),
+        "MetricSpace.pack": (
+            lambda: ball_members(line, Point.vector(_NAN), 1.0),
+            "coordinates must be finite",
+        ),
+        "power_cost_anchor": (
+            lambda: power_cost(2.0, Point.vector(_NAN)).row(Point.vector(0.0), line),
+            "coordinates must be finite",
         ),
     }
 
