@@ -61,13 +61,13 @@ class NondecreasingFn:
             raise ValueError("breakpoints must start at 0")
         if len(bp) != len(vals):
             raise ValueError("breakpoints and values must have equal length")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+        if any(not b2 > b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(v < 0 for v in vals):
+        if any(not v >= 0 for v in vals):
             raise ValueError("values must be nonnegative")
-        if any(v2 < v1 for v1, v2 in zip(vals, vals[1:])):
+        if any(not v2 >= v1 for v1, v2 in zip(vals, vals[1:])):
             raise ValueError("values must be nondecreasing")
-        if self.tail_slope < 0:
+        if not self.tail_slope >= 0:
             raise ValueError("tail_slope must be nonnegative")
 
     @staticmethod
@@ -80,7 +80,7 @@ class NondecreasingFn:
 
     def __call__(self, x: "np.ndarray | float") -> "np.ndarray | float":
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):
             raise ValueError("h is only defined for nonnegative arguments")
         bp = np.asarray(self.breakpoints)
         vals = np.asarray(self.values)
@@ -114,7 +114,7 @@ class IntegratedH:
 
     def __call__(self, x: "np.ndarray | float") -> "np.ndarray | float":
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):
             raise ValueError("H is only defined for nonnegative arguments")
         bp, vals, cum = self._bp, self._vals, self._cum
         j = np.clip(np.searchsorted(bp, arr, side="right") - 1, 0, len(bp) - 1)
@@ -139,7 +139,7 @@ class IntegratedH:
         unless h has a flat zero head, in which case the set {H = 0} is a
         whole interval and the query is rejected."""
         arr = np.asarray(y, dtype=float)
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):
             raise ValueError("H inverse is only defined for nonnegative arguments")
         head = self.flat_head_length
         if math.isinf(head):

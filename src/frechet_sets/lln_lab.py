@@ -82,19 +82,31 @@ class SplitMix64:
         self.state = int(seed) & MASK64
 
     def next_block(self, count: int) -> np.ndarray:
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(self.state) + steps * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        # one output array and one shift scratch; uint64 arithmetic wraps
+        # modulo 2**64 exactly like the masked integer step
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        shifted = np.empty_like(z)
+        z ^= np.right_shift(z, np.uint64(30), out=shifted)
+        z *= np.uint64(_MIX1)
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
+        z *= np.uint64(_MIX2)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
         self.state = (self.state + count * _GAMMA) & MASK64
         return z
 
     def floats_block(self, count: int) -> np.ndarray:
-        return (self.next_block(count) >> np.uint64(11)).astype(np.float64) * _FLOAT_SCALE
+        block = self.next_block(count)
+        block >>= np.uint64(11)
+        floats = block.astype(np.float64)
+        floats *= _FLOAT_SCALE
+        return floats
 
     def bits_block(self, count: int) -> np.ndarray:
-        return (self.next_block(count) >> np.uint64(63)).astype(np.int64)
+        block = self.next_block(count)
+        block >>= np.uint64(63)
+        return block.view(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,6 +292,34 @@ def _box_d_subset(a: Sequence[tuple[float, float]], b: Sequence[tuple[float, flo
     return float(sum(_interval_d_subset(ai, bi) for ai, bi in zip(a, b)))
 
 
+def _box_events(walks: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-n box events of the walks (one row per axis) at slack n * eps_n.
+
+    Returns (simultaneous zero, corner 0, corner 1, unit box, interior,
+    any corner), each a boolean array over n.
+    """
+    top = walks[0].copy()  # max_k S_k
+    bottom = walks[0].copy()  # min_k S_k
+    nearest = np.abs(walks[0])  # min_k |S_k|
+    scratch = np.empty_like(nearest)
+    for row in walks[1:]:
+        np.maximum(top, row, out=top)
+        np.minimum(bottom, row, out=bottom)
+        np.minimum(nearest, np.abs(row, out=scratch), out=nearest)
+    absmax = np.maximum(top, -bottom)
+    # exact because slack = n * eps_n >= 0 (EpsilonSchedule admits no
+    # negative eps_n): max(S, 0) <= slack iff S <= slack, so each
+    # every-axis test is one comparison of a cross-axis statistic
+    return (
+        absmax == 0,  # every walk at zero
+        top <= slack,  # probe coordinate 0 in every axis set
+        -bottom <= slack,  # probe coordinate 1 in every axis set
+        absmax <= slack,  # every axis interval contains [0, 1]
+        absmax <= 2.0 * slack,  # probe coordinate 1/2 in every axis set
+        -nearest <= slack,  # 0 or 1 in every axis set
+    )
+
+
 def run_median_experiment(
     s: int, schedule: EpsilonSchedule, n_max: int, seed: int
 ) -> ExperimentResult:
@@ -293,29 +333,29 @@ def run_median_experiment(
     the mean set exactly when |S_n| <= n * eps_n, and corner or interior
     probe membership are one-sided versions of the same comparison.
 
+    The bits are held as one contiguous row per axis, and the walks are
+    built in place along those rows. Every box event is then a comparison
+    of one of three cross-axis statistics with the slack n * eps_n:
+    top = max_k S_k, bottom = min_k S_k and min_k |S_k|. This relies on
+    the slack being nonnegative, which ``EpsilonSchedule`` guarantees.
+
     Per-n trajectories (every n up to n_max) drive the summary counters;
     full interval solves and set distances are recorded on the n-grid.
     """
     rng = SplitMix64(seed)
-    bits = SamplingDistribution.bernoulli_product(s).draw(rng, n_max)
-    ones = np.cumsum(bits, axis=0)
-    n_col = np.arange(1, n_max + 1, dtype=np.int64)[:, None]
-    walks = 2 * ones - n_col
-    eps = schedule.values(np.arange(1, n_max + 1))
-    slack = n_col.astype(float) * eps[:, None]
+    # (s, n_max), one contiguous row per axis; the drawn (n_max, s) array is dropped
+    axis_bits = np.ascontiguousarray(
+        SamplingDistribution.bernoulli_product(s).draw(rng, n_max).T
+    )
+    n_row = np.arange(1, n_max + 1, dtype=np.int64)
+    walks = np.cumsum(axis_bits, axis=1)
+    walks *= 2
+    walks -= n_row
+    eps = schedule.values(n_row)
 
-    zero_ok = np.maximum(walks, 0) <= slack  # probe coordinate 0 in axis set
-    one_ok = np.maximum(-walks, 0) <= slack  # probe coordinate 1 in axis set
-    abs_walks = np.abs(walks)
-    unit_ok = abs_walks <= slack  # axis interval contains [0, 1]
-    interior_ok = abs_walks <= 2.0 * slack  # probe coordinate 1/2 in axis set
-
-    sim_zero = (walks == 0).all(axis=1)
-    corner_zero = zero_ok.all(axis=1)
-    corner_one = one_ok.all(axis=1)
-    any_corner = (zero_ok | one_ok).all(axis=1)
-    interior = interior_ok.all(axis=1)
-    unit_box = unit_ok.all(axis=1)
+    sim_zero, corner_zero, corner_one, unit_box, interior, any_corner = _box_events(
+        walks, n_row * eps
+    )
 
     zero_indices = (np.flatnonzero(sim_zero) + 1).tolist()
     interior_indices = (np.flatnonzero(interior) + 1).tolist()
@@ -340,7 +380,7 @@ def run_median_experiment(
     grid_ns = make_n_grid(n_max)
     for n in grid_ns:
         eps_n = eps[n - 1]
-        intervals = [median_interval_1d(bits[:n, k], eps_n) for k in range(s)]
+        intervals = [median_interval_1d(axis_bits[k, :n], eps_n) for k in range(s)]
         axis_sets = [
             grid_restrict_interval(axes[k], *intervals[k]) for k in range(s)
         ]
@@ -365,7 +405,7 @@ def run_median_experiment(
         for k in range(s):
             record[f"lo{k}"] = float(intervals[k][0])
             record[f"hi{k}"] = float(intervals[k][1])
-            record[f"walk{k}"] = int(walks[n - 1, k])
+            record[f"walk{k}"] = int(walks[k, n - 1])
         records.append(record)
 
     summary = {

@@ -6,9 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frechet_sets.cost_model import power_cost
-from frechet_sets.frechet_solver import EpsilonSchedule, FiniteDistribution
+from frechet_sets.frechet_solver import (
+    EpsilonSchedule,
+    FiniteDistribution,
+    median_interval_1d,
+)
 from frechet_sets.lln_lab import (
     SamplingDistribution,
     SplitMix64,
@@ -80,12 +86,18 @@ def test_rng_golden_streams():
 
 
 def test_rng_block_matches_scalar_stream():
-    rng = SplitMix64(987654321)
-    scalars = scalar_stream(987654321, 257 + 1 + 5)
-    assert [int(v) for v in rng.next_block(257)] == scalars[:257]
-    # continuation after a block stays aligned
-    assert [int(v) for v in rng.next_block(1)] == scalars[257:258]
-    assert [int(v) for v in rng.next_block(5)] == scalars[258:]
+    seeds = (
+        987654321,
+        MASK64,  # the first step wraps the state
+        (1 << 64) - 0x9E3779B97F4A7C15 - 1,  # one step below the wrap
+    )
+    for seed in seeds:
+        rng = SplitMix64(seed)
+        scalars = scalar_stream(seed, 257 + 1 + 5)
+        assert [int(v) for v in rng.next_block(257)] == scalars[:257]
+        # continuation after a block stays aligned
+        assert [int(v) for v in rng.next_block(1)] == scalars[257:258]
+        assert [int(v) for v in rng.next_block(5)] == scalars[258:]
 
 
 def test_rng_derived_draws():
@@ -210,6 +222,94 @@ def test_median_experiment_deterministic():
     a = run_median_experiment(2, EpsilonSchedule.constant(0.0), 512, seed=77)
     b = run_median_experiment(2, EpsilonSchedule.constant(0.0), 512, seed=77)
     assert a.records == b.records and a.summary == b.summary
+
+
+def median_walk_oracle(s, schedule, n_max, seed):
+    """The median runner's walk fields in the (n, s) formulation: each
+    per-axis membership test is evaluated on its own, then required of
+    every axis row by row."""
+    bits = SamplingDistribution.bernoulli_product(s).draw(SplitMix64(seed), n_max)
+    n_col = np.arange(1, n_max + 1, dtype=np.int64)[:, None]
+    walks = 2 * np.cumsum(bits, axis=0) - n_col
+    eps = schedule.values(np.arange(1, n_max + 1))
+    slack = n_col.astype(float) * eps[:, None]
+    zero_ok = np.maximum(walks, 0) <= slack
+    one_ok = np.maximum(-walks, 0) <= slack
+    sim_zero = (walks == 0).all(axis=1)
+    flags = {
+        "unit_box_subset": (np.abs(walks) <= slack).all(axis=1),
+        "interior_member": (np.abs(walks) <= 2.0 * slack).all(axis=1),
+        "corner_zero_member": zero_ok.all(axis=1),
+        "corner_one_member": one_ok.all(axis=1),
+        "any_corner_member": (zero_ok | one_ok).all(axis=1),
+    }
+    records = []
+    for n in make_n_grid(n_max):
+        record = {"n": n, "eps": float(eps[n - 1])}
+        record.update({key: int(flag[n - 1]) for key, flag in flags.items()})
+        record["sim_zero_count"] = int(sim_zero[:n].sum())
+        for k in range(s):
+            lo, hi = median_interval_1d(bits[:n, k], eps[n - 1])
+            record[f"lo{k}"], record[f"hi{k}"] = lo, hi
+            record[f"walk{k}"] = int(walks[n - 1, k])
+        records.append(record)
+    checkpoints = [2**j for j in range(n_max.bit_length()) if 2**j < n_max]
+    interior = flags["interior_member"]
+    summary = {
+        "zero_return_count": int(sim_zero.sum()),
+        "zero_return_indices": (np.flatnonzero(sim_zero) + 1).tolist(),
+        "interior_occurrence_count": int(interior.sum()),
+        "interior_occurrence_indices": (np.flatnonzero(interior) + 1).tolist(),
+        "checkpoints": checkpoints,
+        "final_unit_box_subset": int(flags["unit_box_subset"][-1]),
+    }
+    for key, flag in (
+        ("corner_any", flags["any_corner_member"]),
+        ("corner_zero", flags["corner_zero_member"]),
+        ("corner_one", flags["corner_one_member"]),
+        ("interior", interior),
+    ):
+        summary[f"{key}_beyond_checkpoint"] = [bool(flag[c:].any()) for c in checkpoints]
+    return records, summary
+
+
+# slack constants and exponents that put |S_n| exactly on n * eps_n often
+_TIE_C = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_TIE_EXPONENT = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.integers(1, 5),
+    n_max=st.integers(1, 600),
+    c=_TIE_C | st.floats(0.0, 2.0),
+    exponent=st.none() | _TIE_EXPONENT | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_median_walk_matches_per_axis_oracle(s, n_max, c, exponent, seed):
+    if exponent is None:
+        schedule = EpsilonSchedule.constant(c)
+    else:
+        schedule = EpsilonSchedule.power_decay(c, exponent)
+    result = run_median_experiment(s, schedule, n_max, seed)
+    records, summary = median_walk_oracle(s, schedule, n_max, seed)
+    assert len(result.records) == len(records)
+    assert [{key: r[key] for key in o} for r, o in zip(result.records, records)] == records
+    assert {key: result.summary[key] for key in summary} == summary
+
+
+def test_median_walk_memory_has_no_per_sample_matrix_temporaries():
+    # bits and walks are two int64 rows per axis (16 B per generator output);
+    # the statistics and flags add a few n_max-long arrays. Elementwise
+    # (n_max, s) temporaries of the walks push the peak past 51 B per output.
+    s, n_max = 3, 100_000
+    tracemalloc.start()
+    try:
+        run_median_experiment(s, EpsilonSchedule.constant(0.0), n_max, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * s * n_max
 
 
 # -- circle experiment -------------------------------------------------------------

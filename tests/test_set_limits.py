@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frechet_sets.cost_model import construct_h, power_cost
+from frechet_sets.cost_model import IntegratedH, NondecreasingFn, construct_h, power_cost
 from frechet_sets.frechet_solver import (
     FiniteDistribution,
     Objective,
@@ -552,6 +552,30 @@ def _nan_cases():
         "power_cost_anchor": (
             lambda: power_cost(2.0, Point.vector(_NAN)).row(Point.vector(0.0), line),
             "coordinates must be finite",
+        ),
+        "NondecreasingFn_breakpoints": (
+            lambda: NondecreasingFn((0.0, _NAN), (0.0, 1.0), 1.0),
+            "breakpoints must be strictly increasing",
+        ),
+        "NondecreasingFn_values": (
+            lambda: NondecreasingFn((0.0, 1.0), (0.0, _NAN), 1.0),
+            "values must be nonnegative",
+        ),
+        "NondecreasingFn_tail_slope": (
+            lambda: NondecreasingFn((0.0,), (0.0,), _NAN),
+            "tail_slope must be nonnegative",
+        ),
+        "NondecreasingFn_call": (
+            lambda: NondecreasingFn.identity()(np.array([1.0, _NAN])),
+            "h is only defined for nonnegative arguments",
+        ),
+        "IntegratedH_call": (
+            lambda: IntegratedH(NondecreasingFn.identity())(_NAN),
+            "H is only defined for nonnegative arguments",
+        ),
+        "IntegratedH_inverse": (
+            lambda: IntegratedH(NondecreasingFn.identity()).inverse(_NAN),
+            "H inverse is only defined for nonnegative arguments",
         ),
     }
 
