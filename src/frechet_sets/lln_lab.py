@@ -301,11 +301,10 @@ def _box_events(walks: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, ...]:
     top = walks[0].copy()  # max_k S_k
     bottom = walks[0].copy()  # min_k S_k
     nearest = np.abs(walks[0])  # min_k |S_k|
-    scratch = np.empty_like(nearest)
     for row in walks[1:]:
         np.maximum(top, row, out=top)
         np.minimum(bottom, row, out=bottom)
-        np.minimum(nearest, np.abs(row, out=scratch), out=nearest)
+        np.minimum(nearest, np.abs(row), out=nearest)
     absmax = np.maximum(top, -bottom)
     # exact because slack = n * eps_n >= 0 (EpsilonSchedule admits no
     # negative eps_n): max(S, 0) <= slack iff S <= slack, so each
