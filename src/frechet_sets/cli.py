@@ -17,7 +17,6 @@ import copy
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -29,8 +28,6 @@ from .frechet_solver import EpsilonSchedule, FiniteDistribution
 from .cost_model import power_cost
 from .metric_core import Point, euclidean_space, line_grid
 from . import lln_lab
-
-THREADS_ENV_VAR = "FRECHET_SETS_THREADS"
 
 #: Upper bound on the regression coefficient grid, beta_points**(dimension+1).
 MAX_BETA_GRID = 10**6
@@ -46,7 +43,6 @@ _TOP_LEVEL_KEYS = {
     "schedule",
     "params",
     "out_dir",
-    "thresholds",
 }
 
 
@@ -139,7 +135,6 @@ EXPERIMENTS = {
         {
             "dimension": _int(1, hi=7),  # symmetric_lambda_min stops at 8 x 8
             "noise": _real(0.5),
-            "design_law": Param("rademacher", "'rademacher'", lambda v: v == "rademacher"),
             "beta_extent": _real(2.0),
             "beta_points": _int(9),
         },
@@ -307,9 +302,6 @@ def validate_config(raw: dict) -> tuple[dict, ValidationReport]:
     if "out_dir" not in raw:
         echo["out_dir"] = "results"
         report.defaulted.append("out_dir")
-    if "thresholds" not in raw:
-        echo["thresholds"] = {}
-        report.defaulted.append("thresholds")
 
     return echo, report
 
@@ -343,7 +335,7 @@ def run(
     config_path: str,
     out_dir: "str | None" = None,
     seed_override: "int | None" = None,
-    jobs: "int | None" = None,
+    jobs: int = 1,
     validate_only: bool = False,
 ) -> int:
     """Execute the configured experiment; returns the process exit code."""
@@ -355,15 +347,8 @@ def run(
     echo, report = validate_config(raw)
     if seed_override is not None and not _is_seed(seed_override):
         report.issues.append("--seed-override must be an integer in [0, 2**64)")
-    jobs_source = "--jobs"
-    if jobs is None:
-        jobs_source = THREADS_ENV_VAR
-        try:
-            jobs = int(os.environ.get(THREADS_ENV_VAR) or 1)
-        except ValueError:
-            pass
-    if jobs is None or jobs < 1:
-        report.issues.append(f"{jobs_source} must be an integer >= 1")
+    if jobs < 1:
+        report.issues.append("--jobs must be an integer >= 1")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not report.ok:
@@ -426,8 +411,8 @@ def main(argv: "list[str] | None" = None) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help=f"seed-level parallelism, >= 1 (default: ${THREADS_ENV_VAR} or 1)",
+        default=1,
+        help="seed-level parallelism, >= 1 (default: 1)",
     )
     parser.add_argument(
         "--validate-only",

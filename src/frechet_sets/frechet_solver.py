@@ -65,17 +65,17 @@ class FiniteDistribution:
     @staticmethod
     def uniform(support: Iterable) -> "FiniteDistribution":
         pts = tuple(support)
+        if not pts:
+            raise ValueError("support must be nonempty")
         return FiniteDistribution(pts, np.full(len(pts), 1.0 / len(pts)))
 
 
 @dataclass(frozen=True, eq=False)
 class Objective:
-    """Cost values over a grid, tagged with their provenance."""
+    """Cost values over a grid, one finite value per grid point."""
 
     grid: CandidateGrid
     values: np.ndarray
-    provenance: str = "population"  # "population" | "empirical" | "synthetic"
-    sample_size: "int | None" = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -85,9 +85,6 @@ class Objective:
             raise ValueError("objective values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    def min_value(self) -> float:
-        return float(self.values.min())
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ def population_objective(
     total = np.zeros(len(grid))
     for y, w in zip(dist.support, dist.weights):
         total += w * cost.row(y, grid)
-    return Objective(grid, total, provenance="population")
+    return Objective(grid, total)
 
 
 def _aligned_block(rows: int, cols: int) -> np.ndarray:
@@ -196,7 +193,7 @@ def empirical_objective(
             np.subtract(comp, delta, out=comp)
             total, bumped = bumped, total
         start = n
-        objectives.append(Objective(grid, total / n, provenance="empirical", sample_size=n))
+        objectives.append(Objective(grid, total / n))
     return objectives[0] if ns is None else objectives
 
 
@@ -208,7 +205,7 @@ def eps_argmin(obj: Objective, eps: float) -> PointSet:
     """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
-    threshold = obj.min_value() + eps + ARGMIN_ABS_TOL
+    threshold = obj.values.min() + eps + ARGMIN_ABS_TOL
     return PointSet(obj.grid, np.flatnonzero(obj.values <= threshold))
 
 

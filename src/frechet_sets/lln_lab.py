@@ -120,7 +120,6 @@ class SamplingDistribution:
     law: "FiniteDistribution | None" = None
     dimension: int = 1
     noise: float = 0.5
-    design_law: str = "rademacher"
 
     @staticmethod
     def finite(law: FiniteDistribution) -> "SamplingDistribution":
@@ -133,16 +132,10 @@ class SamplingDistribution:
         return SamplingDistribution("bernoulli-product", dimension=dimension)
 
     @staticmethod
-    def regression(
-        dimension: int, noise: float = 0.5, design_law: str = "rademacher"
-    ) -> "SamplingDistribution":
-        if design_law != "rademacher":
-            raise ValueError(f"unsupported design law {design_law!r}")
-        if noise < 0:
+    def regression(dimension: int, noise: float = 0.5) -> "SamplingDistribution":
+        if not noise >= 0:
             raise ValueError("noise level must be nonnegative")
-        return SamplingDistribution(
-            "regression", dimension=dimension, noise=noise, design_law=design_law
-        )
+        return SamplingDistribution("regression", dimension=dimension, noise=noise)
 
     def draw(self, rng: SplitMix64, n: int):
         """Draw n i.i.d. samples, consuming the documented output budget."""
@@ -196,7 +189,6 @@ class ExperimentResult:
     experiment: str
     seed: int
     config: dict
-    n_grid: list[int]
     records: list[dict]
     summary: dict
     certificate: "LowerBoundCertificate | None" = field(
@@ -240,7 +232,7 @@ def result_to_jsonable(result: ExperimentResult) -> dict:
         "experiment": result.experiment,
         "seed": result.seed,
         "config": _plain(result.config),
-        "n_grid": [int(n) for n in result.n_grid],
+        "n_grid": [int(r["n"]) for r in result.records],
         "records": _plain(result.records),
         "summary": _plain(result.summary),
     }
@@ -295,16 +287,15 @@ def _box_d_subset(a: Sequence[tuple[float, float]], b: Sequence[tuple[float, flo
 def _box_events(walks: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-n box events of the walks (one row per axis) at slack n * eps_n.
 
-    Returns (simultaneous zero, corner 0, corner 1, unit box, interior,
-    any corner), each a boolean array over n.
+    Returns (simultaneous zero, corner 0, corner 1, unit box, interior),
+    each a boolean array over n. The event that 0 or 1 lies in every axis
+    set is not among them: it always holds, since -|S_k| <= 0 <= slack.
     """
     top = walks[0].copy()  # max_k S_k
     bottom = walks[0].copy()  # min_k S_k
-    nearest = np.abs(walks[0])  # min_k |S_k|
     for row in walks[1:]:
         np.maximum(top, row, out=top)
         np.minimum(bottom, row, out=bottom)
-        np.minimum(nearest, np.abs(row), out=nearest)
     absmax = np.maximum(top, -bottom)
     # exact because slack = n * eps_n >= 0 (EpsilonSchedule admits no
     # negative eps_n): max(S, 0) <= slack iff S <= slack, so each
@@ -315,7 +306,6 @@ def _box_events(walks: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, ...]:
         -bottom <= slack,  # probe coordinate 1 in every axis set
         absmax <= slack,  # every axis interval contains [0, 1]
         absmax <= 2.0 * slack,  # probe coordinate 1/2 in every axis set
-        -nearest <= slack,  # 0 or 1 in every axis set
     )
 
 
@@ -334,9 +324,11 @@ def run_median_experiment(
 
     The bits are held as one contiguous row per axis, and the walks are
     built in place along those rows. Every box event is then a comparison
-    of one of three cross-axis statistics with the slack n * eps_n:
-    top = max_k S_k, bottom = min_k S_k and min_k |S_k|. This relies on
-    the slack being nonnegative, which ``EpsilonSchedule`` guarantees.
+    of one of two cross-axis statistics with the slack n * eps_n:
+    top = max_k S_k and bottom = min_k S_k. This relies on the slack being
+    nonnegative, which ``EpsilonSchedule`` guarantees; for the same reason
+    some corner (0 or 1 in every axis set) is always a member, so that
+    event is recorded as the constant it is.
 
     Per-n trajectories (every n up to n_max) drive the summary counters;
     full interval solves and set distances are recorded on the n-grid.
@@ -352,9 +344,8 @@ def run_median_experiment(
     walks -= n_row
     eps = schedule.values(n_row)
 
-    sim_zero, corner_zero, corner_one, unit_box, interior, any_corner = _box_events(
-        walks, n_row * eps
-    )
+    sim_zero, corner_zero, corner_one, unit_box, interior = _box_events(walks, n_row * eps)
+    sim_zero_counts = np.cumsum(sim_zero)
 
     zero_indices = (np.flatnonzero(sim_zero) + 1).tolist()
     interior_indices = (np.flatnonzero(interior) + 1).tolist()
@@ -384,22 +375,20 @@ def run_median_experiment(
             grid_restrict_interval(axes[k], *intervals[k]) for k in range(s)
         ]
         mean_set = product_mean_set(axis_sets, box_grid, alpha=1.0)
+        d_sub_box = _box_d_subset(intervals, target_box)
         record = {
             "n": n,
             "eps": float(eps_n),
             "d_sub": d_subset(mean_set, target_grid_set),
             "d_haus": d_hausdorff(mean_set, target_grid_set),
-            "d_sub_box": _box_d_subset(intervals, target_box),
-            "d_haus_box": max(
-                _box_d_subset(intervals, target_box),
-                _box_d_subset(target_box, intervals),
-            ),
+            "d_sub_box": d_sub_box,
+            "d_haus_box": max(d_sub_box, _box_d_subset(target_box, intervals)),
             "unit_box_subset": int(unit_box[n - 1]),
             "interior_member": int(interior[n - 1]),
             "corner_zero_member": int(corner_zero[n - 1]),
             "corner_one_member": int(corner_one[n - 1]),
-            "any_corner_member": int(any_corner[n - 1]),
-            "sim_zero_count": int(sim_zero[:n].sum()),
+            "any_corner_member": 1,  # -|S_k| <= 0 <= slack: always true
+            "sim_zero_count": int(sim_zero_counts[n - 1]),
         }
         for k in range(s):
             record[f"lo{k}"] = float(intervals[k][0])
@@ -420,7 +409,7 @@ def run_median_experiment(
         "interior_occurrence_indices_truncated": len(interior_indices)
         > MAX_STORED_INDICES,
         "checkpoints": checkpoints,
-        "corner_any_beyond_checkpoint": beyond(any_corner),
+        "corner_any_beyond_checkpoint": [True] * len(checkpoints),  # as any_corner_member
         "corner_zero_beyond_checkpoint": beyond(corner_zero),
         "corner_one_beyond_checkpoint": beyond(corner_one),
         "interior_beyond_checkpoint": beyond(interior),
@@ -441,7 +430,6 @@ def run_median_experiment(
         experiment="median",
         seed=seed,
         config=config,
-        n_grid=grid_ns,
         records=records,
         summary=summary,
     )
@@ -505,7 +493,6 @@ def run_circle_experiment(
         experiment="circle",
         seed=seed,
         config=config,
-        n_grid=grid_ns,
         records=records,
         summary=summary,
     )
@@ -573,7 +560,6 @@ def run_regression_certificate(
     s: int,
     n_max: int,
     seed: int,
-    design_law: str = "rademacher",
     noise: float = 0.5,
     beta_extent: float = 2.0,
     beta_points: int = 9,
@@ -588,7 +574,11 @@ def run_regression_certificate(
     lower bound with shapes psi_plus(d) = d**2 and psi_minus(d) = d is
     verified on a grid of coefficient vectors at every n-grid point.
     """
-    dist = SamplingDistribution.regression(s, noise=noise, design_law=design_law)
+    if not beta_extent >= 0:
+        raise ValueError("beta_extent must be nonnegative")
+    if not beta_points >= 1:
+        raise ValueError("beta_points must be >= 1")
+    dist = SamplingDistribution.regression(s, noise=noise)
     rng = SplitMix64(seed)
     x, y = dist.draw(rng, n_max)
     p = s + 1
@@ -653,7 +643,7 @@ def run_regression_certificate(
     config = {
         "s": s,
         "n_max": n_max,
-        "design_law": design_law,
+        "design_law": "rademacher",  # the fixed sign design, kept as its name
         "noise": noise,
         "beta_extent": beta_extent,
         "beta_points": beta_points,
@@ -662,7 +652,6 @@ def run_regression_certificate(
         experiment="regression",
         seed=seed,
         config=config,
-        n_grid=grid_ns,
         records=records,
         summary=summary,
         certificate=certificate,
@@ -695,7 +684,6 @@ def run_ulln_single(
         experiment="ulln",
         seed=seed,
         config=config,
-        n_grid=n_list,
         records=records,
         summary={"final_sup_dev": records[-1]["sup_dev"]},
     )
@@ -752,7 +740,6 @@ def run_fixture_diagnostics(
         experiment="fixtures",
         seed=0,
         config=config,
-        n_grid=list(range(1, horizon + 1)),
         records=records,
         summary=summary,
     )

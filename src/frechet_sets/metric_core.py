@@ -306,15 +306,12 @@ class CandidateGrid:
         """Distances from ``q`` (any point of the space) to every grid point."""
         return self.space.distances(self.space.pack((q,)), self.coords)[0]
 
-    def distance_matrix(
-        self, rows: "np.ndarray | None" = None, cols: "np.ndarray | None" = None
-    ) -> np.ndarray:
-        """The |rows| x |cols| block of grid distances, computed on each call;
-        either index array defaults to every grid point."""
+    def distance_matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The |rows| x |cols| block of grid distances, computed on each call."""
         packed = self.coords
-        row_pts = packed if rows is None else packed[np.asarray(rows, dtype=np.intp)]
-        col_pts = packed if cols is None else packed[np.asarray(cols, dtype=np.intp)]
-        return self.space.distances(row_pts, col_pts)
+        return self.space.distances(
+            packed[np.asarray(rows, dtype=np.intp)], packed[np.asarray(cols, dtype=np.intp)]
+        )
 
 
 class PointSet:

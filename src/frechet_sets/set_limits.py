@@ -380,10 +380,8 @@ def counterexample_fixture(
         subset = PointSet.full(grid)
         eps_probe = tuple(1.0 / k for k in range(1, grid_max + 1))
 
-    limit_obj = Objective(grid, limit_values, provenance="synthetic")
-    seq_objs = tuple(
-        Objective(grid, v, provenance="synthetic") for v in seq_values
-    )
+    limit_obj = Objective(grid, limit_values)
+    seq_objs = tuple(Objective(grid, v) for v in seq_values)
     argmins = SetSequence(grid, tuple(eps_argmin(o, 0.0) for o in seq_objs))
     return CounterexampleFixture(
         name=name,

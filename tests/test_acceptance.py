@@ -111,7 +111,7 @@ def test_c01_median_exactness(e1_runs):
 
 
 def test_c02_quarter_power_schedule(e3_runs):
-    grid_ns = [n for n in e3_runs[0].n_grid if n >= 256]
+    grid_ns = [r["n"] for r in e3_runs[0].records if r["n"] >= 256]
     freq_ok = True
     detail = []
     for n in grid_ns:

@@ -8,7 +8,6 @@ import pytest
 
 from frechet_sets.cli import (
     EXPERIMENT_IDS,
-    THREADS_ENV_VAR,
     run,
     validate_config,
 )
@@ -34,8 +33,7 @@ def test_validate_accepts_good_config(tmp_path):
     echo, report = validate_config(config)
     assert report.ok
     assert report.warnings == []
-    assert "thresholds" in report.defaulted
-    assert echo["thresholds"] == {}
+    assert "thresholds" not in echo
 
 
 def test_validate_missing_seeds_is_issue():
@@ -75,7 +73,7 @@ def test_validate_rejects_malformed_seeds(bad_seeds):
         ("regression", {"params": {"dimension": "2"}}, "params.dimension"),
         ("regression", {"params": {"dimension": 8}}, "params.dimension"),
         ("regression", {"params": {"noise": -1}}, "params.noise"),
-        ("regression", {"params": {"design_law": "gaussian"}}, "params.design_law"),
+        ("regression", {"params": {"beta_extent": float("nan")}}, "params.beta_extent"),
         ("regression", {"params": {"beta_points": 0}}, "params.beta_points"),
         ("median", {"schedule": {"c": float("nan")}}, "schedule constant"),
         ("ulln", {"params": {"n_list": []}}, "params.n_list"),
@@ -110,13 +108,6 @@ def test_draw_bound_admits_its_limit():
     ):
         echo, report = validate_config(dict(config, seeds=[0]))
         assert report.ok, report.issues
-
-
-def test_bad_threads_env_var_exits_2(tmp_path, capsys, monkeypatch):
-    path, _ = write_config(tmp_path)
-    monkeypatch.setenv(THREADS_ENV_VAR, "abc")
-    assert run(str(path), validate_only=True) == 2
-    assert THREADS_ENV_VAR in capsys.readouterr().err
 
 
 def test_negative_seed_override_exits_2(tmp_path, capsys):
@@ -217,27 +208,18 @@ def test_run_parallel_jobs_matches_serial(tmp_path):
 
 @pytest.mark.parametrize("validate_only", [True, False])
 @pytest.mark.parametrize(
-    "jobs,env,source",
-    [(0, None, "--jobs"), (-3, None, "--jobs"), (None, "0", THREADS_ENV_VAR)],
+    "jobs,seed_override,flag",
+    [(0, None, "--jobs"), (-3, None, "--jobs"), (1, -1, "--seed-override")],
 )
 def test_job_count_below_one_exits_2(
-    tmp_path, capsys, monkeypatch, validate_only, jobs, env, source
+    tmp_path, capsys, validate_only, jobs, seed_override, flag
 ):
+    # a bad command-line value, like a bad config, exits 2 before any output
     path, _ = write_config(tmp_path)
-    if env is None:
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(THREADS_ENV_VAR, env)
-    assert run(str(path), jobs=jobs, validate_only=validate_only) == 2
-    assert f"{source} must be an integer >= 1" in capsys.readouterr().err
+    code = run(str(path), seed_override=seed_override, jobs=jobs, validate_only=validate_only)
+    assert code == 2
+    assert f"{flag} must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_threads_env_var_fallback(tmp_path, monkeypatch):
-    path, _ = write_config(tmp_path)
-    monkeypatch.setenv(THREADS_ENV_VAR, "2")
-    assert run(str(path)) == 0
-    assert (tmp_path / "out" / "median.json").exists()
 
 
 def test_all_example_configs_validate():
@@ -247,6 +229,7 @@ def test_all_example_configs_validate():
         with open(os.path.join(config_dir, name)) as fh:
             _, report = validate_config(json.load(fh))
         assert report.ok, (name, report.issues)
+        assert report.warnings == [], (name, report.warnings)
 
 
 @pytest.mark.parametrize(

@@ -83,7 +83,6 @@ def test_empirical_matches_population_on_multiplicity_sample():
     emp = empirical_objective(support, np.array([0, 1, 0, 1]), cost, grid)
     pop = population_objective(dist, cost, grid)
     assert np.array_equal(emp.values, pop.values)
-    assert emp.provenance == "empirical" and emp.sample_size == 4
 
 
 def test_empirical_single_point_objective():
@@ -159,10 +158,9 @@ def test_prefix_objectives_match_scalar_kahan_loop(kind, ns):
     support, sample, cost, grid = _prefix_case(kind)
     rows = np.vstack([cost.row(support[i], grid) for i in sample])
     objectives = empirical_objective(support, sample, cost, grid, ns=ns)
-    assert [obj.sample_size for obj in objectives] == ns
+    assert len(objectives) == len(ns)
     for n, obj in zip(ns, objectives):
         assert np.array_equal(obj.values, _scalar_kahan_means(rows, n))
-        assert obj.provenance == "empirical"
     whole = empirical_objective(support, sample, cost, grid)
     assert np.array_equal(whole.values, _scalar_kahan_means(rows, len(sample)))
 
@@ -196,9 +194,9 @@ def test_empirical_objective_rejects_bad_sample_indices(sample, message):
 def test_eps_argmin_examples():
     space = euclidean_space(1)
     grid = line_grid(space, [0.0, 0.5, 1.0])
-    flat = Objective(grid, np.zeros(3), provenance="synthetic")
+    flat = Objective(grid, np.zeros(3))
     assert eps_argmin(flat, 0.0).indices.tolist() == [0, 1, 2]
-    bumpy = Objective(grid, np.array([0.3, 0.0, 0.1]), provenance="synthetic")
+    bumpy = Objective(grid, np.array([0.3, 0.0, 0.1]))
     assert eps_argmin(bumpy, 0.1).indices.tolist() == [1, 2]
     assert eps_argmin(bumpy, 0.0).indices.tolist() == [1]
     with pytest.raises(ValueError):
@@ -223,7 +221,7 @@ def test_eps_argmin_majority_sample_on_endpoints():
 def test_eps_argmin_monotone_in_eps(values, eps_pair):
     space = euclidean_space(1)
     grid = line_grid(space, np.arange(len(values), dtype=float))
-    obj = Objective(grid, np.array(values), provenance="synthetic")
+    obj = Objective(grid, np.array(values))
     lo, hi = min(eps_pair), max(eps_pair)
     assert eps_argmin(obj, lo).is_subset_of(eps_argmin(obj, hi))
 
@@ -503,9 +501,9 @@ def test_objective_validation():
     space = euclidean_space(1)
     grid = line_grid(space, [0.0, 1.0])
     with pytest.raises(ValueError, match="one entry per grid point"):
-        Objective(grid, np.zeros(3), provenance="synthetic")
+        Objective(grid, np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
-        Objective(grid, np.array([0.0, np.inf]), provenance="synthetic")
+        Objective(grid, np.array([0.0, np.inf]))
     with pytest.raises(ValueError):
         FiniteDistribution((Point.vector(0.0),), np.array([0.5]))
 
@@ -513,7 +511,7 @@ def test_objective_validation():
 def test_objective_and_point_set_csv(tmp_path):
     space = euclidean_space(1)
     grid = line_grid(space, [0.0, 1.0])
-    obj = Objective(grid, np.array([0.25, -1.0]), provenance="synthetic")
+    obj = Objective(grid, np.array([0.25, -1.0]))
     obj_path = tmp_path / "obj.csv"
     objective_to_csv(obj, str(obj_path))
     assert obj_path.read_text().splitlines() == ["0,0.0,0.25", "1,1.0,-1.0"]

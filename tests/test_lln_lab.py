@@ -384,6 +384,16 @@ def test_regression_early_singular_gram_reports_zero():
     assert first["a_plus_n"] == 0.0  # rank-1 Gram from one sample
 
 
+def test_regression_rejects_an_empty_coefficient_grid():
+    with pytest.raises(ValueError, match="beta_points must be >= 1"):
+        run_regression_certificate(1, 50, 0, beta_points=0)
+
+
+def test_uniform_law_rejects_empty_support():
+    with pytest.raises(ValueError, match="support must be nonempty"):
+        FiniteDistribution.uniform(())
+
+
 def test_regression_gram_checkpoints_match_cumulative_outer_products():
     for s in range(1, 8):
         result = run_regression_certificate(s, 300, seed=s, beta_points=2)

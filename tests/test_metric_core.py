@@ -346,14 +346,15 @@ def test_distance_matrix_matches_scalar_path():
         oracle = np.array([[scalar_distance(space, p, q) for q in points] for p in points])
         scalar = np.array([[space.distance(p, q) for q in points] for p in points])
         np.testing.assert_allclose(scalar, oracle, rtol=0, atol=ATOL)
-        np.testing.assert_allclose(grid.distance_matrix(), oracle, rtol=0, atol=ATOL)
+        everything = np.arange(len(grid))
+        np.testing.assert_allclose(
+            grid.distance_matrix(everything, everything), oracle, rtol=0, atol=ATOL
+        )
         for i, p in enumerate(points):
             np.testing.assert_allclose(grid.distances_from(p), oracle[i], rtol=0, atol=ATOL)
-        everything = range(len(grid))
-        for rows, cols in [([4, 0, 4, 9], [2, 7, 1]), ([3], None), (None, [5, 6]), ([], [1])]:
-            row_idx = everything if rows is None else rows
-            col_idx = everything if cols is None else cols
-            expected = oracle[np.ix_(row_idx, col_idx)]
+        cases = [([4, 0, 4, 9], [2, 7, 1]), ([3], everything), (everything, [5, 6]), ([], [1])]
+        for rows, cols in cases:
+            expected = oracle[np.ix_(rows, cols)]
             block = grid.distance_matrix(rows, cols)
             assert block.shape == expected.shape
             np.testing.assert_allclose(block, expected, rtol=0, atol=ATOL)

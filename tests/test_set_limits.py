@@ -17,7 +17,7 @@ from frechet_sets.frechet_solver import (
     eps_argmin,
     median_interval_1d,
 )
-from frechet_sets.lln_lab import markov_bound
+from frechet_sets.lln_lab import markov_bound, run_regression_certificate
 from frechet_sets.metric_core import (
     GridMismatchError,
     Point,
@@ -150,10 +150,11 @@ def test_inner_subset_of_outer_random():
 
 def _outer_per_set(seq, tail_start, tol):
     # oracle: the per-set form min over tail sets of dist(q, B_n)
+    every = np.arange(len(seq.grid))
     best = np.full(len(seq.grid), math.inf)
     for s in seq.sets[tail_start:]:
         if len(s):
-            best = np.minimum(best, seq.grid.distance_matrix(None, s.indices).min(axis=1))
+            best = np.minimum(best, seq.grid.distance_matrix(every, s.indices).min(axis=1))
     return np.flatnonzero(best <= tol)
 
 
@@ -234,12 +235,12 @@ def test_singleton_distance_memory_is_independent_of_grid_size():
 def test_approachable_minimizers_trajectories():
     space = euclidean_space(1)
     grid = line_grid(space, np.linspace(-2, 2, 41))
-    quad = Objective(grid, np.array([p.value[0] ** 2 for p in grid.points]), "synthetic")
+    quad = Objective(grid, np.array([p.value[0] ** 2 for p in grid.points]))
     traj = approachable_minimizers_check(quad, [1.0, 0.25, 0.04, 0.001])
     assert [d for _, d in traj] == sorted([d for _, d in traj], reverse=True)
     assert traj[-1][1] == 0.0
 
-    flat = Objective(grid, np.zeros(41), "synthetic")
+    flat = Objective(grid, np.zeros(41))
     assert all(d == 0.0 for _, d in approachable_minimizers_check(flat, [0.5, 0.1]))
 
     with pytest.raises(ValueError):
@@ -249,12 +250,12 @@ def test_approachable_minimizers_trajectories():
 def test_epi_surrogate_constant_and_shifted():
     grid = line_integer_grid(6)
     values = np.array([0.0, 1.0, 0.5, 2.0, 1.5, 3.0])
-    f = Objective(grid, values, "synthetic")
-    constant = [Objective(grid, values, "synthetic") for _ in range(8)]
+    f = Objective(grid, values)
+    constant = [Objective(grid, values) for _ in range(8)]
     report = epi_convergence_surrogate(constant, f, delta=0.5, tol=0.0)
     assert report.all_pass
 
-    shifted = [Objective(grid, values + 1.0 / (n + 1), "synthetic") for n in range(8)]
+    shifted = [Objective(grid, values + 1.0 / (n + 1)) for n in range(8)]
     tail = 3
     tol = 1.0 / (tail + 1)
     report = epi_convergence_surrogate(shifted, f, delta=0.5, tol=tol, tail_start=tail)
@@ -305,10 +306,10 @@ def test_inner_estimate_on_a_median_run():
 
 def test_uniform_on_bounded_check_values():
     grid = line_integer_grid(5)
-    f = Objective(grid, np.arange(5.0), "synthetic")
-    same = [Objective(grid, np.arange(5.0), "synthetic") for _ in range(3)]
+    f = Objective(grid, np.arange(5.0))
+    same = [Objective(grid, np.arange(5.0)) for _ in range(3)]
     assert np.array_equal(uniform_on_bounded_check(same, f, PointSet.full(grid)), np.zeros(3))
-    drift = [Objective(grid, np.arange(5.0) + 1.0 / n, "synthetic") for n in (1, 2, 4)]
+    drift = [Objective(grid, np.arange(5.0) + 1.0 / n) for n in (1, 2, 4)]
     assert np.allclose(
         uniform_on_bounded_check(drift, f, PointSet.full(grid)), [1.0, 0.5, 0.25]
     )
@@ -349,10 +350,10 @@ def test_epi_pass_forces_argmin_containment():
     grid = line_grid(space, np.linspace(0, 1, 21))
     for _ in range(50):
         base = rng.uniform(0, 1, 21)
-        f = Objective(grid, base, "synthetic")
+        f = Objective(grid, base)
         horizon = 16
         objs = [
-            Objective(grid, base + rng.uniform(-1, 1, 21) / (n + 1) ** 2, "synthetic")
+            Objective(grid, base + rng.uniform(-1, 1, 21) / (n + 1) ** 2)
             for n in range(horizon)
         ]
         tail = 8
@@ -376,10 +377,10 @@ def test_uniform_plus_bounded_plus_approachable_gives_convergence():
     grid = line_grid(space, np.linspace(0, 1, 21))
     for _ in range(50):
         base = rng.uniform(0, 1, 21)
-        f = Objective(grid, base, "synthetic")
+        f = Objective(grid, base)
         horizon = 24
         objs = [
-            Objective(grid, base + rng.uniform(-1, 1, 21) / (n + 2) ** 2, "synthetic")
+            Objective(grid, base + rng.uniform(-1, 1, 21) / (n + 2) ** 2)
             for n in range(horizon)
         ]
         sup_dev = uniform_on_bounded_check(objs, f, PointSet.full(grid))
@@ -396,7 +397,7 @@ def test_uniform_plus_bounded_plus_approachable_gives_convergence():
         if allowed == argmin_f:
             assert final_gap == 0.0
         # the infima converge along with the sets
-        assert abs(objs[-1].min_value() - f.min_value()) <= float(sup_dev[-1])
+        assert abs(objs[-1].values.min() - f.values.min()) <= float(sup_dev[-1])
 
 
 # -- counterexample fixtures -------------------------------------------------------
@@ -492,7 +493,7 @@ _NAN = float("nan")
 def _nan_cases():
     grid = line_integer_grid(5)
     line = line_grid(euclidean_space(1), [0.0, 1.0])
-    obj = Objective(grid, np.arange(5.0), provenance="synthetic")
+    obj = Objective(grid, np.arange(5.0))
     seq = SetSequence(grid, (PointSet(grid, [0]), PointSet(grid, [0, 1])))
     return {
         "eps_argmin": (lambda: eps_argmin(obj, _NAN), "eps must be nonnegative"),
@@ -576,6 +577,14 @@ def _nan_cases():
         "IntegratedH_inverse": (
             lambda: IntegratedH(NondecreasingFn.identity()).inverse(_NAN),
             "H inverse is only defined for nonnegative arguments",
+        ),
+        "run_regression_certificate_beta_extent": (
+            lambda: run_regression_certificate(1, 50, 0, beta_extent=_NAN),
+            "beta_extent must be nonnegative",
+        ),
+        "run_regression_certificate_noise": (
+            lambda: run_regression_certificate(1, 50, 0, noise=_NAN),
+            "noise level must be nonnegative",
         ),
     }
 
