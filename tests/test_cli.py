@@ -112,9 +112,11 @@ def test_draw_bound_admits_its_limit():
 
 def test_negative_seed_override_exits_2(tmp_path, capsys):
     path, _ = write_config(tmp_path)
-    assert run(str(path), seed_override=-1, validate_only=True) == 2
-    assert "--seed-override" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for validate_only in (True, False):
+        assert run(str(path), seed_override=-1, validate_only=validate_only) == 2
+        err = capsys.readouterr().err
+        assert "--seed-override must be an integer in [0, 2**64)" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_validate_rejects_negative_exponent():
@@ -207,18 +209,13 @@ def test_run_parallel_jobs_matches_serial(tmp_path):
 
 
 @pytest.mark.parametrize("validate_only", [True, False])
-@pytest.mark.parametrize(
-    "jobs,seed_override,flag",
-    [(0, None, "--jobs"), (-3, None, "--jobs"), (1, -1, "--seed-override")],
-)
-def test_job_count_below_one_exits_2(
-    tmp_path, capsys, validate_only, jobs, seed_override, flag
-):
+# the ids keep the names these cases had when the job count had a second source
+@pytest.mark.parametrize("jobs", [0, -3], ids=["0-None---jobs", "-3-None---jobs"])
+def test_job_count_below_one_exits_2(tmp_path, capsys, validate_only, jobs):
     # a bad command-line value, like a bad config, exits 2 before any output
     path, _ = write_config(tmp_path)
-    code = run(str(path), seed_override=seed_override, jobs=jobs, validate_only=validate_only)
-    assert code == 2
-    assert f"{flag} must be an integer" in capsys.readouterr().err
+    assert run(str(path), jobs=jobs, validate_only=validate_only) == 2
+    assert "--jobs must be an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
