@@ -133,6 +133,8 @@ class SamplingDistribution:
 
     @staticmethod
     def regression(dimension: int, noise: float = 0.5) -> "SamplingDistribution":
+        if dimension < 1:
+            raise ValueError("dimension must be positive")
         if not noise >= 0:
             raise ValueError("noise level must be nonnegative")
         return SamplingDistribution("regression", dimension=dimension, noise=noise)

@@ -10,6 +10,13 @@ All limit notions here are finite-horizon surrogates: every estimate takes
 an explicit tail start and tolerance, and reports carry the parameters
 used. On a finite grid the surrogates agree with the exact notions for
 sequences that stabilize within the horizon.
+
+The outer limit is the tol-enlargement of the tail union, found with one
+distance profile over the grid. The inner limit is the intersection of
+the tol-enlargements of the tail sets: one profile seeds the candidates,
+and each further tail set only filters the survivors, so its cost is a
+|candidates| x |B_n| block rather than a pass over the whole grid. Set
+distances are reductions of the |A| x |B| block, never of a G x G matrix.
 """
 
 from __future__ import annotations
@@ -67,8 +74,19 @@ def d_subset(a: PointSet, b: PointSet) -> float:
 
 
 def d_hausdorff(a: PointSet, b: PointSet) -> float:
-    """Symmetric Hausdorff distance max(d_subset(a, b), d_subset(b, a))."""
-    return max(d_subset(a, b), d_subset(b, a))
+    """Symmetric Hausdorff distance max(d_subset(a, b), d_subset(b, a)).
+
+    Both one-sided distances are reductions of the one |a| x |b| block,
+    along its rows and along its columns (grid distances are bitwise
+    symmetric). Conventions: 0 when both sets are empty, +inf when exactly
+    one is.
+    """
+    if a.grid is not b.grid:
+        raise GridMismatchError("point sets belong to different grids")
+    if not len(a) or not len(b):
+        return math.inf if len(a) or len(b) else 0.0
+    block = a.grid.distance_matrix(a.indices, b.indices)
+    return float(max(block.min(axis=1).max(), block.min(axis=0).max()))
 
 
 def _distance_to_set_per_point(seq_set: PointSet) -> np.ndarray:
@@ -100,15 +118,29 @@ def outer_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) ->
 
 
 def inner_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) -> PointSet:
-    """Points whose distance to every tail set is at most tol."""
+    """Points whose distance to every tail set is at most tol.
+
+    Finite-horizon surrogate for the inner limit: the intersection over
+    n >= tail_start of the tol-enlargements {q : dist(q, B_n) <= tol}.
+    The candidates are the enlargement of the smallest tail set, one
+    distance profile over the grid; each other tail set then filters them
+    with one |candidates| x |B_n| block, until none remain. An empty tail
+    set is at distance +inf from every point, so it empties the result
+    unless tol is +inf; being the smallest, it is the one that seeds.
+    """
     if not 0 <= tail_start < len(seq):
         raise ValueError("tail_start must index into the sequence")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    worst = np.zeros(len(seq.grid))
-    for s in seq.sets[tail_start:]:
-        worst = np.maximum(worst, _distance_to_set_per_point(s))
-    return PointSet(seq.grid, np.flatnonzero(worst <= tol))
+    tail = seq.sets[tail_start:]
+    seed = min(tail, key=len)
+    keep = np.flatnonzero(_distance_to_set_per_point(seed) <= tol)
+    for s in tail:
+        if not keep.size:
+            break
+        if s is not seed and len(s):
+            keep = keep[seq.grid.distance_matrix(keep, s.indices).min(axis=1) <= tol]
+    return PointSet(seq.grid, keep)
 
 
 @dataclass(frozen=True)

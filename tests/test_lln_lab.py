@@ -389,6 +389,16 @@ def test_regression_rejects_an_empty_coefficient_grid():
         run_regression_certificate(1, 50, 0, beta_points=0)
 
 
+@pytest.mark.parametrize("dimension", [-1, 0])
+def test_regression_rejects_a_dimension_below_one(dimension):
+    # -1 used to fail with an IndexError inside the draw, 0 to run an
+    # intercept-only certificate
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        SamplingDistribution.regression(dimension)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        run_regression_certificate(dimension, 50, 0)
+
+
 def test_uniform_law_rejects_empty_support():
     with pytest.raises(ValueError, match="support must be nonempty"):
         FiniteDistribution.uniform(())

@@ -19,9 +19,12 @@ from frechet_sets.frechet_solver import (
 )
 from frechet_sets.lln_lab import markov_bound, run_regression_certificate
 from frechet_sets.metric_core import (
+    CandidateGrid,
     GridMismatchError,
+    MetricTransform,
     Point,
     PointSet,
+    SpaceKind,
     ball_members,
     circle_grid,
     circle_space,
@@ -31,6 +34,7 @@ from frechet_sets.metric_core import (
     line_grid,
     n0_line_space,
     n0_unit_space,
+    product_l1_space,
     table_space,
 )
 from frechet_sets.set_limits import (
@@ -178,6 +182,112 @@ def test_outer_limit_is_distance_to_the_tail_union(case):
     outer = outer_limit_estimate(seq, tail_start, tol)
     assert np.array_equal(outer.indices, _outer_per_set(seq, tail_start, tol))
     assert inner_limit_estimate(seq, tail_start, tol).is_subset_of(outer)
+
+
+def _inner_per_point(seq, tail_start, tol):
+    # oracle: max over tail sets of the per-point profile dist(q, B_n),
+    # +inf for an empty set, thresholded at tol
+    grid = seq.grid
+    worst = np.zeros(len(grid))
+    for s in seq.sets[tail_start:]:
+        profile = np.full(len(grid), math.inf)
+        for b in s.indices:
+            profile = np.minimum(profile, grid.distances_from(grid[b]))
+        worst = np.maximum(worst, profile)
+    return np.flatnonzero(worst <= tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tail_cases())
+def test_inner_limit_is_the_intersection_of_tail_enlargements(case):
+    seq, tail_start, tol = case
+    inner = inner_limit_estimate(seq, tail_start, tol)
+    assert np.array_equal(inner.indices, _inner_per_point(seq, tail_start, tol))
+
+
+@st.composite
+def _float_tail_cases(draw):
+    # non-integer distances: a float line (with transform) or a circle; tol
+    # is often a distance that occurs on the grid, so ties sit on the boundary
+    size = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        values = draw(
+            st.lists(
+                st.floats(-5, 5, allow_nan=False, allow_subnormal=False),
+                min_size=size, max_size=size, unique=True,
+            )
+        )
+        transform = draw(st.sampled_from([None, MetricTransform.power(0.5)]))
+        grid = line_grid(euclidean_space(1, transform=transform), values)
+    else:
+        grid = circle_grid(circle_space(), size)
+    sets = draw(
+        st.lists(st.lists(st.integers(0, size - 1), max_size=4), min_size=1, max_size=8)
+    )
+    tail_start = draw(st.integers(0, len(sets) - 1))
+    every = np.arange(size)
+    occurring = grid.distance_matrix(every, every).ravel().tolist()
+    tol = draw(st.one_of(st.sampled_from(occurring), st.sampled_from([0.0, 0.3, math.inf])))
+    return SetSequence(grid, tuple(PointSet(grid, s) for s in sets)), tail_start, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_tail_cases())
+def test_inner_limit_matches_the_per_point_form_on_float_grids(case):
+    seq, tail_start, tol = case
+    inner = inner_limit_estimate(seq, tail_start, tol)
+    assert np.array_equal(inner.indices, _inner_per_point(seq, tail_start, tol))
+    assert inner.is_subset_of(outer_limit_estimate(seq, tail_start, tol))
+
+
+def _hausdorff_grids(rng):
+    def vector_grid(space):
+        return CandidateGrid(
+            space, (Point.vector(*rng.uniform(-10, 10, space.dimension)) for _ in range(20))
+        )
+
+    pts = rng.integers(0, 50, size=(16, 3))
+    table = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
+    table[(table == 0) & ~np.eye(16, dtype=bool)] = 1.0
+    return [
+        vector_grid(euclidean_space(3)),
+        vector_grid(product_l1_space(2)),
+        CandidateGrid(circle_space(), (Point.angle(a) for a in rng.uniform(0, 2 * math.pi, 20))),
+        integer_grid(table_space(table), 16),
+        integer_grid(n0_unit_space(), 20),
+        integer_grid(n0_line_space(), 20),
+        vector_grid(euclidean_space(2, transform=MetricTransform.power(0.5))),
+    ]
+
+
+def test_d_hausdorff_is_the_larger_one_sided_distance_bit_for_bit():
+    rng = np.random.default_rng(14)
+    grids = _hausdorff_grids(rng)
+    assert {g.space.kind for g in grids} == set(SpaceKind)
+    for grid in grids:
+        empty = PointSet.empty(grid)
+        some = PointSet(grid, [1, 3])
+        assert d_hausdorff(empty, empty) == 0.0
+        assert d_hausdorff(empty, some) == math.inf
+        assert d_hausdorff(some, empty) == math.inf
+        for _ in range(100):
+            a, b = (
+                PointSet(grid, rng.choice(len(grid), size=rng.integers(1, 8), replace=False))
+                for _ in range(2)
+            )
+            expected = max(d_subset(a, b), d_subset(b, a))
+            got = d_hausdorff(a, b)
+            assert type(got) is float
+            assert math.copysign(1.0, got) == 1.0
+            assert got.hex() == expected.hex()
+
+
+def test_d_hausdorff_rejects_sets_of_different_grids():
+    a = PointSet(line_integer_grid(6), [0])
+    b = PointSet(line_integer_grid(6), [0])
+    for x, y in ((a, b), (a, PointSet.empty(b.grid)), (PointSet.empty(a.grid), b)):
+        with pytest.raises(GridMismatchError):
+            d_hausdorff(x, y)
 
 
 def test_eventually_bounded_examples():
