@@ -2,8 +2,8 @@
 
 Compute epsilon-argmin sets of population and empirical cost objectives,
 measure how set sequences converge (one-sided Hausdorff distance, outer
-and inner limit estimates, an epi-convergence surrogate), and reproduce
-the desk-scale convergence phenomena with seeded Monte-Carlo experiments.
+and inner limit estimates), and reproduce the desk-scale convergence
+phenomena with seeded Monte-Carlo experiments.
 """
 
 from .metric_core import (
@@ -15,15 +15,12 @@ from .metric_core import (
     Point,
     PointSet,
     SpaceKind,
-    ball_members,
     circle_grid,
     circle_space,
     diameter,
     euclidean_space,
     integer_grid,
     line_grid,
-    load_distance_table_csv,
-    load_points_csv,
     n0_line_space,
     n0_unit_space,
     product_grid,
@@ -69,7 +66,6 @@ from .set_limits import (
     d_hausdorff,
     d_subset,
     diagnose_fixture,
-    epi_convergence_surrogate,
     eventually_bounded,
     inner_limit_estimate,
     outer_limit_estimate,

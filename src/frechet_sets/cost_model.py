@@ -19,7 +19,6 @@ breakpoints and a finite empirical mean.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -237,8 +236,8 @@ def estimate_doubling_constant(f: NondecreasingFn, x_max: float) -> float:
     recovers the exact supremum over the probed range. The result is
     clamped below by 1; it is infinite when h jumps from zero to positive.
     """
-    if x_max <= 0:
-        raise ValueError("x_max must be positive")
+    if not 0 < x_max < math.inf:
+        raise ValueError("x_max must be positive and finite")
     probes = [b for b in f.breakpoints if 0 < b <= x_max]
     probes += [b / 2.0 for b in f.breakpoints if 0 < b / 2.0 <= x_max]
     probes += list(np.geomspace(x_max * 1e-9, x_max, _LOG_PROBE_COUNT))
@@ -288,10 +287,13 @@ def check_lemma_inequalities(
     """Evaluate the three inequalities tying h, H, and the doubling constant.
 
     When ``b`` is not supplied it is estimated over the range actually used
-    by the inequalities at this (x, y).
+    by the inequalities at this (x, y). A supplied ``b`` must be at least 1,
+    as every doubling constant of a nondecreasing h is; +inf is allowed.
     """
-    if x < 0 or y < 0:
-        raise ValueError("x and y must be nonnegative")
+    if not (0 <= x < math.inf and 0 <= y < math.inf):
+        raise ValueError("x and y must be finite and nonnegative")
+    if b is not None and not b >= 1.0:
+        raise ValueError("b must be at least 1")
     if b is None:
         x_max = max(2.0 * max(x, y), x + y, 1.0)
         b = estimate_doubling_constant(f, x_max)
@@ -382,6 +384,8 @@ def construct_h(
         raise ValueError("sample must be nonempty")
     if xs[0] < 0:
         raise ValueError("sample values must be nonnegative")
+    if not math.isfinite(xs[-1]):  # NaN sorts last
+        raise ValueError("sample values must be finite")
     if bounded_hint is not None and not bounded_hint > 0:
         raise ValueError("bounded_hint must be positive")
     cdf = StepCdf(xs)
@@ -475,37 +479,3 @@ def _first_crossing(knots: np.ndarray, cum: np.ndarray, level: float) -> float:
     rise = cum[j] - cum[j - 1]
     frac = (level - cum[j - 1]) / rise if rise > 0 else 1.0
     return float(knots[j - 1] + frac * (knots[j] - knots[j - 1]))
-
-
-# -- CSV interfaces ----------------------------------------------------------
-
-
-def nondecreasing_fn_to_csv(f: NondecreasingFn, path: str) -> None:
-    """Write breakpoint,value rows followed by a tail_slope footer row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for b, v in zip(f.breakpoints, f.values):
-            writer.writerow([repr(b), repr(v)])
-        writer.writerow(["tail_slope", repr(f.tail_slope)])
-
-
-def nondecreasing_fn_from_csv(path: str) -> NondecreasingFn:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows or rows[-1][0] != "tail_slope":
-        raise ValueError(f"{path}: expected a final tail_slope row")
-    tail = float(rows[-1][1])
-    bp = tuple(float(r[0]) for r in rows[:-1])
-    vals = tuple(float(r[1]) for r in rows[:-1])
-    return NondecreasingFn(bp, vals, tail)
-
-
-def load_cost_table_csv(path: str, grid: CandidateGrid) -> CostFunction:
-    """Load a tabulated cost from rows of (data index, grid index, cost)."""
-    entries: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            entries[(int(row[0]), int(row[1]))] = float(row[2])
-    return table_cost(entries, grid)

@@ -17,7 +17,6 @@ per-axis mean sets into a product grid.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -25,12 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cost_model import CostFunction
-from .metric_core import (
-    CandidateGrid,
-    GridMismatchError,
-    Point,
-    PointSet,
-)
+from .metric_core import CandidateGrid, GridMismatchError, PointSet
 
 #: Absolute tolerance added to the epsilon-argmin threshold so that grid
 #: points mathematically tied at the minimum are never excluded by
@@ -268,7 +262,7 @@ def product_mean_set(
     factors into the per-axis mean sets; the composition itself is pure
     index arithmetic over the row-major product layout.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ValueError("product composition requires alpha >= 1")
     if product.axes is None:
         raise GridMismatchError("target grid was not built as a product grid")
@@ -282,28 +276,3 @@ def product_mean_set(
     for axis_set, axis in zip(per_axis_sets, product.axes):
         indices = (indices[:, None] * len(axis) + axis_set.indices).ravel()
     return PointSet(product, indices)
-
-
-# -- CSV interfaces ----------------------------------------------------------
-
-
-def _point_columns(p: Point) -> list[str]:
-    if p.is_vector:
-        return [repr(c) for c in p.value]
-    return [repr(p.value)]
-
-
-def objective_to_csv(obj: Objective, path: str) -> None:
-    """Write rows of (grid index, coordinates..., value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i, (p, v) in enumerate(zip(obj.grid.points, obj.values)):
-            writer.writerow([i, *_point_columns(p), repr(float(v))])
-
-
-def point_set_to_csv(ps: PointSet, path: str) -> None:
-    """Write rows of (grid index, coordinates..., membership flag)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i, p in enumerate(ps.grid.points):
-            writer.writerow([i, *_point_columns(p), int(i in ps)])

@@ -5,7 +5,7 @@ module: tagged points, a handful of concrete space kinds (Euclidean,
 L1 products, the circle with arc-length, tabulated discrete metrics, and
 the two nonnegative-integer spaces with unit and line metrics), an
 optional metric transform d -> fn(d) built as a power d^alpha or a
-concave inverse, candidate grids, balls, and diameters.
+concave inverse, candidate grids, and diameters.
 
 Every distance comes from one block kernel, ``MetricSpace.distances``,
 over arrays that ``MetricSpace.pack`` validates and packs; the scalar
@@ -18,7 +18,6 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import csv
 import enum
 import functools
 import itertools
@@ -299,9 +298,6 @@ class CandidateGrid:
         except KeyError:
             raise InvalidPointError(f"{p!r} is not a grid point") from None
 
-    def contains_point(self, p: Point) -> bool:
-        return p in self._index_of
-
     def distances_from(self, q: Point) -> np.ndarray:
         """Distances from ``q`` (any point of the space) to every grid point."""
         return self.space.distances(self.space.pack((q,)), self.coords)[0]
@@ -385,14 +381,6 @@ def _require_same_grid(a: PointSet, b: PointSet) -> None:
 # -- operations --------------------------------------------------------------
 
 
-def ball_members(grid: CandidateGrid, center: Point, radius: float) -> PointSet:
-    """Grid points at distance strictly less than ``radius`` from ``center``."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    row = grid.distances_from(center)
-    return PointSet(grid, np.flatnonzero(row < radius))
-
-
 def diameter(grid: CandidateGrid, subset: PointSet) -> float:
     """Largest pairwise distance within ``subset``; 0 for empty or singleton sets."""
     if subset.grid is not grid:
@@ -468,42 +456,3 @@ def product_grid(axes: Sequence[CandidateGrid]) -> CandidateGrid:
         for combo in itertools.product(*(axis.points for axis in axes))
     ]
     return CandidateGrid(space, points, axes=tuple(axes))
-
-
-# -- CSV interfaces ----------------------------------------------------------
-
-
-def load_distance_table_csv(path: str) -> "tuple[MetricSpace, tuple[str, ...]]":
-    """Load a discrete space from a square CSV distance matrix.
-
-    The first row holds point labels; each following row holds one matrix
-    row. Returns the space and the labels in order.
-    """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty distance table file")
-    labels = tuple(cell.strip() for cell in rows[0])
-    matrix = [[float(cell) for cell in row] for row in rows[1:]]
-    if len(matrix) != len(labels):
-        raise ValueError(f"{path}: expected {len(labels)} rows, got {len(matrix)}")
-    return table_space(np.array(matrix, dtype=float)), labels
-
-
-def load_points_csv(path: str, space: MetricSpace) -> CandidateGrid:
-    """Load a grid from a CSV point list (one point per row, no header).
-
-    Vector kinds expect ``dimension`` columns, the circle expects a single
-    angle column, discrete kinds a single index column.
-    """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    points: list[Point] = []
-    for row in rows:
-        if space.kind in _VECTOR_KINDS:
-            points.append(Point.vector(*(float(c) for c in row)))
-        elif space.kind is SpaceKind.CIRCLE_ARCLENGTH:
-            points.append(Point.angle(float(row[0])))
-        else:
-            points.append(Point.index(int(row[0])))
-    return CandidateGrid(space, points)

@@ -2,9 +2,8 @@
 
 One-sided and full Hausdorff distances, finite-horizon estimates of outer
 and inner limits, eventual-boundedness and approachable-minimizer
-diagnostics, a grid-level surrogate for epi-convergence, and the three
-counterexample fixtures in which exactly one hypothesis of the
-uniform-convergence consistency criterion fails.
+diagnostics, and the three counterexample fixtures in which exactly one
+hypothesis of the uniform-convergence consistency criterion fails.
 
 All limit notions here are finite-horizon surrogates: every estimate takes
 an explicit tail start and tolerance, and reports carry the parameters
@@ -21,7 +20,6 @@ distances are reductions of the |A| x |B| block, never of a G x G matrix.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -195,64 +193,6 @@ def approachable_minimizers_check(
     return [(e, d_subset(eps_argmin(obj, e), argmin)) for e in eps_list]
 
 
-@dataclass(frozen=True)
-class EpiSurrogateReport:
-    """Per-grid-point outcome of the epi-convergence surrogate."""
-
-    lower_ok: np.ndarray
-    upper_ok: np.ndarray
-    delta: float
-    tol: float
-    tail_start: int
-
-    @property
-    def passes(self) -> np.ndarray:
-        return self.lower_ok & self.upper_ok
-
-    @property
-    def all_pass(self) -> bool:
-        return bool(self.passes.all())
-
-
-def epi_convergence_surrogate(
-    objectives: Sequence[Objective],
-    limit: Objective,
-    delta: float,
-    tol: float,
-    tail_start: int = 0,
-) -> EpiSurrogateReport:
-    """Finite-horizon, fixed-radius check of the two epi-convergence conditions.
-
-    At each grid point x, with m_n the minimum of f_n over the open ball of
-    radius delta around x: the lower condition requires min over the tail
-    of m_n >= f(x) - tol, the upper condition requires max over the tail of
-    m_n <= f(x) + tol (the recovery point is the ball argmin, which is
-    optimal on a grid). On a discrete-metric grid with delta below the
-    minimum point separation this is exactly pointwise convergence over
-    the tail.
-    """
-    grid = limit.grid
-    for obj in objectives:
-        if obj.grid is not grid:
-            raise GridMismatchError("all objectives must share one grid")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
-    if not 0 <= tail_start < len(objectives):
-        raise ValueError("tail_start must index into the sequence")
-    values = np.vstack([obj.values for obj in objectives[tail_start:]])
-    n_pts = len(grid)
-    lower_ok = np.zeros(n_pts, dtype=bool)
-    upper_ok = np.zeros(n_pts, dtype=bool)
-    for x in range(n_pts):
-        ball_vals = values[:, grid.distances_from(grid[x]) < delta]
-        m = ball_vals.min(axis=1)
-        lower_ok[x] = bool(m.min() >= limit.values[x] - tol)
-        upper_ok[x] = bool(m.max() <= limit.values[x] + tol)
-    return EpiSurrogateReport(lower_ok, upper_ok, delta, tol, tail_start)
-
-
 def uniform_on_bounded_check(
     objectives: Sequence[Objective], limit: Objective, subset: PointSet
 ) -> np.ndarray:
@@ -290,11 +230,6 @@ class LimitReport:
             "witness": self.witness,
             "params": self.params,
         }
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
 
 def analyze_sequence(

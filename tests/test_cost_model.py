@@ -17,9 +17,6 @@ from frechet_sets.cost_model import (
     construct_h,
     estimate_doubling_constant,
     h_cost,
-    load_cost_table_csv,
-    nondecreasing_fn_from_csv,
-    nondecreasing_fn_to_csv,
     power_cost,
     table_cost,
 )
@@ -240,6 +237,8 @@ def test_doubling_constant_edge_cases():
         estimate_doubling_constant(zero, 10.0)
     flat_head = NondecreasingFn((0.0, 1.0, 2.0), (0.0, 0.0, 3.0), 1.0)
     assert estimate_doubling_constant(flat_head, 10.0) == math.inf
+    with pytest.raises(ValueError, match="x_max must be positive and finite"):
+        estimate_doubling_constant(NondecreasingFn.identity(), math.inf)
 
 
 # -- inequality suite -----------------------------------------------------------
@@ -254,6 +253,12 @@ def test_lemma_inequality_examples():
     rev = check_lemma_inequalities(ident, 1.0, 4.0, b=2.0)
     # reverse bound: H(3) - H(1) = 4 against H(4)/2 - 2*4*h(1) = -4
     assert rev.reverse_pass and rev.reverse_slack == pytest.approx(8.0)
+    # every doubling constant of a nondecreasing h is >= 1; +inf is one
+    assert check_lemma_inequalities(ident, 1.0, 2.0, b=math.inf).all_pass
+    with pytest.raises(ValueError, match="b must be at least 1"):
+        check_lemma_inequalities(ident, 1.0, 2.0, b=0.5)
+    with pytest.raises(ValueError, match="x and y must be finite and nonnegative"):
+        check_lemma_inequalities(ident, math.inf, 1.0, b=2.0)
 
 
 def test_lemma_inequalities_random_suite():
@@ -329,24 +334,7 @@ def test_construct_h_rejects_bad_input():
         construct_h([])
     with pytest.raises(ValueError):
         construct_h([-1.0, 2.0])
+    with pytest.raises(ValueError, match="sample values must be finite"):
+        construct_h([0.0, math.inf, 2.0])
     with pytest.raises(ValueError):
         construct_h([1.0], bounded_hint=0.0)
-
-
-# -- serialization ----------------------------------------------------------------
-
-
-def test_nondecreasing_fn_csv_roundtrip(tmp_path):
-    f = NondecreasingFn((0.0, 1.5, 4.0), (0.5, 2.0, 2.0), 0.25)
-    path = tmp_path / "h.csv"
-    nondecreasing_fn_to_csv(f, str(path))
-    assert nondecreasing_fn_from_csv(str(path)) == f
-
-
-def test_cost_table_csv(tmp_path):
-    space = euclidean_space(1)
-    grid = line_grid(space, [0.0, 1.0])
-    path = tmp_path / "cost.csv"
-    path.write_text("0,0,1.5\n0,1,-2.0\n")
-    cost = load_cost_table_csv(str(path), grid)
-    assert cost.row(0, grid)[0] == 1.5

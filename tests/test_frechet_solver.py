@@ -19,8 +19,6 @@ from frechet_sets.frechet_solver import (
     eps_argmin,
     grid_restrict_interval,
     median_interval_1d,
-    objective_to_csv,
-    point_set_to_csv,
     population_objective,
     product_mean_set,
 )
@@ -506,15 +504,3 @@ def test_objective_validation():
         Objective(grid, np.array([0.0, np.inf]))
     with pytest.raises(ValueError):
         FiniteDistribution((Point.vector(0.0),), np.array([0.5]))
-
-
-def test_objective_and_point_set_csv(tmp_path):
-    space = euclidean_space(1)
-    grid = line_grid(space, [0.0, 1.0])
-    obj = Objective(grid, np.array([0.25, -1.0]))
-    obj_path = tmp_path / "obj.csv"
-    objective_to_csv(obj, str(obj_path))
-    assert obj_path.read_text().splitlines() == ["0,0.0,0.25", "1,1.0,-1.0"]
-    ps_path = tmp_path / "set.csv"
-    point_set_to_csv(PointSet(grid, [1]), str(ps_path))
-    assert ps_path.read_text().splitlines() == ["0,0.0,0", "1,1.0,1"]

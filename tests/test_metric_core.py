@@ -1,4 +1,4 @@
-"""Metric axioms, transforms, balls, diameters, and the CSV loaders."""
+"""Metric axioms, transforms, diameters, and candidate grids."""
 
 import math
 
@@ -16,15 +16,12 @@ from frechet_sets.metric_core import (
     Point,
     PointSet,
     SpaceKind,
-    ball_members,
     circle_grid,
     circle_space,
     diameter,
     euclidean_space,
     integer_grid,
     line_grid,
-    load_distance_table_csv,
-    load_points_csv,
     n0_line_space,
     n0_unit_space,
     product_grid,
@@ -192,14 +189,6 @@ def test_boundedness_preserved_under_transforms():
     assert diameter(g_pow, PointSet.full(g_pow)) == base_diam**0.5
 
 
-def test_ball_members_examples():
-    grid = line_grid(euclidean_space(1), [0.0, 0.5, 1.0])
-    assert ball_members(grid, Point.vector(0.0), 0.6).indices.tolist() == [0, 1]
-    assert ball_members(grid, Point.vector(0.0), 10.0).indices.tolist() == [0, 1, 2]
-    unit = integer_grid(n0_unit_space(), 10)
-    assert ball_members(unit, Point.index(0), 1.0).indices.tolist() == [0]
-
-
 def test_diameter_examples():
     grid = line_grid(euclidean_space(1), [0.0, 1.0])
     assert diameter(grid, PointSet.full(grid)) == 1.0
@@ -269,12 +258,6 @@ def test_large_table_uses_sampled_triangle_check():
     assert space.distance(Point.index(0), Point.index(1)) == table[0, 1]
 
 
-def test_ball_members_requires_positive_radius():
-    grid = line_grid(euclidean_space(1), [0.0, 1.0])
-    with pytest.raises(ValueError):
-        ball_members(grid, Point.vector(0.0), 0.0)
-
-
 def test_distance_table_validation():
     with pytest.raises(ValueError, match="symmetric"):
         table_space(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -311,7 +294,7 @@ def test_pack_rejects_non_finite_coordinates():
             line_grid(euclidean_space(1), [0.0, bad])
         grid = line_grid(euclidean_space(1), [0.0, 1.0])
         with pytest.raises(InvalidPointError, match="finite"):
-            ball_members(grid, Point.vector(bad), 1.0)
+            grid.distances_from(Point.vector(bad))
     assert plane.pack([Point.vector(0.0, 1.0), Point.vector(2.0, 3.0)]).tolist() == [
         [0.0, 1.0],
         [2.0, 3.0],
@@ -369,8 +352,8 @@ def test_grid_coords_are_read_only_point_values():
 
 def test_circle_grid_contains_quarter_points():
     grid = circle_grid(circle_space(), 360)
-    assert grid.contains_point(Point.angle(math.pi / 2))
-    assert grid.contains_point(Point.angle(3 * math.pi / 2))
+    assert grid.index_of(Point.angle(math.pi / 2)) == 90
+    assert grid.index_of(Point.angle(3 * math.pi / 2)) == 270
     assert len(grid) == 360
 
 
@@ -384,21 +367,3 @@ def test_product_grid_layout():
     assert prod[1] == Point.vector(0.0, 0.5)
     assert prod[3] == Point.vector(1.0, 0.0)
     assert prod.axes == (ax, ay)
-
-
-def test_csv_loaders_roundtrip(tmp_path):
-    table_file = tmp_path / "table.csv"
-    table_file.write_text("a,b,c\n0,1,2\n1,0,1\n2,1,0\n")
-    space, labels = load_distance_table_csv(str(table_file))
-    assert labels == ("a", "b", "c")
-    assert space.distance(Point.index(0), Point.index(2)) == 2.0
-
-    points_file = tmp_path / "grid.csv"
-    points_file.write_text("0.0,0.0\n1.0,0.5\n")
-    grid = load_points_csv(str(points_file), euclidean_space(2))
-    assert grid.points == (Point.vector(0.0, 0.0), Point.vector(1.0, 0.5))
-
-    angle_file = tmp_path / "angles.csv"
-    angle_file.write_text("0.0\n3.14159\n")
-    cgrid = load_points_csv(str(angle_file), circle_space())
-    assert len(cgrid) == 2
