@@ -202,9 +202,9 @@ class CostFunction:
 
 
 def power_cost(alpha: float, anchor: Point) -> CostFunction:
-    """c(y, q) = d(y, q)**alpha - d(y, o)**alpha for alpha > 0."""
-    if not alpha > 0:
-        raise ValueError("power cost needs alpha > 0")
+    """c(y, q) = d(y, q)**alpha - d(y, o)**alpha for finite alpha > 0."""
+    if not 0 < alpha < math.inf:
+        raise ValueError("power cost needs a finite alpha > 0")
     return CostFunction(functools.partial(_stable_pow, alpha=alpha), anchor)
 
 

@@ -2,14 +2,13 @@
 
 Objectives are vectors of cost values over a candidate grid. A sample
 of a finite law is an array of indices into its support, so an empirical
-objective needs one cost row per support point; the rows are summed with
-compensation in sample order so that the same sample produces
-bit-identical values on every platform, and one pass over a sample yields
-the objective of every requested prefix, since the state of the
-compensated sum after n rows is the prefix-n sum. The pass walks the
-sample segment by segment between checkpoints, over one block that holds
-the cost rows and the sum state with every row on a 64-byte boundary, so
-its speed does not depend on where the heap places its buffers. The module
+objective depends on the sample only through the count of each support
+point: it is the count-weighted sum of one cost row per support point,
+divided by n. That sum is computed correctly rounded (each row is split
+once into two halves whose products with any count are exact, and every
+grid value is one ``math.fsum`` of those exact terms), so the result does
+not depend on the order of the draws or on the platform, and the counts
+of every requested prefix come from one pass over the sample. The module
 also provides the exact epsilon-argmin interval of the 1-D absolute-loss
 objective over the whole real line, and the Cartesian composition of
 per-axis mean sets into a product grid.
@@ -125,12 +124,41 @@ def population_objective(
     return Objective(grid, total)
 
 
+#: Sample lengths must stay below this bound: a count below 2**27 times a
+#: cost-row half of at most 26 significant bits is an exact float product.
+MAX_SAMPLE_LEN = 2**27
+
+#: Grid columns summed per batch, which bounds the Python float lists that
+#: ``math.fsum`` reads to this many columns.
+_FSUM_COLUMNS = 256
+
+
 def _aligned_block(rows: int, cols: int) -> np.ndarray:
     """Zeroed float64 (rows, cols) array whose rows start on 64-byte boundaries."""
     stride = -(-cols // 8) * 8  # row stride padded to whole 64-byte lines
     raw = np.zeros(rows * stride + 7)
     start = (-raw.ctypes.data % 64) // 8
     return raw[start : start + rows * stride].reshape(rows, stride)[:, :cols]
+
+
+def _split_rows(rows: np.ndarray) -> np.ndarray:
+    """Split (K, G) rows exactly into (2K, G) halves: row k is half k + half K + k.
+
+    Each half has at most 26 significant bits. The Veltkamp split (factor
+    2**27 + 1) acts on the ``frexp`` mantissa, which lies in (-1, 1), so no
+    step can overflow, and ``ldexp`` restores the exponent exactly. Every
+    step writes in place into one aligned block, so the column chunks that
+    are read from it do not depend on where the heap places it.
+    """
+    mant, exp = np.frexp(rows)
+    block = _aligned_block(2 * len(rows), rows.shape[1])
+    halves = block.reshape(2, *rows.shape)  # a view: only the row axis is split
+    hi, lo = halves
+    np.multiply(mant, 2.0**27 + 1.0, out=hi)
+    np.subtract(hi, np.subtract(hi, mant, out=lo), out=hi)
+    np.subtract(mant, hi, out=lo)
+    np.ldexp(halves, exp, out=halves)
+    return block
 
 
 def empirical_objective(
@@ -140,23 +168,27 @@ def empirical_objective(
     grid: CandidateGrid,
     ns: "Sequence[int] | None" = None,
 ) -> "Objective | list[Objective]":
-    """Mean cost of a sample on a grid, via compensated summation.
+    """Mean cost of a sample on a grid, from the counts of its support points.
 
     ``support`` lists the data points (``Point``s or integer data indices)
     and ``sample`` is an integer array of indices into it, as a finite law
-    draws them. One cost row is computed per support point; the rows are
-    then accumulated in sample order with Kahan compensation, so the result
-    is bit-reproducible.
+    draws them; it must be shorter than ``MAX_SAMPLE_LEN``. One cost row
+    r_k is computed per support point. The objective at n is the correctly
+    rounded sum over k of count_k * r_k, divided once by n, where count_k is
+    how often index k occurs among the first n draws; so it is
+    bit-reproducible and does not change when those draws are permuted.
 
     Without ``ns`` the objective of the whole sample is returned. With
     ``ns``, a nondecreasing list of prefix lengths in [1, len(sample)], the
-    sample is walked once and the list of prefix objectives, one per entry
-    of ``ns``, is returned: the compensated sum is a left fold, so its state
-    after n rows is exactly the prefix-n sum.
+    counts are advanced from checkpoint to checkpoint in one pass over the
+    sample, and the list of prefix objectives, one per entry of ``ns``, is
+    returned.
     """
     sample = np.asarray(sample)
     if sample.ndim != 1 or not sample.size or sample.dtype.kind not in "iu":
         raise ValueError("sample must be a nonempty 1-D array of support indices")
+    if len(sample) >= MAX_SAMPLE_LEN:
+        raise ValueError(f"sample must have fewer than {MAX_SAMPLE_LEN} draws")
     if sample.min() < 0 or sample.max() >= len(support):
         raise ValueError("sample indices must lie in [0, len(support))")
     checkpoints = [len(sample)] if ns is None else [int(n) for n in ns]
@@ -170,24 +202,26 @@ def empirical_objective(
             "ns must be a nonempty nondecreasing list of prefix lengths "
             "in [1, len(sample)]"
         )
-    # one aligned block: the cost rows, then the Kahan state
-    block = _aligned_block(len(support) + 4, len(grid))
-    for row, y in zip(block, support):
-        row[:] = cost.row(y, grid)
-    *rows, total, comp, delta, bumped = block
+    sample = sample.astype(np.intp, copy=False)  # older numpy bincount rejects uint64
+    halves = _split_rows(np.vstack([cost.row(y, grid) for y in support]))
+    counts = np.zeros(len(support), dtype=np.intp)
     objectives = []
     start = 0
     for n in checkpoints:
-        for i in sample[start:n].tolist():
-            # Kahan step in place: delta = row - comp, bumped = total + delta,
-            # comp = (bumped - total) - delta, in that order, then swap
-            np.subtract(rows[i], comp, out=delta)
-            np.add(total, delta, out=bumped)
-            np.subtract(bumped, total, out=comp)
-            np.subtract(comp, delta, out=comp)
-            total, bumped = bumped, total
+        counts += np.bincount(sample[start:n], minlength=len(support))
         start = n
-        objectives.append(Objective(grid, total / n))
+        weights = np.tile(counts, 2).astype(float)[:, None]
+        sums = np.empty(len(grid))
+        for col in range(0, len(grid), _FSUM_COLUMNS):
+            # exact unless beyond the float range, which Objective then rejects
+            with np.errstate(over="ignore"):
+                terms = weights * halves[:, col : col + _FSUM_COLUMNS]
+            try:
+                sums[col : col + _FSUM_COLUMNS] = list(map(math.fsum, terms.T.tolist()))
+            except OverflowError:  # finite terms whose sum exceeds the float range
+                raise ValueError("objective values must be finite") from None
+        # + 0.0 makes an exact zero +0.0, whatever sign fsum gives it
+        objectives.append(Objective(grid, (sums + 0.0) / n))
     return objectives[0] if ns is None else objectives
 
 

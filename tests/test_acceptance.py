@@ -47,8 +47,8 @@ GOLDEN_E3_SEED42_CSV_SHA256 = (
 GOLDEN_E3_SEED42_JSON_SHA256 = (
     "3a04cbbfb878395386f3d756223937039e92927735b69579b9e6bea9d18034b4"
 )
-#: SHA-256 of the outputs of the bundled circle and ulln configs, pinned
-#: before their runners moved to one compensated pass per sample.
+#: SHA-256 of the outputs of the bundled circle and ulln configs. They
+#: held when the empirical objective became the correctly rounded count sum.
 GOLDEN_BUNDLED_SHA256 = {
     "circle.json": "9f7d6048ea8f5d38881924da8e48b9ff83742b724f090bd1d47873ab04be533b",
     "circle.csv": "a206ede0da5c9e5dcecb15cb4beeefb7ba7372cce3808a5932d25abf4742ec28",

@@ -194,6 +194,7 @@ def test_cost_row_matches_scalar_evaluate(kind, transform):
         lambda: power_cost(0.0, Point.vector(0.0)),
         lambda: power_cost(-1.0, Point.vector(0.0)),
         lambda: power_cost(float("nan"), Point.vector(0.0)),
+        lambda: power_cost(float("inf"), Point.vector(0.0)),
         lambda: power_cost(2.0, None),
         lambda: h_cost(NondecreasingFn.identity(), None),
         lambda: CostFunction(profile=abs),

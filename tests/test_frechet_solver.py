@@ -2,6 +2,7 @@
 product composition, each checked against an independent brute-force oracle."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frechet_sets.cli import MAX_DRAWS
 from frechet_sets.cost_model import NondecreasingFn, h_cost, power_cost, table_cost
 from frechet_sets.frechet_solver import (
+    MAX_SAMPLE_LEN,
     EpsilonSchedule,
     FiniteDistribution,
     Objective,
@@ -99,23 +102,116 @@ def test_empirical_objective_matches_weighted_form():
     grid = line_grid(space, [0.0, 0.5, 1.0])
     points = [Point.vector(1.0), Point.vector(1.0), Point.vector(0.0), Point.vector(1.0)]
     p = 0.75
-    emp = empirical_objective(points, np.arange(len(points)), power_cost(1.0, ORIGIN), grid)
     expected = np.array([p * abs(1 - q) + (1 - p) * abs(q) - p for q in (0.0, 0.5, 1.0)])
-    assert np.array_equal(emp.values, expected)
+    for dtype in (np.intp, np.uint8, np.uint64):
+        sample = np.arange(len(points), dtype=dtype)
+        emp = empirical_objective(points, sample, power_cost(1.0, ORIGIN), grid)
+        assert np.array_equal(emp.values, expected)
+
+
+def _magnitudes():
+    # signed values at scales from 1e-250 to 1e250
+    return st.builds(
+        lambda m, e: m * 10.0**e,
+        st.floats(-10.0, 10.0, allow_nan=False),
+        st.integers(-250, 250),
+    )
+
+
+@st.composite
+def _count_cases(draw):
+    """A finite support, one of the three cost shapes, a sample and checkpoints."""
+    k = draw(st.integers(1, 6))
+    g = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["table", "power", "integrated"]))
+    if kind == "table":
+        grid = line_grid(euclidean_space(1), range(g))
+        # entries drawn from a small shared pool and its negation, so rows
+        # tie and cancel across support points, beside fresh values and zeros
+        pool = st.sampled_from(draw(st.lists(_magnitudes(), min_size=1, max_size=4)))
+        entry = st.one_of(pool, pool.map(lambda v: -v), _magnitudes(), st.just(0.0))
+        entries = {(i, j): draw(entry) for i in range(k) for j in range(g)}
+        support, cost = tuple(range(k)), table_cost(entries, grid)
+    else:
+        coord = st.floats(-100.0, 100.0, allow_nan=False)
+        grid = line_grid(
+            euclidean_space(1), draw(st.lists(coord, min_size=g, max_size=g, unique=True))
+        )
+        support = tuple(Point.vector(v) for v in draw(st.lists(coord, min_size=k, max_size=k)))
+        anchor = Point.vector(draw(coord))
+        if kind == "power":
+            cost = power_cost(draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])), anchor)
+        else:
+            cost = h_cost(NondecreasingFn((0.0, 1.0), (0.5, 2.0), 1.0), anchor)
+    sample = np.array(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=200)))
+    ns = sorted(draw(st.lists(st.integers(1, len(sample)), min_size=1, max_size=5)))
+    return support, sample, cost, grid, ns
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_cases())
+def test_prefix_objectives_match_fraction_oracle(case):
+    # the count-weighted sum, rounded once, then divided once by n
+    support, sample, cost, grid, ns = case
+    rows = [[Fraction(float(v)) for v in cost.row(y, grid)] for y in support]
+
+    def expected(n):
+        counts = Counter(sample[:n].tolist())
+        return [
+            float(sum(counts[k] * row[j] for k, row in enumerate(rows))) / n
+            for j in range(len(grid))
+        ]
+
+    objectives = empirical_objective(support, sample, cost, grid, ns=ns)
+    assert len(objectives) == len(ns)
+    for n, obj in zip(ns, objectives):
+        assert _hex(obj.values) == _hex(expected(n))
+    whole = empirical_objective(support, sample, cost, grid)
+    assert _hex(whole.values) == _hex(expected(len(sample)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_count_cases(), st.randoms(use_true_random=False))
+def test_prefix_objective_ignores_the_order_of_its_draws(case, rnd):
+    support, sample, cost, grid, ns = case
+    n = ns[-1]
+    shuffled = sample.copy()
+    head = shuffled[:n].tolist()
+    rnd.shuffle(head)
+    shuffled[:n] = head
+    (before,) = empirical_objective(support, sample, cost, grid, ns=[n])
+    (after,) = empirical_objective(support, shuffled, cost, grid, ns=[n])
+    assert _hex(after.values) == _hex(before.values)
+
+
+def test_empirical_objective_rejects_samples_beyond_exact_counts():
+    # a zero-stride view: the length is checked before any scan of the draws
+    grid = line_grid(euclidean_space(1), [0.0, 1.0])
+    support = (Point.vector(0.0), Point.vector(1.0))
+    huge = np.broadcast_to(np.intp(0), (MAX_SAMPLE_LEN,))
+    with pytest.raises(ValueError, match="fewer than"):
+        empirical_objective(support, huge, power_cost(1.0, ORIGIN), grid)
+    assert MAX_DRAWS < MAX_SAMPLE_LEN
+
+
+@pytest.mark.parametrize("sample", [[0, 0], [0, 1]])
+def test_empirical_objective_rejects_a_sum_beyond_the_float_range(sample):
+    # a product count * half overflows, or finite terms sum past the range
+    grid = line_grid(euclidean_space(1), [0.0])
+    cost = table_cost({(0, 0): 1e308, (1, 0): 1e308}, grid)
+    with pytest.raises(ValueError, match="objective values must be finite"):
+        empirical_objective((0, 1), np.array(sample), cost, grid)
 
 
 def _scalar_kahan_means(rows: np.ndarray, n: int) -> np.ndarray:
-    # reference: one plain Python Kahan loop per grid point over the first n rows
-    means = []
-    for j in range(rows.shape[1]):
-        total = comp = 0.0
-        for i in range(n):
-            delta = float(rows[i, j]) - comp
-            bumped = total + delta
-            comp = (bumped - total) - delta
-            total = bumped
-        means.append(total / n)
-    return np.array(means)
+    # reference: one scalar compensated loop per grid point over the first n
+    # rows in sample order; math.fsum keeps the whole compensation exactly
+    # (a one-term Kahan loop can land an ulp away), then one division by n
+    return np.array([math.fsum(rows[:n, j].tolist()) / n for j in range(rows.shape[1])])
 
 
 def _prefix_case(kind: str):
@@ -127,8 +223,8 @@ def _prefix_case(kind: str):
             (i, j): float(v) for i in range(6) for j, v in enumerate(rng.normal(0, 1e3, 17))
         }
         return tuple(range(6)), rng.integers(0, 6, 60), table_cost(entries, grid), grid
-    # mixed scales plus repeated support indices, so compensation acts and
-    # rows are shared between draws
+    # mixed scales plus repeated support indices, so the rounding of a
+    # per-draw sum matters and rows are shared between draws
     values = np.concatenate([rng.uniform(-4.0, 6.0, 40), 1e6 * rng.uniform(-1, 1, 5)])
     support = tuple(Point.vector(float(v)) for v in values)
     sample = np.concatenate([np.arange(45), np.arange(15)])
@@ -153,6 +249,7 @@ def test_aligned_block_rows_start_on_cache_lines(rows, cols):
 @pytest.mark.parametrize("kind", ["power", "integrated", "table"])
 @pytest.mark.parametrize("ns", [[1], [2, 2, 7, 7, 7, 31], [60], [1, 1, 60, 60]])
 def test_prefix_objectives_match_scalar_kahan_loop(kind, ns):
+    # the count form against a per-draw sum in sample order
     support, sample, cost, grid = _prefix_case(kind)
     rows = np.vstack([cost.row(support[i], grid) for i in sample])
     objectives = empirical_objective(support, sample, cost, grid, ns=ns)
