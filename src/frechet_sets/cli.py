@@ -36,6 +36,9 @@ MAX_BETA_GRID = 10**6
 #: draws its whole sample at once, so this also bounds its memory).
 MAX_DRAWS = 2**24
 
+#: Upper bound on a circle or line grid; a run needs about 600 B per point.
+MAX_GRID_POINTS = 2**20
+
 _TOP_LEVEL_KEYS = {
     "experiment",
     "seeds",
@@ -124,7 +127,7 @@ EXPERIMENTS = {
     ),
     "circle": Experiment(
         4096,
-        {"grid_size": _int(360), "alpha": _real(2.0, strict=True)},
+        {"grid_size": _int(360, hi=MAX_GRID_POINTS), "alpha": _real(2.0, strict=True)},
         lambda p, schedule, n_max, seed: lln_lab.run_circle_experiment(
             p["grid_size"], n_max, seed, alpha=p["alpha"]
         ),
@@ -152,7 +155,7 @@ EXPERIMENTS = {
     "ulln": Experiment(
         10000,
         {
-            "grid_points": _int(21),
+            "grid_points": _int(21, hi=MAX_GRID_POINTS),
             "alpha": _real(2.0, strict=True),
             "n_list": Param(
                 [100, 10000],
@@ -167,7 +170,12 @@ EXPERIMENTS = {
     ),
     "fixtures": Experiment(
         100,
-        {"horizon": _int(100), "grid_max": _int(100), "diameter_cap": _real(50.0)},
+        {
+            "horizon": _int(100),
+            # eventually_bounded holds about 2 * (grid_max + 1)**2 floats
+            "grid_max": _int(100, hi=4095),
+            "diameter_cap": _real(50.0),
+        },
         lambda p, schedule, n_max, seed: replace(
             lln_lab.run_fixture_diagnostics(**p), seed=seed
         ),

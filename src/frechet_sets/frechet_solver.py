@@ -5,13 +5,14 @@ of a finite law is an array of indices into its support, so an empirical
 objective depends on the sample only through the count of each support
 point: it is the count-weighted sum of one cost row per support point,
 divided by n. That sum is computed correctly rounded (each row is split
-once into two halves whose products with any count are exact, and every
-grid value is one ``math.fsum`` of those exact terms), so the result does
-not depend on the order of the draws or on the platform, and the counts
-of every requested prefix come from one pass over the sample. The module
-also provides the exact epsilon-argmin interval of the 1-D absolute-loss
-objective over the whole real line, and the Cartesian composition of
-per-axis mean sets into a product grid.
+once into two halves whose products with any count are exact, and the
+exact terms of all grid values are summed at once by a checked cascade of
+TwoSum steps, with ``math.fsum`` for the columns the check cannot
+certify), so the result does not depend on the order of the draws or on
+the platform, and the counts of every requested prefix come from one pass
+over the sample. The module also provides the exact epsilon-argmin
+interval of the 1-D absolute-loss objective over the whole real line, and
+the Cartesian composition of per-axis mean sets into a product grid.
 """
 
 from __future__ import annotations
@@ -128,11 +129,6 @@ def population_objective(
 #: cost-row half of at most 26 significant bits is an exact float product.
 MAX_SAMPLE_LEN = 2**27
 
-#: Grid columns summed per batch, which bounds the Python float lists that
-#: ``math.fsum`` reads to this many columns.
-_FSUM_COLUMNS = 256
-
-
 def _aligned_block(rows: int, cols: int) -> np.ndarray:
     """Zeroed float64 (rows, cols) array whose rows start on 64-byte boundaries."""
     stride = -(-cols // 8) * 8  # row stride padded to whole 64-byte lines
@@ -177,6 +173,9 @@ def empirical_objective(
     rounded sum over k of count_k * r_k, divided once by n, where count_k is
     how often index k occurs among the first n draws; so it is
     bit-reproducible and does not change when those draws are permuted.
+    The sum is the value ``math.fsum`` gives over the exact products of
+    the counts with the split rows; ``_exact_sums`` computes it as array
+    arithmetic and calls ``math.fsum`` only where its check fails.
 
     Without ``ns`` the objective of the whole sample is returned. With
     ``ns``, a nondecreasing list of prefix lengths in [1, len(sample)], the
@@ -204,25 +203,70 @@ def empirical_objective(
         )
     sample = sample.astype(np.intp, copy=False)  # older numpy bincount rejects uint64
     halves = _split_rows(np.vstack([cost.row(y, grid) for y in support]))
+    work = np.empty((4, len(grid)))  # TwoSum rows, allocated once per call
     counts = np.zeros(len(support), dtype=np.intp)
     objectives = []
     start = 0
     for n in checkpoints:
         counts += np.bincount(sample[start:n], minlength=len(support))
         start = n
-        weights = np.tile(counts, 2).astype(float)[:, None]
-        sums = np.empty(len(grid))
-        for col in range(0, len(grid), _FSUM_COLUMNS):
-            # exact unless beyond the float range, which Objective then rejects
-            with np.errstate(over="ignore"):
-                terms = weights * halves[:, col : col + _FSUM_COLUMNS]
-            try:
-                sums[col : col + _FSUM_COLUMNS] = list(map(math.fsum, terms.T.tolist()))
-            except OverflowError:  # finite terms whose sum exceeds the float range
-                raise ValueError("objective values must be finite") from None
-        # + 0.0 makes an exact zero +0.0, whatever sign fsum gives it
-        objectives.append(Objective(grid, (sums + 0.0) / n))
+        sums = _exact_sums(np.tile(counts, 2).astype(float), halves, work)
+        sums += 0.0  # makes an exact zero +0.0, whatever sign its sum has
+        sums /= n
+        objectives.append(Objective(grid, sums))
     return objectives[0] if ns is None else objectives
+
+
+def _two_sum(s: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Knuth's TwoSum, in place: a = fl(s + x) and x = (s + x) - a exactly.
+
+    Exact wherever fl(s + x) is finite; b is scratch. Returns (a, s): the
+    row that holds the sum, and the row that is free again.
+    """
+    np.add(s, x, out=a)
+    np.subtract(a, s, out=b)
+    np.subtract(x, b, out=x)
+    np.subtract(a, b, out=b)
+    np.subtract(s, b, out=b)
+    np.add(x, b, out=x)
+    return a, s
+
+
+def _exact_sums(weights: np.ndarray, halves: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Column sums of ``weights[:, None] * halves``, rounded as ``math.fsum`` rounds them.
+
+    Every term is an exact product (or beyond the float range). TwoSum
+    down the terms gives s and errors e_j with S = s + sum(e) exactly, and
+    TwoSum down the errors gives c and errors f_j. Where every f_j is 0 and
+    s + c is finite, c == sum(e) exactly, so fl(s + c) is S correctly
+    rounded. The columns this check cannot certify are summed by
+    ``math.fsum`` over their terms. ``work`` is four rows of scratch.
+    """
+    s, c, x, a = work
+    sums = np.empty(halves.shape[1])  # scratch until it takes s + c
+    certified = np.ones(len(sums), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(halves[0], weights[0], out=s)
+        for j in range(1, len(halves)):
+            np.multiply(halves[j], weights[j], out=x)
+            s, a = _two_sum(s, x, a, sums)  # x = e_j
+            if j == 1:
+                c, x = x, c
+            else:
+                c, a = _two_sum(c, x, a, sums)  # x = f_j
+                certified &= x == 0.0  # and a NaN f_j is not 0
+        np.add(s, c, out=sums)
+    # any inf or NaN met on the way leaves s + c non-finite
+    certified &= np.isfinite(sums)
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        with np.errstate(over="ignore"):  # fsum meets the overflow itself
+            columns = (weights[:, None] * halves[:, rest]).T.tolist()
+        try:
+            sums[rest] = list(map(math.fsum, columns))
+        except OverflowError:  # finite terms whose sum exceeds the float range
+            raise ValueError("objective values must be finite") from None
+    return sums
 
 
 def eps_argmin(obj: Objective, eps: float) -> PointSet:

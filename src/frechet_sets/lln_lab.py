@@ -146,7 +146,8 @@ class SamplingDistribution:
         if self.kind == "finite-support":
             u = rng.floats_block(n)
             cum = np.cumsum(self.law.weights)
-            return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+            idx = np.searchsorted(cum, u, side="right")
+            return np.minimum(idx, len(cum) - 1, out=idx)  # in place: no third array
         if self.kind == "bernoulli-product":
             bits = rng.bits_block(n * self.dimension)
             return bits.reshape(n, self.dimension)

@@ -8,6 +8,7 @@ import pytest
 
 from frechet_sets.cli import (
     EXPERIMENT_IDS,
+    MAX_GRID_POINTS,
     run,
     validate_config,
 )
@@ -88,6 +89,9 @@ def test_validate_rejects_malformed_seeds(bad_seeds):
             "'n_max' x ('params.dimension' + 1)",
         ),
         ("ulln", {"params": {"n_list": [100, 2**24 + 1]}}, "'params.n_list' entries"),
+        ("circle", {"params": {"grid_size": MAX_GRID_POINTS + 1}}, "params.grid_size"),
+        ("ulln", {"params": {"grid_points": MAX_GRID_POINTS + 1}}, "params.grid_points"),
+        ("fixtures", {"params": {"grid_max": 4096}}, "params.grid_max"),
     ],
 )
 def test_validate_only_rejects_out_of_range_config(
@@ -105,6 +109,17 @@ def test_draw_bound_admits_its_limit():
         {"experiment": "circle", "n_max": 2**24},
         {"experiment": "regression", "n_max": 2**21, "params": {"dimension": 7, "beta_points": 2}},
         {"experiment": "ulln", "params": {"n_list": [2**24]}},
+    ):
+        echo, report = validate_config(dict(config, seeds=[0]))
+        assert report.ok, report.issues
+
+
+def test_grid_bounds_admit_their_limit():
+    # validation only: running these would take hundreds of MB
+    for config in (
+        {"experiment": "circle", "params": {"grid_size": MAX_GRID_POINTS}},
+        {"experiment": "ulln", "params": {"grid_points": MAX_GRID_POINTS}},
+        {"experiment": "fixtures", "params": {"grid_max": 4095}},
     ):
         echo, report = validate_config(dict(config, seeds=[0]))
         assert report.ok, report.issues

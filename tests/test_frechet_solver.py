@@ -207,6 +207,59 @@ def test_empirical_objective_rejects_a_sum_beyond_the_float_range(sample):
         empirical_objective((0, 1), np.array(sample), cost, grid)
 
 
+_TINY, _TIE, _BIG = 2.0**-70, 2.0**7, 2.0**60  # 2**7 is half an ulp of 2**60
+
+
+@pytest.mark.parametrize(
+    "rows, sample, fallbacks",
+    [
+        # second-level errors that are not 0: 2**60 + 2**7 is a tie that
+        # s + c rounds to even, the extra 2**-70 makes the sum round up
+        ([[_TINY, 1.0], [_BIG, 2.0], [_TIE, 3.0]], [0, 1, 2], 1),
+        # a K = 1 law: two terms and no error cascade
+        ([[1.0 + 2.0**-52, -3.0, 0.1, 1e300]], [0, 0, 0], 0),
+        ([[1.5e308, 1.0]], [0, 0], 1),  # the product count * half overflows
+        # finite terms whose sum overflows in column 0, and whose partial sum
+        # does: math.fsum raises on that intermediate overflow too
+        ([[1e308, 1.0], [1e308, 1.0]], [0, 1], 1),
+        ([[1.0, 1e308], [1.0, 1e308], [1.0, -1e308]], [0, 1, 2], 1),
+        # exact cancellations to zero: through the fallback in column 0,
+        # certified in column 1, and -0.0 terms in column 2 that give +0.0
+        (
+            [[_TINY, 1.5, -0.0], [_BIG, -0.5, -0.0], [_TIE, 0.25, -0.0]]
+            + [[-_TINY, -1.5, -0.0], [-_BIG, 0.5, -0.0], [-_TIE, -0.25, -0.0]],
+            [0, 1, 2, 3, 4, 5],
+            1,
+        ),
+    ],
+)
+def test_checked_sum_falls_back_to_fsum(monkeypatch, rows, sample, fallbacks):
+    # each grid value is math.fsum over the draws' costs, divided by n, or
+    # the objective raises where that fsum does; fsum itself runs on exactly
+    # ``fallbacks`` columns, the ones the TwoSum check cannot certify
+    grid = line_grid(euclidean_space(1), np.arange(len(rows[0]), dtype=float))
+    cost = table_cost({(k, j): v for k, row in enumerate(rows) for j, v in enumerate(row)}, grid)
+    per_draw = [[rows[k][j] for k in sample] for j in range(len(grid))]
+    fsum, summed = math.fsum, []
+
+    def counting_fsum(terms):
+        summed.append(terms)
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    try:
+        expected = [(fsum(terms) + 0.0) / len(sample) for terms in per_draw]
+    except OverflowError:
+        with pytest.raises(ValueError, match="objective values must be finite"):
+            empirical_objective(tuple(range(len(rows))), np.array(sample), cost, grid)
+    else:
+        obj = empirical_objective(tuple(range(len(rows))), np.array(sample), cost, grid)
+        assert _hex(obj.values) == _hex(expected)
+    # the fallback sums the 2K count-weighted halves of each such column
+    assert len(summed) == fallbacks
+    assert all(len(terms) == 2 * len(rows) for terms in summed)
+
+
 def _scalar_kahan_means(rows: np.ndarray, n: int) -> np.ndarray:
     # reference: one scalar compensated loop per grid point over the first n
     # rows in sample order; math.fsum keeps the whole compensation exactly
