@@ -73,7 +73,6 @@ from .set_limits import (
 )
 from .lln_lab import (
     ExperimentResult,
-    LowerBoundCertificate,
     SamplingDistribution,
     SplitMix64,
     make_n_grid,

@@ -80,9 +80,11 @@ def _int(default: int, lo: int = 1, hi: "int | None" = None) -> Param:
     return Param(default, rule, lambda v: _is_int(v) and lo <= v and (hi is None or v <= hi))
 
 
-def _real(default: float, strict: bool = False) -> Param:
+def _real(default: float, strict: bool = False, hi: float = math.inf) -> Param:
     rule = "a finite number > 0" if strict else "a finite number >= 0"
-    return Param(default, rule, lambda v: _is_real(v) and (v > 0 if strict else v >= 0))
+    if hi < math.inf:
+        rule += f" and <= {hi:g}"
+    return Param(default, rule, lambda v: _is_real(v) and (v > 0 if strict else v >= 0) and v <= hi)
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,9 @@ def _run_ulln(p: dict, seed: int) -> lln_lab.ExperimentResult:
 EXPERIMENTS = {
     "median": Experiment(
         4096,
-        {"dimension": _int(1)},
+        # the d_hausdorff block against the full 3**s box grid holds
+        # 9**s * s float64 values: 25.5 MB at s = 6, 268 MB at s = 7
+        {"dimension": _int(1, hi=6)},
         lambda p, schedule, n_max, seed: lln_lab.run_median_experiment(
             p["dimension"], schedule, n_max, seed
         ),
@@ -137,8 +141,8 @@ EXPERIMENTS = {
         10000,
         {
             "dimension": _int(1, hi=7),  # symmetric_lambda_min stops at 8 x 8
-            "noise": _real(0.5),
-            "beta_extent": _real(2.0),
+            "noise": _real(0.5, hi=lln_lab.MAX_REGRESSION_SCALE),
+            "beta_extent": _real(2.0, hi=lln_lab.MAX_REGRESSION_SCALE),
             "beta_points": _int(9),
         },
         lambda p, schedule, n_max, seed: lln_lab.run_regression_certificate(
@@ -378,7 +382,6 @@ def run(
         else:
             with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(lambda s: _run_one_seed(echo, s), seeds))
-        results.sort(key=lambda r: r.seed)
 
         out = Path(echo["out_dir"])
         out.mkdir(parents=True, exist_ok=True)

@@ -14,8 +14,10 @@ experiment runners:
 * the uniform law-of-large-numbers diagnostic,
 * the counterexample fixture diagnostics.
 
-Every runner is a pure function of (seed, config): results serialize to
-byte-identical JSON and long-format CSV.
+Every runner is a pure function of (seed, config) and returns its
+config, records and summary as plain JSON values (dicts with string
+keys, lists, strings, ints, finite floats, bools); the writers emit them
+as they are, as byte-identical JSON and long-format CSV.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cost_model import CostFunction, IntegratedH, NondecreasingFn, power_cost
+from .cost_model import CostFunction, power_cost
 from .frechet_solver import (
     EpsilonSchedule,
     FiniteDistribution,
@@ -63,6 +65,10 @@ _FLOAT_SCALE = 2.0**-53
 MAX_STORED_INDICES = 10_000
 
 RESULT_SCHEMA_VERSION = 1
+
+#: Upper bound on the regression noise level and coefficient extent:
+#: squares and products of values this large stay finite in every output.
+MAX_REGRESSION_SCALE = 1e100
 
 
 class SplitMix64:
@@ -135,8 +141,8 @@ class SamplingDistribution:
     def regression(dimension: int, noise: float = 0.5) -> "SamplingDistribution":
         if dimension < 1:
             raise ValueError("dimension must be positive")
-        if not noise >= 0:
-            raise ValueError("noise level must be nonnegative")
+        if not 0 <= noise <= MAX_REGRESSION_SCALE:
+            raise ValueError(f"noise level must be nonnegative and <= {MAX_REGRESSION_SCALE:g}")
         return SamplingDistribution("regression", dimension=dimension, noise=noise)
 
     def draw(self, rng: SplitMix64, n: int):
@@ -162,41 +168,16 @@ class SamplingDistribution:
         return x, y
 
 
-@dataclass(frozen=True, eq=False)
-class LowerBoundCertificate:
-    """Data-driven coercivity constants with their shape functions.
-
-    The lower bound asserts a_plus * psi_plus(|beta|) - a_minus *
-    psi_minus(|beta|) <= objective(beta) pointwise, with the empirical
-    constants converging to the population ones.
-    """
-
-    psi_plus: IntegratedH
-    psi_minus: IntegratedH
-    a_plus: float
-    a_minus: float
-    a_plus_n: tuple[float, ...]
-    a_minus_n: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.a_plus > 0:
-            raise ValueError("a_plus must be positive")
-        if not all(math.isfinite(v) for v in self.a_plus_n + self.a_minus_n):
-            raise ValueError("certificate trajectories must be finite")
-
-
 @dataclass
 class ExperimentResult:
-    """Deterministic record of one experiment replication."""
+    """Deterministic record of one experiment replication; config, records
+    and summary hold plain JSON values, which the writers emit as they are."""
 
     experiment: str
     seed: int
     config: dict
     records: list[dict]
     summary: dict
-    certificate: "LowerBoundCertificate | None" = field(
-        default=None, repr=False, compare=False
-    )
 
 
 def make_n_grid(n_max: int) -> list[int]:
@@ -212,32 +193,15 @@ def make_n_grid(n_max: int) -> list[int]:
     return sorted(ns)
 
 
-def _plain(value):
-    """Coerce numpy scalars and containers to JSON-clean Python values."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def result_to_jsonable(result: ExperimentResult) -> dict:
     return {
         "schema_version": RESULT_SCHEMA_VERSION,
         "experiment": result.experiment,
         "seed": result.seed,
-        "config": _plain(result.config),
-        "n_grid": [int(r["n"]) for r in result.records],
-        "records": _plain(result.records),
-        "summary": _plain(result.summary),
+        "config": result.config,
+        "n_grid": [r["n"] for r in result.records],
+        "records": result.records,
+        "summary": result.summary,
     }
 
 
@@ -262,13 +226,10 @@ def write_results_csv(results: Sequence[ExperimentResult], path: str) -> None:
         writer.writerow(["experiment", "seed", "n", "metric", "value"])
         for result in ordered:
             for record in result.records:
-                n = record.get("n", "")
+                n = record["n"]
                 for key in sorted(record):
-                    if key == "n":
-                        continue
-                    value = _plain(record[key])
-                    text = repr(value) if isinstance(value, float) else str(value)
-                    writer.writerow([result.experiment, result.seed, n, key, text])
+                    if key != "n":
+                        writer.writerow([result.experiment, result.seed, n, key, record[key]])
 
 
 # -- product-median experiment -------------------------------------------------
@@ -577,8 +538,8 @@ def run_regression_certificate(
     lower bound with shapes psi_plus(d) = d**2 and psi_minus(d) = d is
     verified on a grid of coefficient vectors at every n-grid point.
     """
-    if not beta_extent >= 0:
-        raise ValueError("beta_extent must be nonnegative")
+    if not 0 <= beta_extent <= MAX_REGRESSION_SCALE:
+        raise ValueError(f"beta_extent must be nonnegative and <= {MAX_REGRESSION_SCALE:g}")
     if not beta_points >= 1:
         raise ValueError("beta_points must be >= 1")
     dist = SamplingDistribution.regression(s, noise=noise)
@@ -597,8 +558,6 @@ def run_regression_certificate(
 
     grid_ns = make_n_grid(n_max)
     records = []
-    a_plus_traj = []
-    a_minus_traj = []
     done = 0
     for n in grid_ns:
         gram_sum += x[done:n].T @ x[done:n]
@@ -611,8 +570,6 @@ def run_regression_certificate(
         objective = quad - 2.0 * betas @ v
         bound = a_plus_n * beta_norms**2 - a_minus_n * beta_norms
         min_slack = float((objective - bound).min())
-        a_plus_traj.append(a_plus_n)
-        a_minus_traj.append(a_minus_n)
         records.append(
             {
                 "n": n,
@@ -624,21 +581,14 @@ def run_regression_certificate(
 
     a_plus_pop = symmetric_lambda_min(np.eye(p))
     a_minus_pop = 2.0 * math.sqrt(p)
-    certificate = LowerBoundCertificate(
-        psi_plus=IntegratedH(NondecreasingFn((0.0,), (0.0,), 2.0)),
-        psi_minus=IntegratedH(NondecreasingFn.constant(1.0)),
-        a_plus=a_plus_pop,
-        a_minus=a_minus_pop,
-        a_plus_n=tuple(a_plus_traj),
-        a_minus_n=tuple(a_minus_traj),
-    )
+    final = records[-1]
     summary = {
         "a_plus_population": a_plus_pop,
         "a_minus_population": a_minus_pop,
-        "final_a_plus": a_plus_traj[-1],
-        "final_a_minus": a_minus_traj[-1],
-        "final_a_plus_rel_err": abs(a_plus_traj[-1] - a_plus_pop) / a_plus_pop,
-        "final_a_minus_rel_err": abs(a_minus_traj[-1] - a_minus_pop) / a_minus_pop,
+        "final_a_plus": final["a_plus_n"],
+        "final_a_minus": final["a_minus_n"],
+        "final_a_plus_rel_err": abs(final["a_plus_n"] - a_plus_pop) / a_plus_pop,
+        "final_a_minus_rel_err": abs(final["a_minus_n"] - a_minus_pop) / a_minus_pop,
         "min_slack_overall": min(r["min_slack"] for r in records),
         "psi_plus": "quadratic",
         "psi_minus": "linear",
@@ -657,7 +607,6 @@ def run_regression_certificate(
         config=config,
         records=records,
         summary=summary,
-        certificate=certificate,
     )
 
 

@@ -92,6 +92,9 @@ def test_validate_rejects_malformed_seeds(bad_seeds):
         ("circle", {"params": {"grid_size": MAX_GRID_POINTS + 1}}, "params.grid_size"),
         ("ulln", {"params": {"grid_points": MAX_GRID_POINTS + 1}}, "params.grid_points"),
         ("fixtures", {"params": {"grid_max": 4096}}, "params.grid_max"),
+        ("median", {"params": {"dimension": 7}}, "'params.dimension' must be an integer in [1, 6]"),
+        ("regression", {"params": {"noise": 1e308}}, "'params.noise' must be a finite number"),
+        ("regression", {"params": {"beta_extent": 1e308}}, "params.beta_extent"),
     ],
 )
 def test_validate_only_rejects_out_of_range_config(

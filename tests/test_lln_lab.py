@@ -16,6 +16,7 @@ from frechet_sets.frechet_solver import (
     median_interval_1d,
 )
 from frechet_sets.lln_lab import (
+    MAX_REGRESSION_SCALE,
     SamplingDistribution,
     SplitMix64,
     make_n_grid,
@@ -365,16 +366,26 @@ def test_symmetric_lambda_min_random_against_numpy():
 
 def test_regression_certificate_convergence_and_bound():
     result = run_regression_certificate(1, 10_000, seed=3)
-    cert = result.certificate
-    assert cert is not None
-    assert cert.a_plus == 1.0
-    assert cert.a_minus == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+    assert result.summary["a_plus_population"] == 1.0
+    assert result.summary["a_minus_population"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
     assert result.summary["final_a_plus_rel_err"] < 0.05
     assert result.summary["final_a_minus_rel_err"] < 0.05
     assert result.summary["min_slack_overall"] >= -1e-9
-    # shape functions evaluate to the quadratic and linear forms exactly
-    assert cert.psi_plus(3.0) == 9.0
-    assert cert.psi_minus(3.0) == 3.0
+
+
+@pytest.mark.parametrize("dimension", [1, 7])
+def test_regression_at_the_scale_bound_keeps_every_output_finite(dimension):
+    # overflow and invalid-value warnings are errors in this suite
+    result = run_regression_certificate(
+        dimension,
+        64,
+        seed=dimension,
+        noise=MAX_REGRESSION_SCALE,
+        beta_extent=MAX_REGRESSION_SCALE,
+        beta_points=2,
+    )
+    for part in (result.config, result.records, result.summary):
+        _assert_plain_json(part)
 
 
 def test_regression_early_singular_gram_reports_zero():
@@ -546,3 +557,40 @@ def test_result_writers_are_deterministic(tmp_path):
     assert [r["seed"] for r in doc["results"]] == [1, 3]
     header = c1.read_text().splitlines()[0]
     assert header == "experiment,seed,n,metric,value"
+
+
+def _assert_plain_json(value, where="result"):
+    # exact types: np.float64 subclasses float, so isinstance would pass it
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, (where, key)
+            _assert_plain_json(item, f"{where}.{key}")
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            _assert_plain_json(item, f"{where}[{i}]")
+    elif type(value) is float:
+        assert math.isfinite(value), where
+    else:
+        assert value is None or type(value) in (str, int, bool), (where, type(value))
+
+
+def test_every_runner_returns_plain_finite_json_values():
+    # the writers emit config, records and summary as they are, so each
+    # runner must hand over values that json and csv write unchanged
+    law = FiniteDistribution.uniform((Point.vector(0.0), Point.vector(1.0)))
+    line = line_grid(euclidean_space(1), np.linspace(0.0, 1.0, 5))
+    results = [
+        run_median_experiment(3, EpsilonSchedule.power_decay(1.0, 0.25), 100, seed=1),
+        run_median_experiment(2, EpsilonSchedule.constant(0.0), 64, seed=2),
+        run_circle_experiment(60, 64, seed=0),
+        run_regression_certificate(2, 64, seed=0, beta_points=3),
+        run_ulln_single(law, power_cost(2.0, Point.vector(0.0)), line, [10, 50], seed=0),
+        run_fixture_diagnostics(horizon=20, grid_max=30, diameter_cap=10.0),
+    ]
+    for result in results:
+        assert type(result.seed) is int
+        for part in ("config", "records", "summary"):
+            value = getattr(result, part)
+            assert type(value) is (list if part == "records" else dict)
+            _assert_plain_json(value, f"{result.experiment}.{part}")
+        assert all(type(record["n"]) is int for record in result.records)

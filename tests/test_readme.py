@@ -1,8 +1,10 @@
-"""The README's Python examples run as written and print what they claim."""
+"""The README's Python examples run as written and print what they claim, and
+its param table lists every param that ``cli.EXPERIMENTS`` declares."""
 
 import ast
 import contextlib
 import io
+import json
 import math
 import pathlib
 import re
@@ -30,3 +32,24 @@ def test_readme_python_blocks_run_and_print_the_quickstart_values():
     d_sub, d_haus = (float(v) for v in distances.split())
     assert d_sub == 0.0
     assert d_haus == pytest.approx(math.pi, rel=1e-15)
+
+
+def test_readme_param_table_matches_the_declared_params():
+    from frechet_sets.cli import EXPERIMENTS
+
+    rows = {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].strip("`") in EXPERIMENTS:
+            rows[cells[0].strip("`"), cells[1].strip("`")] = cells[2:]
+    declared = {
+        (experiment, name): param
+        for experiment, spec in EXPERIMENTS.items()
+        for name, param in spec.params.items()
+    }
+    assert rows.keys() == declared.keys()
+    for key, param in declared.items():
+        default, allowed = rows[key]
+        assert default == json.dumps(param.default), key
+        rule = re.sub(r"^an? ", "", param.rule)
+        assert allowed.startswith(rule), (key, allowed, rule)

@@ -686,3 +686,20 @@ def test_nan_parameters_are_rejected(name):
     call, message = _nan_cases()[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "param,value",
+    [
+        ("noise", math.inf),
+        ("noise", 1e308),
+        ("beta_extent", math.inf),
+        ("beta_extent", -math.inf),
+        ("beta_extent", 1e308),
+    ],
+)
+def test_infinite_and_huge_regression_scales_are_rejected(param, value):
+    # squares of these overflow: the runner would write inf or NaN values
+    name = {"noise": "noise level", "beta_extent": "beta_extent"}[param]
+    with pytest.raises(ValueError, match=rf"{name} must be nonnegative and <= 1e\+100"):
+        run_regression_certificate(1, 50, 0, **{param: value})
