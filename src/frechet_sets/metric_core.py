@@ -214,12 +214,12 @@ class MetricSpace:
             block = np.abs(cols[None, :, :] - rows[:, None, :]).sum(axis=2)
         elif kind is SpaceKind.DISCRETE_TABLE:
             block = self.distance_table[rows[:, None], cols[None, :]]
+        elif kind is SpaceKind.N0_UNIT:
+            block = (cols[None, :] != rows[:, None]).astype(float)
         else:
             gap = np.abs(cols[None, :] - rows[:, None])
             if kind is SpaceKind.CIRCLE_ARCLENGTH:
                 block = np.minimum(gap, TWO_PI - gap)
-            elif kind is SpaceKind.N0_UNIT:
-                block = (gap != 0).astype(float)
             else:  # N0_LINE
                 block = gap.astype(float)
         if self.transform is not None:

@@ -16,6 +16,8 @@ the tol-enlargements of the tail sets: one profile seeds the candidates,
 and each further tail set only filters the survivors, so its cost is a
 |candidates| x |B_n| block rather than a pass over the whole grid. Set
 distances are reductions of the |A| x |B| block, never of a G x G matrix.
+A d_subset trajectory against one fixed target T is a gather per set from
+one profile q -> dist(q, T), built from one grid row per member of T.
 """
 
 from __future__ import annotations
@@ -94,6 +96,20 @@ def _distance_to_set_per_point(seq_set: PointSet) -> np.ndarray:
     for b in seq_set.indices:
         np.minimum(best, grid.distances_from(grid[b]), out=best)
     return best
+
+
+def _d_subset_trajectory(sets: Sequence[PointSet], target: PointSet) -> tuple[float, ...]:
+    """d_subset(s, target) for each s in sets, read from one target profile.
+
+    max over s of min over target is the max over s of the profile
+    dist(., target), which reads the same distances (grid distances are
+    elementwise symmetric), so each value equals d_subset bit for bit. An
+    empty target gives an all-inf profile: the +inf convention.
+    """
+    if any(s.grid is not target.grid for s in sets):
+        raise GridMismatchError("point sets belong to different grids")
+    profile = _distance_to_set_per_point(target)
+    return tuple(float(profile[s.indices].max()) if len(s) else 0.0 for s in sets)
 
 
 def outer_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) -> PointSet:
@@ -242,12 +258,14 @@ def analyze_sequence(
     """Compute limit estimates and distance trajectories for a set sequence.
 
     Trajectories are taken against ``reference`` when given, otherwise
-    against the outer-limit estimate itself.
+    against the outer-limit estimate itself. The d_subset trajectory is a
+    gather per set from one distance profile of that target; the Hausdorff
+    trajectory takes one |B_n| x |target| block per set.
     """
     outer = outer_limit_estimate(seq, tail_start, tol)
     inner = inner_limit_estimate(seq, tail_start, tol)
     target = reference if reference is not None else outer
-    d_sub = tuple(d_subset(s, target) for s in seq.sets)
+    d_sub = _d_subset_trajectory(seq.sets, target)
     d_haus = tuple(d_hausdorff(s, target) for s in seq.sets)
     bounded = eventually_bounded(seq, diameter_cap)
     return LimitReport(
@@ -394,7 +412,8 @@ def diagnose_fixture(
     deviation pinned at 1 fails); eventual boundedness by the tail unions
     of the argmin sequence under the cap; approachability by the last entry
     of the eps trajectory on the limit objective. The escape distances are
-    d_subset(argmin f_n, argmin f) per n.
+    d_subset(argmin f_n, argmin f) per n, gathered from one distance
+    profile of argmin f.
     """
     sup_dev = uniform_on_bounded_check(
         fixture.objective_sequence, fixture.limit_objective, fixture.bounded_subset
@@ -406,9 +425,7 @@ def diagnose_fixture(
     )
     approach_ok = approach[-1][1] == 0.0
     limit_argmin = eps_argmin(fixture.limit_objective, 0.0)
-    escape = tuple(
-        d_subset(s, limit_argmin) for s in fixture.argmin_sequence.sets
-    )
+    escape = _d_subset_trajectory(fixture.argmin_sequence.sets, limit_argmin)
     return FixtureDiagnostics(
         name=fixture.name,
         violates=fixture.violates,

@@ -68,33 +68,147 @@ def test_validate_rejects_malformed_seeds(bad_seeds):
 @pytest.mark.parametrize(
     "experiment,overrides,field",
     [
-        ("circle", {"params": {"grid_size": 0}}, "params.grid_size"),
-        ("circle", {"params": {"alpha": -1}}, "params.alpha"),
-        ("median", {"params": {"dimension": 0}}, "params.dimension"),
-        ("regression", {"params": {"dimension": "2"}}, "params.dimension"),
-        ("regression", {"params": {"dimension": 8}}, "params.dimension"),
-        ("regression", {"params": {"noise": -1}}, "params.noise"),
-        ("regression", {"params": {"beta_extent": float("nan")}}, "params.beta_extent"),
-        ("regression", {"params": {"beta_points": 0}}, "params.beta_points"),
-        ("median", {"schedule": {"c": float("nan")}}, "schedule constant"),
-        ("ulln", {"params": {"n_list": []}}, "params.n_list"),
-        ("ulln", {"params": {"n_list": [0, 10]}}, "params.n_list"),
-        ("ulln", {"params": {"grid_points": 0}}, "params.grid_points"),
-        ("fixtures", {"params": {"horizon": 200, "grid_max": 100}}, "params.horizon"),
-        ("median", {"n_max": 2**24 // 3 + 1, "params": {"dimension": 3}}, "'n_max' x"),
-        ("circle", {"n_max": 2**24 + 1}, "'n_max' must be <= 16777216"),
-        (
+        # explicit ids, so a case keeps its name wherever it sits in the list;
+        # these keep the names they were first collected under, and a new
+        # case takes a descriptive id such as "circle-grid_size-0"
+        pytest.param(
+            "circle",
+            {"params": {"grid_size": 0}},
+            "params.grid_size",
+            id="circle-overrides0-params.grid_size",
+        ),
+        pytest.param(
+            "circle",
+            {"params": {"alpha": -1}},
+            "params.alpha",
+            id="circle-overrides1-params.alpha",
+        ),
+        pytest.param(
+            "median",
+            {"params": {"dimension": 0}},
+            "params.dimension",
+            id="median-overrides2-params.dimension",
+        ),
+        pytest.param(
+            "regression",
+            {"params": {"dimension": "2"}},
+            "params.dimension",
+            id="regression-overrides3-params.dimension",
+        ),
+        pytest.param(
+            "regression",
+            {"params": {"dimension": 8}},
+            "params.dimension",
+            id="regression-overrides4-params.dimension",
+        ),
+        pytest.param(
+            "regression",
+            {"params": {"noise": -1}},
+            "params.noise",
+            id="regression-overrides5-params.noise",
+        ),
+        pytest.param(
+            "regression",
+            {"params": {"beta_extent": float("nan")}},
+            "params.beta_extent",
+            id="regression-overrides6-params.beta_extent",
+        ),
+        pytest.param(
+            "regression",
+            {"params": {"beta_points": 0}},
+            "params.beta_points",
+            id="regression-overrides7-params.beta_points",
+        ),
+        pytest.param(
+            "median",
+            {"schedule": {"c": float("nan")}},
+            "schedule constant",
+            id="median-overrides8-schedule constant",
+        ),
+        pytest.param(
+            "ulln",
+            {"params": {"n_list": []}},
+            "params.n_list",
+            id="ulln-overrides9-params.n_list",
+        ),
+        pytest.param(
+            "ulln",
+            {"params": {"n_list": [0, 10]}},
+            "params.n_list",
+            id="ulln-overrides10-params.n_list",
+        ),
+        pytest.param(
+            "ulln",
+            {"params": {"grid_points": 0}},
+            "params.grid_points",
+            id="ulln-overrides11-params.grid_points",
+        ),
+        pytest.param(
+            "fixtures",
+            {"params": {"horizon": 200, "grid_max": 100}},
+            "params.horizon",
+            id="fixtures-overrides12-params.horizon",
+        ),
+        pytest.param(
+            "median",
+            {"n_max": 2**24 // 3 + 1, "params": {"dimension": 3}},
+            "'n_max' x",
+            id="median-overrides13-'n_max' x",
+        ),
+        pytest.param(
+            "circle",
+            {"n_max": 2**24 + 1},
+            "'n_max' must be <= 16777216",
+            id="circle-overrides14-'n_max' must be <= 16777216",
+        ),
+        pytest.param(
             "regression",
             {"n_max": 2**21 + 1, "params": {"dimension": 7, "beta_points": 2}},
             "'n_max' x ('params.dimension' + 1)",
+            id="regression-overrides15-'n_max' x ('params.dimension' + 1)",
         ),
-        ("ulln", {"params": {"n_list": [100, 2**24 + 1]}}, "'params.n_list' entries"),
-        ("circle", {"params": {"grid_size": MAX_GRID_POINTS + 1}}, "params.grid_size"),
-        ("ulln", {"params": {"grid_points": MAX_GRID_POINTS + 1}}, "params.grid_points"),
-        ("fixtures", {"params": {"grid_max": 4096}}, "params.grid_max"),
-        ("median", {"params": {"dimension": 7}}, "'params.dimension' must be an integer in [1, 6]"),
-        ("regression", {"params": {"noise": 1e308}}, "'params.noise' must be a finite number"),
-        ("regression", {"params": {"beta_extent": 1e308}}, "params.beta_extent"),
+        pytest.param(
+            "ulln",
+            {"params": {"n_list": [100, 2**24 + 1]}},
+            "'params.n_list' entries",
+            id="ulln-overrides16-'params.n_list' entries",
+        ),
+        pytest.param(
+            "circle",
+            {"params": {"grid_size": MAX_GRID_POINTS + 1}},
+            "params.grid_size",
+            id="circle-overrides17-params.grid_size",
+        ),
+        pytest.param(
+            "ulln",
+            {"params": {"grid_points": MAX_GRID_POINTS + 1}},
+            "params.grid_points",
+            id="ulln-overrides18-params.grid_points",
+        ),
+        pytest.param(
+            "fixtures",
+            {"params": {"grid_max": 4096}},
+            "params.grid_max",
+            id="fixtures-overrides19-params.grid_max",
+        ),
+        pytest.param(
+            "median",
+            {"params": {"dimension": 7}},
+            "'params.dimension' must be an integer in [1, 6]",
+            id="median-overrides20-'params.dimension' must be an integer in [1, 6]",
+        ),
+        pytest.param(
+            "regression",
+            {"params": {"noise": 1e308}},
+            "'params.noise' must be a finite number",
+            id="regression-overrides21-'params.noise' must be a finite number",
+        ),
+        pytest.param(
+            "regression",
+            {"params": {"beta_extent": 1e308}},
+            "params.beta_extent",
+            id="regression-overrides22-params.beta_extent",
+        ),
     ],
 )
 def test_validate_only_rejects_out_of_range_config(

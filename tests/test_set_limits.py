@@ -48,6 +48,7 @@ from frechet_sets.metric_core import (
 from frechet_sets.set_limits import (
     FIXTURE_NAMES,
     SetSequence,
+    _d_subset_trajectory,
     analyze_sequence,
     approachable_minimizers_check,
     counterexample_fixture,
@@ -264,6 +265,7 @@ def _hausdorff_grids(rng):
         integer_grid(n0_unit_space(), 20),
         integer_grid(n0_line_space(), 20),
         vector_grid(euclidean_space(2, transform=MetricTransform.power(0.5))),
+        vector_grid(product_l1_space(3, transform=MetricTransform.concave_inverse(np.sqrt))),
     ]
 
 
@@ -295,6 +297,25 @@ def test_d_hausdorff_rejects_sets_of_different_grids():
     for x, y in ((a, b), (a, PointSet.empty(b.grid)), (PointSet.empty(a.grid), b)):
         with pytest.raises(GridMismatchError):
             d_hausdorff(x, y)
+
+
+def test_d_subset_trajectory_is_d_subset_per_set_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for grid in _hausdorff_grids(rng):
+        def some(low):
+            size = rng.integers(low, 8)
+            return PointSet(grid, rng.choice(len(grid), size=size, replace=False))
+
+        empty, full = PointSet.empty(grid), PointSet.full(grid)
+        sets = [empty, full] + [some(0) for _ in range(40)]
+        for target in [empty, full] + [some(1) for _ in range(10)]:
+            got = _d_subset_trajectory(sets, target)
+            expected = [d_subset(s, target) for s in sets]
+            assert all(type(v) is float and math.copysign(1.0, v) == 1.0 for v in got)
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+    a, b = (PointSet(line_integer_grid(6), [0]) for _ in range(2))
+    with pytest.raises(GridMismatchError):
+        _d_subset_trajectory([a], b)
 
 
 def test_eventually_bounded_examples():
@@ -547,6 +568,37 @@ def test_analyze_sequence_report_and_json():
     assert set(doc) == {"outer", "inner", "d_sub", "d_haus", "bounded", "witness", "params"}
     assert doc["bounded"] is True
     assert doc["params"]["tail_start"] == 3
+
+
+def test_trajectories_cost_one_hausdorff_block_per_set(monkeypatch):
+    blocks = []  # (rows, cols) of every distance block built
+    build = CandidateGrid.distance_matrix
+
+    def counting(grid, rows, cols):
+        blocks.append((len(rows), len(cols)))
+        return build(grid, rows, cols)
+
+    monkeypatch.setattr(CandidateGrid, "distance_matrix", counting)
+    fixture = counterexample_fixture("reciprocal-tail", horizon=40)
+    seq = fixture.argmin_sequence
+    report = analyze_sequence(seq)
+    used = len(blocks)
+    # the limit estimates build the same blocks on their own
+    inner_limit_estimate(seq, 0, 0.0)
+    eventually_bounded(seq, math.inf)
+    limits = len(blocks) - used
+    assert used - limits == len(seq)
+    target = len(report.outer_limit)
+    assert sorted(blocks[:used]) == sorted(
+        blocks[used:] + [(len(s), target) for s in seq.sets]
+    )
+
+    blocks.clear()
+    diagnose_fixture(fixture)
+    used = len(blocks)
+    eventually_bounded(seq, 50.0)
+    approachable_minimizers_check(fixture.limit_objective, fixture.approachability_eps)
+    assert blocks[:used] == blocks[used:]
 
 
 def test_sequence_space_embedding_counterexample():
