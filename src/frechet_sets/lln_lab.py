@@ -58,6 +58,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _FLOAT_SCALE = 2.0**-53
+#: Outputs mixed per pass of ``next_block``: two 128 KiB uint64 arrays
+#: (chunk and shift scratch) stay in cache across the mixing rounds.
+_CHUNK = 2**14
 
 #: Occurrence-index lists longer than this are dropped from summaries
 #: (the count is always kept), keeping result files small and
@@ -65,6 +68,10 @@ _FLOAT_SCALE = 2.0**-53
 MAX_STORED_INDICES = 10_000
 
 RESULT_SCHEMA_VERSION = 1
+
+#: Upper bound on the median runner's ``n_max``: its walks are int32, and
+#: every partial walk value lies within 2 * n_max < 2**31.
+MAX_MEDIAN_N = 2**30 - 1
 
 #: Upper bound on the regression noise level and coefficient extent:
 #: squares and products of values this large stay finite in every output.
@@ -77,9 +84,11 @@ class SplitMix64:
     64-bit state advanced by a fixed odd constant, finalized by the
     standard two-round multiply-xorshift mix. ``next_block`` returns the
     next ``count`` outputs at once and is the only stream path; a block of
-    k outputs followed by a block of m equals one block of k + m. Derived
-    draws: a uniform float uses the top 53 bits (``floats_block``), a fair
-    bit uses the top bit (``bits_block``).
+    k outputs followed by a block of m equals one block of k + m. It mixes
+    ``_CHUNK`` = 2**14 outputs at a time, so a long block streams through
+    memory once, not once per mixing round; the stream does not depend on
+    the chunking. Derived draws: a uniform float uses the top 53 bits
+    (``floats_block``), a fair bit uses the top bit (``bits_block``).
     """
 
     __slots__ = ("state",)
@@ -88,19 +97,26 @@ class SplitMix64:
         self.state = int(seed) & MASK64
 
     def next_block(self, count: int) -> np.ndarray:
-        # one output array and one shift scratch; uint64 arithmetic wraps
-        # modulo 2**64 exactly like the masked integer step
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self.state)
-        shifted = np.empty_like(z)
-        z ^= np.right_shift(z, np.uint64(30), out=shifted)
-        z *= np.uint64(_MIX1)
-        z ^= np.right_shift(z, np.uint64(27), out=shifted)
-        z *= np.uint64(_MIX2)
-        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        # mixed one cache-sized chunk at a time, with one chunk-sized shift
+        # scratch; uint64 arithmetic wraps modulo 2**64 exactly like the
+        # masked integer step. Every scalar is an explicit np.uint64: a
+        # Python int would promote the chunk to float64 under numpy 1.x.
+        out = np.empty(count, dtype=np.uint64)
+        steps = np.arange(1, min(count, _CHUNK) + 1, dtype=np.uint64)
+        steps *= np.uint64(_GAMMA)
+        shifted = np.empty_like(steps)
+        for start in range(0, count, _CHUNK):
+            z = out[start : start + _CHUNK]
+            m = z.size
+            scratch = shifted[:m]
+            np.add(steps[:m], np.uint64((self.state + start * _GAMMA) & MASK64), out=z)
+            z ^= np.right_shift(z, np.uint64(30), out=scratch)
+            z *= np.uint64(_MIX1)
+            z ^= np.right_shift(z, np.uint64(27), out=scratch)
+            z *= np.uint64(_MIX2)
+            z ^= np.right_shift(z, np.uint64(31), out=scratch)
         self.state = (self.state + count * _GAMMA) & MASK64
-        return z
+        return out
 
     def floats_block(self, count: int) -> np.ndarray:
         block = self.next_block(count)
@@ -286,24 +302,29 @@ def run_median_experiment(
     the mean set exactly when |S_n| <= n * eps_n, and corner or interior
     probe membership are one-sided versions of the same comparison.
 
-    The bits are held as one contiguous row per axis, and the walks are
-    built in place along those rows. Every box event is then a comparison
-    of one of two cross-axis statistics with the slack n * eps_n:
-    top = max_k S_k and bottom = min_k S_k. This relies on the slack being
-    nonnegative, which ``EpsilonSchedule`` guarantees; for the same reason
-    some corner (0 or 1 in every axis set) is always a member, so that
-    event is recorded as the constant it is.
+    The bits are held as one contiguous int8 row per axis, and the walks
+    are built in place along int32 rows, 5 bytes per generator output in
+    all. That is exact because n_max <= ``MAX_MEDIAN_N`` = 2**30 - 1, so
+    every partial value of 2 * ones_n - n lies within 2 * n_max < 2**31;
+    a larger n_max raises ``ValueError`` before anything is drawn. Every
+    box event is then a comparison of one of two cross-axis statistics
+    with the slack n * eps_n: top = max_k S_k and bottom = min_k S_k. This
+    relies on the slack being nonnegative, which ``EpsilonSchedule``
+    guarantees; for the same reason some corner (0 or 1 in every axis set)
+    is always a member, so that event is recorded as the constant it is.
 
     Per-n trajectories (every n up to n_max) drive the summary counters;
     full interval solves and set distances are recorded on the n-grid.
     """
+    if n_max > MAX_MEDIAN_N:
+        raise ValueError(f"n_max must be <= {MAX_MEDIAN_N}: the walks are int32")
     rng = SplitMix64(seed)
-    # (s, n_max), one contiguous row per axis; the drawn (n_max, s) array is dropped
-    axis_bits = np.ascontiguousarray(
-        SamplingDistribution.bernoulli_product(s).draw(rng, n_max).T
-    )
-    n_row = np.arange(1, n_max + 1, dtype=np.int64)
-    walks = np.cumsum(axis_bits, axis=1)
+    # (s, n_max) int8, one contiguous row per axis; the drawn (n_max, s)
+    # int64 array is dropped
+    law = SamplingDistribution.bernoulli_product(s)
+    axis_bits = law.draw(rng, n_max).T.astype(np.int8, order="C")
+    n_row = np.arange(1, n_max + 1, dtype=np.int32)
+    walks = np.cumsum(axis_bits, axis=1, dtype=np.int32)
     walks *= 2
     walks -= n_row
     eps = schedule.values(n_row)

@@ -339,10 +339,6 @@ class PointSet:
     def empty(grid: CandidateGrid) -> "PointSet":
         return PointSet(grid, ())
 
-    @staticmethod
-    def from_points(grid: CandidateGrid, points: Iterable[Point]) -> "PointSet":
-        return PointSet(grid, [grid.index_of(p) for p in points])
-
     def points(self) -> tuple[Point, ...]:
         return tuple(self.grid.points[i] for i in self.indices)
 

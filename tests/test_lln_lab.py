@@ -16,6 +16,8 @@ from frechet_sets.frechet_solver import (
     median_interval_1d,
 )
 from frechet_sets.lln_lab import (
+    _CHUNK,
+    MAX_MEDIAN_N,
     MAX_REGRESSION_SCALE,
     SamplingDistribution,
     SplitMix64,
@@ -92,13 +94,26 @@ def test_rng_block_matches_scalar_stream():
         MASK64,  # the first step wraps the state
         (1 << 64) - 0x9E3779B97F4A7C15 - 1,  # one step below the wrap
     )
+    # consecutive blocks that end just before, on, and past next_block's
+    # chunk boundaries, and one that spans several chunks
+    sizes = (_CHUNK - 1, 1, _CHUNK + 1, 3 * _CHUNK + 5)
     for seed in seeds:
-        rng = SplitMix64(seed)
-        scalars = scalar_stream(seed, 257 + 1 + 5)
-        assert [int(v) for v in rng.next_block(257)] == scalars[:257]
-        # continuation after a block stays aligned
-        assert [int(v) for v in rng.next_block(1)] == scalars[257:258]
-        assert [int(v) for v in rng.next_block(5)] == scalars[258:]
+        scalars = scalar_stream(seed, sum(sizes))
+        for method, dtype, derive in (
+            ("next_block", np.uint64, lambda u: u),
+            ("floats_block", np.float64, lambda u: (u >> 11) * 2.0**-53),
+            ("bits_block", np.int64, lambda u: u >> 63),
+        ):
+            rng = SplitMix64(seed)
+            start = 0
+            for size in sizes:
+                block = getattr(rng, method)(size)
+                # a Python-int scalar in the mixing would promote to float64
+                # under numpy 1.x value-based casting
+                assert block.dtype == dtype, method
+                expected = [derive(u) for u in scalars[start : start + size]]
+                assert block.tolist() == expected, (method, seed, size)
+                start += size
 
 
 def test_rng_derived_draws():
@@ -300,9 +315,12 @@ def test_median_walk_matches_per_axis_oracle(s, n_max, c, exponent, seed):
 
 
 def test_median_walk_memory_has_no_per_sample_matrix_temporaries():
-    # bits and walks are two int64 rows per axis (16 B per generator output);
-    # the statistics and flags add a few n_max-long arrays. Elementwise
-    # (n_max, s) temporaries of the walks push the peak past 51 B per output.
+    # the bits are one int8 row and the walks one int32 row per axis (5 B
+    # per generator output), after the uint64 generator block they are cut
+    # from is dropped; the statistics and flags add a few n_max-long arrays.
+    # The peak measures 20.2 B per output; int64 bits and walks measure
+    # 36.6, and elementwise (n_max, s) temporaries of the walks push it
+    # past 51.
     s, n_max = 3, 100_000
     tracemalloc.start()
     try:
@@ -310,7 +328,20 @@ def test_median_walk_memory_has_no_per_sample_matrix_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * s * n_max
+    assert peak <= 28 * s * n_max
+
+
+def test_median_runner_rejects_n_max_beyond_int32_walks():
+    # the bound is checked before anything is drawn or allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="int32"):
+            run_median_experiment(1, EpsilonSchedule.constant(0.0), MAX_MEDIAN_N + 1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert MAX_MEDIAN_N + 1 == 2**30
+    assert peak < 1 << 20
 
 
 # -- circle experiment -------------------------------------------------------------
