@@ -36,7 +36,9 @@ MAX_BETA_GRID = 10**6
 #: draws its whole sample at once, so this also bounds its memory).
 MAX_DRAWS = 2**24
 
-#: Upper bound on a circle or line grid; a run needs about 600 B per point.
+#: Upper bound on a circle or line grid. A run holds one float per point for
+#: each n-grid checkpoint, plus about 100 B per point of working arrays: about
+#: 550 B per point for a circle run at MAX_DRAWS (56 checkpoints), 115 B for ulln.
 MAX_GRID_POINTS = 2**20
 
 _TOP_LEVEL_KEYS = {

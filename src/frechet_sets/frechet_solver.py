@@ -7,7 +7,7 @@ point: it is the count-weighted sum of one cost row per support point,
 divided by n. That sum is computed correctly rounded (each row is split
 once into two halves whose products with any count are exact, and the
 exact terms of all grid values are summed at once by a checked cascade of
-TwoSum steps, with ``math.fsum`` for the columns the check cannot
+TwoSum steps, with exact rational sums for the columns the check cannot
 certify), so the result does not depend on the order of the draws or on
 the platform, and the counts of every requested prefix come from one pass
 over the sample. The module also provides the exact epsilon-argmin
@@ -129,32 +129,26 @@ def population_objective(
 #: cost-row half of at most 26 significant bits is an exact float product.
 MAX_SAMPLE_LEN = 2**27
 
-def _aligned_block(rows: int, cols: int) -> np.ndarray:
-    """Zeroed float64 (rows, cols) array whose rows start on 64-byte boundaries."""
-    stride = -(-cols // 8) * 8  # row stride padded to whole 64-byte lines
-    raw = np.zeros(rows * stride + 7)
-    start = (-raw.ctypes.data % 64) // 8
-    return raw[start : start + rows * stride].reshape(rows, stride)[:, :cols]
-
 
 def _split_rows(rows: np.ndarray) -> np.ndarray:
     """Split (K, G) rows exactly into (2K, G) halves: row k is half k + half K + k.
 
     Each half has at most 26 significant bits. The Veltkamp split (factor
     2**27 + 1) acts on the ``frexp`` mantissa, which lies in (-1, 1), so no
-    step can overflow, and ``ldexp`` restores the exponent exactly. Every
-    step writes in place into one aligned block, so the column chunks that
-    are read from it do not depend on where the heap places it.
+    step can overflow, and ``ldexp`` restores the exponent exactly, except
+    that the high half of an entry within about 2**-27 of the float maximum
+    rounds up to 2**1024 and becomes inf. ``_exact_sums`` then sums that
+    column from the unsplit rows.
     """
     mant, exp = np.frexp(rows)
-    block = _aligned_block(2 * len(rows), rows.shape[1])
-    halves = block.reshape(2, *rows.shape)  # a view: only the row axis is split
+    halves = np.empty((2, *rows.shape))
     hi, lo = halves
     np.multiply(mant, 2.0**27 + 1.0, out=hi)
     np.subtract(hi, np.subtract(hi, mant, out=lo), out=hi)
     np.subtract(mant, hi, out=lo)
-    np.ldexp(halves, exp, out=halves)
-    return block
+    with np.errstate(over="ignore"):
+        np.ldexp(halves, exp, out=halves)
+    return halves.reshape(2 * len(rows), -1)
 
 
 def empirical_objective(
@@ -173,9 +167,9 @@ def empirical_objective(
     rounded sum over k of count_k * r_k, divided once by n, where count_k is
     how often index k occurs among the first n draws; so it is
     bit-reproducible and does not change when those draws are permuted.
-    The sum is the value ``math.fsum`` gives over the exact products of
-    the counts with the split rows; ``_exact_sums`` computes it as array
-    arithmetic and calls ``math.fsum`` only where its check fails.
+    ``_exact_sums`` computes that sum as array arithmetic over the exact
+    products of the counts with the split rows, and sums the columns its
+    check cannot certify as exact rationals.
 
     Without ``ns`` the objective of the whole sample is returned. With
     ``ns``, a nondecreasing list of prefix lengths in [1, len(sample)], the
@@ -202,7 +196,8 @@ def empirical_objective(
             "in [1, len(sample)]"
         )
     sample = sample.astype(np.intp, copy=False)  # older numpy bincount rejects uint64
-    halves = _split_rows(np.vstack([cost.row(y, grid) for y in support]))
+    rows = np.vstack([cost.row(y, grid) for y in support])
+    halves = _split_rows(rows)
     work = np.empty((4, len(grid)))  # TwoSum rows, allocated once per call
     counts = np.zeros(len(support), dtype=np.intp)
     objectives = []
@@ -210,7 +205,7 @@ def empirical_objective(
     for n in checkpoints:
         counts += np.bincount(sample[start:n], minlength=len(support))
         start = n
-        sums = _exact_sums(np.tile(counts, 2).astype(float), halves, work)
+        sums = _exact_sums(counts, rows, halves, work)
         sums += 0.0  # makes an exact zero +0.0, whatever sign its sum has
         sums /= n
         objectives.append(Objective(grid, sums))
@@ -232,16 +227,17 @@ def _two_sum(s: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray):
     return a, s
 
 
-def _exact_sums(weights: np.ndarray, halves: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Column sums of ``weights[:, None] * halves``, rounded as ``math.fsum`` rounds them.
+def _exact_sums(counts: np.ndarray, rows: np.ndarray, halves, work) -> np.ndarray:
+    """Column sums of ``counts[:, None] * rows``, correctly rounded.
 
-    Every term is an exact product (or beyond the float range). TwoSum
-    down the terms gives s and errors e_j with S = s + sum(e) exactly, and
-    TwoSum down the errors gives c and errors f_j. Where every f_j is 0 and
-    s + c is finite, c == sum(e) exactly, so fl(s + c) is S correctly
-    rounded. The columns this check cannot certify are summed by
-    ``math.fsum`` over their terms. ``work`` is four rows of scratch.
+    The terms, the counts times the split ``halves`` of ``rows``, are exact
+    (or beyond the float range). TwoSum down the terms gives s and errors
+    e_j with S = s + sum(e) exactly, and TwoSum down the errors gives c and
+    errors f_j. Where every f_j is 0 and s + c is finite, c == sum(e)
+    exactly, so fl(s + c) is S correctly rounded. ``_rational_sum`` sums
+    the columns this check cannot certify. ``work`` is four rows of scratch.
     """
+    weights = np.tile(counts, 2).astype(float)
     s, c, x, a = work
     sums = np.empty(halves.shape[1])  # scratch until it takes s + c
     certified = np.ones(len(sums), dtype=bool)
@@ -260,13 +256,18 @@ def _exact_sums(weights: np.ndarray, halves: np.ndarray, work: np.ndarray) -> np
     certified &= np.isfinite(sums)
     rest = np.flatnonzero(~certified)
     if rest.size:
-        with np.errstate(over="ignore"):  # fsum meets the overflow itself
-            columns = (weights[:, None] * halves[:, rest]).T.tolist()
-        try:
-            sums[rest] = list(map(math.fsum, columns))
-        except OverflowError:  # finite terms whose sum exceeds the float range
-            raise ValueError("objective values must be finite") from None
+        sums[rest] = [_rational_sum(counts, rows[:, j]) for j in rest]
     return sums
+
+
+def _rational_sum(counts: np.ndarray, column: np.ndarray) -> float:
+    """fl(sum of counts[k] * column[k]): exact, so no partial sum can overflow."""
+    from fractions import Fraction  # imported on first use: it loads decimal
+
+    try:
+        return float(sum(c * Fraction(v) for c, v in zip(counts.tolist(), column.tolist())))
+    except (OverflowError, ValueError):  # an inf or NaN entry, or a total beyond the range
+        raise ValueError("objective values must be finite") from None
 
 
 def eps_argmin(obj: Objective, eps: float) -> PointSet:

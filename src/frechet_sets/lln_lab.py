@@ -470,7 +470,7 @@ def run_circle_experiment(
         )
     summary = {
         "population_indices": population_set.indices.tolist(),
-        "population_angles": [grid[i].value for i in population_set.indices],
+        "population_angles": grid.coords[population_set.indices].tolist(),
         "population_cardinality": len(population_set),
     }
     config = {"grid_size": grid_size, "n_max": n_max, "alpha": alpha}

@@ -8,10 +8,12 @@ optional metric transform d -> fn(d) built as a power d^alpha or a
 concave inverse, candidate grids, and diameters.
 
 Every distance comes from one block kernel, ``MetricSpace.distances``,
-over arrays that ``MetricSpace.pack`` validates and packs; the scalar
-``MetricSpace.distance`` is its 1x1 block. Grids pack their points once
-and compute only the rows x cols block a caller asks for, caching no
-grid-sized matrix.
+over packed value arrays that ``MetricSpace.check`` validates; the scalar
+``MetricSpace.distance`` is its 1x1 block. A grid is its packed array:
+``Point`` objects exist only where a caller converts at the edge
+(``grid[i]``, ``grid.index_of``, ``MetricSpace.pack``), and grids compute
+only the rows x cols block a caller asks for, caching no grid-sized
+matrix.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -20,10 +22,9 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,18 +87,6 @@ class Point:
         if i < 0:
             raise InvalidPointError(f"discrete index must be nonnegative, got {i}")
         return Point(int(i), "index")
-
-    @property
-    def is_vector(self) -> bool:
-        return self.kind == "vector"
-
-    @property
-    def is_angle(self) -> bool:
-        return self.kind == "angle"
-
-    @property
-    def is_index(self) -> bool:
-        return self.kind == "index"
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,35 +158,51 @@ class MetricSpace:
 
     # -- points and distances -----------------------------------------------
 
-    def pack(self, points: Sequence[Point]) -> np.ndarray:
-        """Validate ``points`` and pack their values into the array that
-        ``distances`` reads: one row of float coordinates per point for the
-        vector kinds, one float angle or one int64 index per point otherwise.
-        Coordinates and angles must be finite."""
+    def check(self, values) -> np.ndarray:
+        """Validate packed point values and return them as a new array of the
+        form ``distances`` reads: finite rows of ``dimension`` floats (a flat
+        list is one column when ``dimension`` is 1), finite angles in
+        [0, 2*pi], or nonnegative int64 indices inside the table."""
         kind = self.kind
-        if kind in _VECTOR_KINDS:
-            for p in points:
-                if not p.is_vector or len(p.value) != self.dimension:
-                    raise InvalidPointError(
-                        f"expected a {self.dimension}-dimensional vector point, got {p!r}"
-                    )
-                if not all(map(math.isfinite, p.value)):
-                    raise InvalidPointError(f"point coordinates must be finite, got {p!r}")
-            return np.array([p.value for p in points], dtype=float).reshape(-1, self.dimension)
-        if kind is SpaceKind.CIRCLE_ARCLENGTH:
-            for p in points:
-                if not p.is_angle:
-                    raise InvalidPointError(f"expected a circle angle point, got {p!r}")
-                if not math.isfinite(p.value):
-                    raise InvalidPointError(f"point coordinates must be finite, got {p!r}")
-            return np.array([p.value for p in points], dtype=float)
-        size = len(self.distance_table) if kind is SpaceKind.DISCRETE_TABLE else None
+        if kind in _INDEX_KINDS:
+            raw = np.asarray(values)
+            if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
+                raise InvalidPointError(f"expected integer indices, got {raw.dtype} {raw.shape}")
+            packed = raw.astype(np.int64)
+            if packed.size and packed.min() < 0:
+                raise InvalidPointError(f"discrete index must be nonnegative, got {packed.min()}")
+            size = len(self.distance_table) if kind is SpaceKind.DISCRETE_TABLE else math.inf
+            if packed.size and packed.max() >= size:
+                raise InvalidPointError(f"index {packed.max()} outside table of size {size}")
+            return packed
+        packed = np.array(values, dtype=float)
+        row = (self.dimension,) if kind in _VECTOR_KINDS else ()
+        if row and packed.ndim == 1 and (self.dimension == 1 or not packed.size):
+            packed = packed.reshape(-1, self.dimension)
+        if packed.ndim != 1 + len(row) or packed.shape[1:] != row:
+            raise InvalidPointError(f"expected {kind.value} values, got shape {packed.shape}")
+        finite = np.isfinite(packed)
+        if not finite.all():
+            raise InvalidPointError(f"point coordinates must be finite, got {packed[~finite][0]}")
+        if not row and not np.all((packed >= 0.0) & (packed <= TWO_PI)):
+            raise InvalidPointError("circle angles must lie in [0, 2*pi]")
+        return packed
+
+    def pack(self, points: Sequence[Point]) -> np.ndarray:
+        """The ``check``ed values of ``points``, each of which must carry this
+        space's kind tag and, for a vector, its dimension."""
+        kind = self.kind
+        tag = "vector" if kind in _VECTOR_KINDS else "index" if kind in _INDEX_KINDS else "angle"
         for p in points:
-            if not p.is_index:
-                raise InvalidPointError(f"expected a discrete index point, got {p!r}")
-            if size is not None and p.value >= size:
-                raise InvalidPointError(f"index {p.value} outside table of size {size}")
-        return np.array([p.value for p in points], dtype=np.int64)
+            if p.kind != tag or (tag == "vector" and len(p.value) != self.dimension):
+                raise InvalidPointError(f"expected a {tag} point of {kind.value}, got {p!r}")
+        return self.check([p.value for p in points])
+
+    def point(self, value) -> Point:
+        """The ``Point`` of one packed value: the inverse of ``pack``."""
+        if self.kind in _VECTOR_KINDS:
+            return Point.vector(*value)
+        return Point.angle(value) if self.kind is SpaceKind.CIRCLE_ARCLENGTH else Point.index(value)
 
     def distance(self, q: Point, p: Point) -> float:
         """Distance between two points: the 1x1 block of ``distances``."""
@@ -255,48 +260,44 @@ def _validate_distance_table(table: np.ndarray) -> None:
 
 
 class CandidateGrid:
-    """An ordered, pairwise-distinct finite set of points of one space.
+    """An ordered, pairwise-distinct finite set of points of one space, held
+    only as ``coords``: the read-only array of checked point values, one row
+    per point. ``axes`` is set by :func:`product_grid` so product structure
+    can be recovered."""
 
-    ``axes`` is set by :func:`product_grid` so product structure can be
-    recovered. ``coords`` is the read-only array of packed point values,
-    one row per point.
-    """
+    __slots__ = ("space", "coords", "axes")
 
-    __slots__ = ("space", "points", "axes", "_index_of", "coords")
-
-    def __init__(
-        self,
-        space: MetricSpace,
-        points: Iterable[Point],
-        axes: "tuple[CandidateGrid, ...] | None" = None,
-    ) -> None:
-        pts = tuple(points)
-        if not pts:
+    def __init__(self, space: MetricSpace, coords, axes: "tuple | None" = None) -> None:
+        coords = space.check(coords)
+        if not len(coords):
             raise ValueError("a candidate grid needs at least one point")
-        coords = space.pack(pts)
-        if len(set(pts)) != len(pts):
+        # equal rows are adjacent in any lexicographic order; the sort and ==
+        # both treat -0.0 as 0.0, the same point
+        rows = coords.reshape(len(coords), -1)
+        ordered = rows[np.lexsort(rows.T)]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise ValueError("grid points must be pairwise distinct")
         coords.setflags(write=False)
         self.space = space
-        self.points = pts
-        self.axes = axes
-        self._index_of = {p: i for i, p in enumerate(pts)}
         self.coords = coords
+        self.axes = axes
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     def __getitem__(self, i: int) -> Point:
-        return self.points[i]
+        return self.space.point(self.coords[i])
 
     def __repr__(self) -> str:
-        return f"CandidateGrid({self.space.kind.value}, {len(self.points)} points)"
+        return f"CandidateGrid({self.space.kind.value}, {len(self)} points)"
 
     def index_of(self, p: Point) -> int:
-        try:
-            return self._index_of[p]
-        except KeyError:
-            raise InvalidPointError(f"{p!r} is not a grid point") from None
+        """Index of the grid point equal to ``p``; ``InvalidPointError`` if none."""
+        rows = self.coords.reshape(len(self), -1)
+        hits = np.flatnonzero((rows == self.space.pack((p,)).reshape(1, -1)).all(axis=1))
+        if not hits.size:
+            raise InvalidPointError(f"{p!r} is not a grid point")
+        return int(hits[0])
 
     def distances_from(self, q: Point) -> np.ndarray:
         """Distances from ``q`` (any point of the space) to every grid point."""
@@ -340,7 +341,7 @@ class PointSet:
         return PointSet(grid, ())
 
     def points(self) -> tuple[Point, ...]:
-        return tuple(self.grid.points[i] for i in self.indices)
+        return tuple(self.grid[i] for i in self.indices)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -413,11 +414,11 @@ def n0_line_space() -> MetricSpace:
     return MetricSpace(SpaceKind.N0_LINE)
 
 
-def line_grid(space: MetricSpace, values: Iterable[float]) -> CandidateGrid:
+def line_grid(space: MetricSpace, values: "Sequence[float] | np.ndarray") -> CandidateGrid:
     """Grid of 1-D vector points from a list of coordinates."""
     if space.kind not in _VECTOR_KINDS or space.dimension != 1:
         raise ValueError("line_grid needs a 1-dimensional vector space")
-    return CandidateGrid(space, (Point.vector(v) for v in values))
+    return CandidateGrid(space, values)
 
 
 def circle_grid(space: MetricSpace, count: int) -> CandidateGrid:
@@ -426,8 +427,7 @@ def circle_grid(space: MetricSpace, count: int) -> CandidateGrid:
         raise ValueError("circle_grid needs a circle space")
     if count < 1:
         raise ValueError("count must be positive")
-    angles = (Point.angle(TWO_PI * (k / count)) for k in range(count))
-    return CandidateGrid(space, angles)
+    return CandidateGrid(space, TWO_PI * (np.arange(count) / count))
 
 
 def integer_grid(space: MetricSpace, count: int) -> CandidateGrid:
@@ -436,7 +436,7 @@ def integer_grid(space: MetricSpace, count: int) -> CandidateGrid:
         raise ValueError("integer_grid needs a discrete space kind")
     if space.kind is SpaceKind.DISCRETE_TABLE and count > len(space.distance_table):
         raise ValueError("count exceeds the distance table size")
-    return CandidateGrid(space, (Point.index(i) for i in range(count)))
+    return CandidateGrid(space, np.arange(count))
 
 
 def product_grid(axes: Sequence[CandidateGrid]) -> CandidateGrid:
@@ -446,9 +446,6 @@ def product_grid(axes: Sequence[CandidateGrid]) -> CandidateGrid:
     for axis in axes:
         if axis.space.kind not in _VECTOR_KINDS or axis.space.dimension != 1:
             raise ValueError("product axes must be 1-dimensional vector grids")
-    space = product_l1_space(len(axes))
-    points = [
-        Point.vector(*(p.value[0] for p in combo))
-        for combo in itertools.product(*(axis.points for axis in axes))
-    ]
-    return CandidateGrid(space, points, axes=tuple(axes))
+    mesh = np.meshgrid(*(axis.coords[:, 0] for axis in axes), indexing="ij")
+    coords = np.stack(mesh, axis=-1).reshape(-1, len(axes))
+    return CandidateGrid(product_l1_space(len(axes)), coords, axes=tuple(axes))

@@ -7,7 +7,11 @@ is deterministic. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -372,4 +376,65 @@ def test_c11_bundled_median_fixtures_and_regression_golden_outputs(tmp_path):
         "C11 determinism: pinned outputs of the bundled e1, e2, fixtures and regression configs",
         ok,
         ", ".join(f"{c}/{n} {d[:12]}..." for (c, n), d in digests.items()),
+    )
+
+
+#: Runs every bundled config (e3 at seed 42) in a fresh interpreter and
+#: prints the SHA-256 of each output, with the dispatch features that are
+#: still enabled after NPY_DISABLE_CPU_FEATURES took effect.
+_RERUN_SCRIPT = """
+import hashlib, json, os, pathlib, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+from frechet_sets.cli import run
+
+configs, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+digests = {}
+for config in ("e1", "e2", "e3", "circle", "ulln", "fixtures", "regression"):
+    seed = 42 if config == "e3" else None
+    assert run(str(configs / f"{config}.json"), str(out / config), seed_override=seed) == 0
+    for path in sorted((out / config).iterdir()):
+        if path.name != "manifest.json":
+            digests[f"{config}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+disabled = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+print(json.dumps({"enabled": [f for f in disabled if __cpu_features__[f]], "digests": digests}))
+"""
+
+
+def _dispatch_features_beyond_baseline() -> list[str]:
+    """The SIMD features numpy dispatches to on this machine beyond its build baseline."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    baseline = set(umath.__cpu_baseline__)
+    return [
+        f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f) and f not in baseline
+    ]
+
+
+def test_c11_golden_outputs_hold_with_simd_dispatch_off(tmp_path):
+    # the pinned bytes must not depend on which SIMD kernels numpy's ufuncs
+    # pick at run time: rerun every bundled config with only the baseline
+    features = _dispatch_features_beyond_baseline()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RERUN_SCRIPT, str(CONFIG_DIR), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    expected = {
+        "e3/median.csv": GOLDEN_E3_SEED42_CSV_SHA256,
+        "e3/median.json": GOLDEN_E3_SEED42_JSON_SHA256,
+        **{f"{name.split('.')[0]}/{name}": d for name, d in GOLDEN_BUNDLED_SHA256.items()},
+        **{f"{config}/{name}": d for (config, name), d in GOLDEN_OTHER_BUNDLED_SHA256.items()},
+    }
+    report(
+        "C11 determinism: pinned outputs with SIMD dispatch beyond the baseline off",
+        result["enabled"] == [] and result["digests"] == expected,
+        f"disabled {' '.join(features) or 'nothing'}; still enabled {result['enabled']}",
     )

@@ -1,7 +1,9 @@
 """Objectives, epsilon-argmin sets, the exact median-interval solver, and
 product composition, each checked against an independent brute-force oracle."""
 
+import contextlib
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frechet_sets import frechet_solver
 from frechet_sets.cli import MAX_DRAWS
 from frechet_sets.cost_model import NondecreasingFn, h_cost, power_cost, table_cost
 from frechet_sets.frechet_solver import (
@@ -17,7 +20,6 @@ from frechet_sets.frechet_solver import (
     EpsilonSchedule,
     FiniteDistribution,
     Objective,
-    _aligned_block,
     empirical_objective,
     eps_argmin,
     grid_restrict_interval,
@@ -65,7 +67,7 @@ def test_population_circle_antipodal_two_minimizers():
     dist = FiniteDistribution.uniform((Point.angle(0.0), Point.angle(math.pi)))
     obj = population_objective(dist, power_cost(2.0, Point.angle(0.0)), grid)
     # independent brute-force oracle over the same grid
-    angles = np.array([p.value for p in grid.points])
+    angles = np.array([grid[i].value for i in range(len(grid))])
     gaps0 = np.minimum(np.abs(angles - 0.0), 2 * math.pi - np.abs(angles - 0.0))
     gaps1 = np.minimum(np.abs(angles - math.pi), 2 * math.pi - np.abs(angles - math.pi))
     oracle = 0.5 * gaps0**2 + 0.5 * gaps1**2
@@ -188,6 +190,41 @@ def test_prefix_objective_ignores_the_order_of_its_draws(case, rnd):
     assert _hex(after.values) == _hex(before.values)
 
 
+_EDGES = (sys.float_info.max, 1e308, 2.0**1023, 1.0, 2.0**-1022, 5e-324, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(_EDGES + tuple(-v for v in _EDGES)), min_size=3, max_size=3),
+        min_size=1,
+        max_size=5,
+    ),
+    st.data(),
+)
+def test_objectives_at_the_float_edges_match_fraction_oracle(rows, data):
+    # entries at the float maximum and subnormal ones: each grid value is the
+    # exact total rounded once, then divided by n, or the objective raises
+    # where that total is beyond the float range, in every support order
+    k = len(rows)
+    sample = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=8))
+    grid = line_grid(euclidean_space(1), [0.0, 1.0, 2.0])
+    totals = [sum(Fraction(rows[i][j]) for i in sample) for j in range(len(grid))]
+    try:
+        expected = [(float(total) + 0.0) / len(sample) for total in totals]
+    except OverflowError:
+        expected = None
+    for order in (list(range(k)), data.draw(st.permutations(range(k)))):
+        # support point order[i] carries row i
+        entries = {(order[i], j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+        args = (tuple(range(k)), np.array([order[i] for i in sample]), table_cost(entries, grid))
+        if expected is None:
+            with pytest.raises(ValueError, match="objective values must be finite"):
+                empirical_objective(*args, grid)
+        else:
+            assert _hex(empirical_objective(*args, grid).values) == _hex(expected)
+
+
 def test_empirical_objective_rejects_samples_beyond_exact_counts():
     # a zero-stride view: the length is checked before any scan of the draws
     grid = line_grid(euclidean_space(1), [0.0, 1.0])
@@ -219,8 +256,8 @@ _TINY, _TIE, _BIG = 2.0**-70, 2.0**7, 2.0**60  # 2**7 is half an ulp of 2**60
         # a K = 1 law: two terms and no error cascade
         ([[1.0 + 2.0**-52, -3.0, 0.1, 1e300]], [0, 0, 0], 0),
         ([[1.5e308, 1.0]], [0, 0], 1),  # the product count * half overflows
-        # finite terms whose sum overflows in column 0, and whose partial sum
-        # does: math.fsum raises on that intermediate overflow too
+        # finite terms whose sum overflows in column 0, and terms whose
+        # partial sum overflows although their sum does not
         ([[1e308, 1.0], [1e308, 1.0]], [0, 1], 1),
         ([[1.0, 1e308], [1.0, 1e308], [1.0, -1e308]], [0, 1, 2], 1),
         # exact cancellations to zero: through the fallback in column 0,
@@ -231,33 +268,44 @@ _TINY, _TIE, _BIG = 2.0**-70, 2.0**7, 2.0**60  # 2**7 is half an ulp of 2**60
             [0, 1, 2, 3, 4, 5],
             1,
         ),
+        # the rows of the case before last in another order: no partial sum
+        # overflows, and the check certifies the same value
+        ([[1.0, 1e308], [1.0, -1e308], [1.0, 1e308]], [0, 1, 2], 0),
+        # the high half of the float maximum rounds up to 2**1024
+        ([[sys.float_info.max, 1.0]], [0], 1),
+        ([[sys.float_info.max], [-sys.float_info.max]], [0, 1, 1], 1),
     ],
 )
 def test_checked_sum_falls_back_to_fsum(monkeypatch, rows, sample, fallbacks):
-    # each grid value is math.fsum over the draws' costs, divided by n, or
-    # the objective raises where that fsum does; fsum itself runs on exactly
-    # ``fallbacks`` columns, the ones the TwoSum check cannot certify
+    # each grid value is the correctly rounded sum of the draws' costs (what
+    # math.fsum gives wherever no partial sum overflows), divided by n, or
+    # the objective raises where that sum is beyond the float range; the
+    # exact rational fallback runs on exactly ``fallbacks`` columns, the
+    # ones the TwoSum check cannot certify
     grid = line_grid(euclidean_space(1), np.arange(len(rows[0]), dtype=float))
     cost = table_cost({(k, j): v for k, row in enumerate(rows) for j, v in enumerate(row)}, grid)
     per_draw = [[rows[k][j] for k in sample] for j in range(len(grid))]
-    fsum, summed = math.fsum, []
+    rational_sum, summed = frechet_solver._rational_sum, []
 
-    def counting_fsum(terms):
-        summed.append(terms)
-        return fsum(terms)
+    def counting_sum(counts, column):
+        summed.append(column)
+        return rational_sum(counts, column)
 
-    monkeypatch.setattr(math, "fsum", counting_fsum)
+    monkeypatch.setattr(frechet_solver, "_rational_sum", counting_sum)
     try:
-        expected = [(fsum(terms) + 0.0) / len(sample) for terms in per_draw]
+        expected = [(float(sum(map(Fraction, terms))) + 0.0) / len(sample) for terms in per_draw]
     except OverflowError:
         with pytest.raises(ValueError, match="objective values must be finite"):
             empirical_objective(tuple(range(len(rows))), np.array(sample), cost, grid)
     else:
         obj = empirical_objective(tuple(range(len(rows))), np.array(sample), cost, grid)
         assert _hex(obj.values) == _hex(expected)
-    # the fallback sums the 2K count-weighted halves of each such column
+        for terms, value in zip(per_draw, expected):
+            with contextlib.suppress(OverflowError):  # fsum overflows on a partial sum
+                assert (math.fsum(terms) + 0.0) / len(sample) == value
+    # the fallback reads the K unsplit entries of each such column
     assert len(summed) == fallbacks
-    assert all(len(terms) == 2 * len(rows) for terms in summed)
+    assert all(len(column) == len(rows) for column in summed)
 
 
 def _scalar_kahan_means(rows: np.ndarray, n: int) -> np.ndarray:
@@ -286,17 +334,6 @@ def _prefix_case(kind: str):
         return support, sample, power_cost(1.5, ORIGIN), grid
     cost = h_cost(NondecreasingFn((0.0, 1.0), (0.5, 2.0), 1.0), ORIGIN)
     return support, sample, cost, grid
-
-
-@pytest.mark.parametrize("rows", [2, 6, 10])
-@pytest.mark.parametrize("cols", [1, 7, 8, 17, 201, 3600])
-def test_aligned_block_rows_start_on_cache_lines(rows, cols):
-    block = _aligned_block(rows, cols)
-    assert block.shape == (rows, cols) and block.dtype == np.float64
-    assert block.flags.writeable and not block.any()
-    assert all(row.ctypes.data % 64 == 0 for row in block)
-    block[:] = np.arange(rows)[:, None]  # rows do not overlap
-    assert np.array_equal(block[:, -1], np.arange(rows))
 
 
 @pytest.mark.parametrize("kind", ["power", "integrated", "table"])

@@ -1,14 +1,18 @@
 """Metric axioms, transforms, diameters, and candidate grids."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frechet_sets.cli import MAX_GRID_POINTS
 from frechet_sets.cost_model import IntegratedH, construct_h
 from frechet_sets.metric_core import (
+    TWO_PI,
     CandidateGrid,
     GridMismatchError,
     InvalidPointError,
@@ -308,6 +312,16 @@ def test_pack_rejects_non_finite_coordinates():
 def test_grid_requires_distinct_points():
     with pytest.raises(ValueError, match="distinct"):
         line_grid(euclidean_space(1), [0.0, 0.0])
+    # -0.0 and 0.0 are the same point, on a line, in a product and on the circle
+    with pytest.raises(ValueError, match="distinct"):
+        line_grid(euclidean_space(1), [0.0, -0.0])
+    with pytest.raises(ValueError, match="distinct"):
+        CandidateGrid(euclidean_space(2), [[1.0, -0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="distinct"):
+        CandidateGrid(circle_space(), [0.0, 1.0, -0.0])
+    with pytest.raises(ValueError, match="distinct"):
+        CandidateGrid(n0_unit_space(), [2, 0, 2])
+    assert len(CandidateGrid(euclidean_space(2), [[1.0, -0.0], [0.0, 1.0]])) == 2
 
 
 def test_distance_matrix_matches_scalar_path():
@@ -323,7 +337,7 @@ def test_distance_matrix_matches_scalar_path():
     ]
     for space in spaces:
         points = list(dict.fromkeys(sample_point(rng, space) for _ in range(15)))
-        grid = CandidateGrid(space, points)
+        grid = CandidateGrid(space, space.pack(points))
         # the test-local scalar formulas are the oracle for every block, row
         # and 1x1 block (the library's scalar distance)
         oracle = np.array([[scalar_distance(space, p, q) for q in points] for p in points])
@@ -345,7 +359,7 @@ def test_distance_matrix_matches_scalar_path():
 
 def test_grid_coords_are_read_only_point_values():
     grid = line_grid(euclidean_space(1), [0.5, -1.0, 2.0])
-    assert grid.coords.tolist() == [list(p.value) for p in grid.points]
+    assert grid.coords.tolist() == [list(grid[i].value) for i in range(len(grid))]
     with pytest.raises(ValueError, match="read-only"):
         grid.coords[0, 0] = 9.0
 
@@ -367,3 +381,116 @@ def test_product_grid_layout():
     assert prod[1] == Point.vector(0.0, 0.5)
     assert prod[3] == Point.vector(1.0, 0.0)
     assert prod.axes == (ax, ay)
+
+
+_AXES = ([0.0, 0.5, 1.0], [2.0, -1.0], [-0.0, 3.0, 4.5, 7.0], [1.0])
+_TABLE = np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0)))
+
+
+def _builder_cases():
+    """(id, grid, points): each builder's grid beside the Points it once
+    held, one per grid point, as the oracle."""
+    for count in (1, 7, 360, 3600):
+        angles = [Point.angle(TWO_PI * (k / count)) for k in range(count)]
+        yield f"circle-{count}", circle_grid(circle_space(), count), angles
+    lines = {
+        "ints": [3, -1, 0, 7],
+        "float32": np.array([0.1, 2.5, -3.75, 1e-3], dtype=np.float32),
+        "negative-zero": [-0.0, 1.0, -2.5],
+    }
+    for name, values in lines.items():
+        points = [Point.vector(v) for v in values]
+        yield f"line-{name}", line_grid(euclidean_space(1), values), points
+    for space in (table_space(_TABLE), n0_unit_space(), n0_line_space()):
+        points = [Point.index(i) for i in range(5)]
+        yield f"integer-{space.kind.value}", integer_grid(space, 5), points
+    for s in range(1, len(_AXES) + 1):
+        axes = [line_grid(euclidean_space(1), values) for values in _AXES[:s]]
+        points = [Point.vector(*combo) for combo in itertools.product(*_AXES[:s])]
+        yield f"product-{s}", product_grid(axes), points
+
+
+@pytest.mark.parametrize(
+    "grid, points", [pytest.param(grid, points, id=name) for name, grid, points in _builder_cases()]
+)
+def test_grid_builders_match_the_grid_built_from_points(grid, points):
+    # the builders emit packed arrays, and they agree bit for bit with
+    # packing one Point per grid point
+    old = grid.space.pack(points)
+    assert grid.coords.dtype == old.dtype and grid.coords.shape == old.shape
+    assert grid.coords.tobytes() == old.tobytes()
+    assert [grid[i] for i in range(len(grid))] == points
+
+
+@pytest.mark.parametrize(
+    "grid, outsider",
+    [
+        (line_grid(euclidean_space(1), [0.5, -1.0, -0.0, 2.0]), Point.vector(0.25)),
+        (product_grid([line_grid(euclidean_space(1), a) for a in _AXES[:3]]),
+         Point.vector(0.0, 2.0, 0.25)),
+        (CandidateGrid(euclidean_space(3), np.arange(12.0).reshape(4, 3)),
+         Point.vector(0.0, 1.0, 5.0)),
+        (circle_grid(circle_space(), 360), Point.angle(0.001)),
+        (integer_grid(table_space(_TABLE), 5), Point.index(5)),
+        (integer_grid(n0_unit_space(), 9), Point.index(9)),
+        (integer_grid(n0_line_space(), 9), Point.index(10**6)),
+    ],
+    ids=["line", "product", "euclidean-3", "circle", "table", "n0-unit", "n0-line"],
+)
+def test_index_of_inverts_item_access(grid, outsider):
+    assert [grid.index_of(grid[i]) for i in range(len(grid))] == list(range(len(grid)))
+    assert grid.index_of(grid[-1]) == len(grid) - 1
+    with pytest.raises(InvalidPointError, match="not a grid point"):
+        grid.index_of(outsider)
+    wrong_kind = Point.index(0) if grid.space.kind is SpaceKind.CIRCLE_ARCLENGTH else Point.angle(0.0)
+    with pytest.raises(InvalidPointError, match="expected"):
+        grid.index_of(wrong_kind)
+
+
+@pytest.mark.parametrize(
+    "space, values, message",
+    [
+        (euclidean_space(2), [[0.0, 1.0], [2.0, float("nan")]], "finite"),
+        (euclidean_space(2), [0.0, 1.0], "shape"),
+        (euclidean_space(1), [[0.0, 1.0]], "shape"),
+        (circle_space(), [0.0, float("inf")], "finite"),
+        (circle_space(), [0.0, -0.5], r"\[0, 2\*pi\]"),
+        (circle_space(), [0.0, 7.0], r"\[0, 2\*pi\]"),
+        (circle_space(), [[0.0]], "shape"),
+        (n0_unit_space(), [0, -1], "nonnegative"),
+        (n0_line_space(), [0.0, 1.0], "integer"),
+        (n0_line_space(), [[0, 1]], "integer"),
+        (table_space(np.array([[0.0, 1.0], [1.0, 0.0]])), [0, 2], "outside table"),
+    ],
+)
+def test_check_rejects_bad_values(space, values, message):
+    with pytest.raises(InvalidPointError, match=message):
+        space.check(values)
+    with pytest.raises(InvalidPointError, match=message):
+        CandidateGrid(space, values)
+
+
+def test_check_returns_new_arrays_of_the_packed_form():
+    values = np.array([0.5, 1.5])
+    checked = circle_space().check(values)
+    assert checked is not values and np.array_equal(checked, values)
+    assert euclidean_space(1).check([0.5, 1.5]).shape == (2, 1)
+    assert n0_line_space().check(np.array([3, 0], dtype=np.uint8)).dtype == np.int64
+    # 2*pi itself is a packed angle: Point.angle rounds some tiny negative angles to it
+    assert Point.angle(-1e-20).value == TWO_PI
+    assert circle_space().check([TWO_PI]).tolist() == [TWO_PI]
+
+
+def test_largest_circle_grid_memory_is_a_few_arrays():
+    # the grid holds one float per point; building it and checking that its
+    # points are distinct take a few more arrays of that size, not a Point
+    # object and a dict entry per point
+    tracemalloc.start()
+    try:
+        grid = circle_grid(circle_space(), MAX_GRID_POINTS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == MAX_GRID_POINTS
+    assert grid.coords.nbytes == 8 * MAX_GRID_POINTS
+    assert peak < 64 * MAX_GRID_POINTS

@@ -250,9 +250,8 @@ def test_inner_limit_matches_the_per_point_form_on_float_grids(case):
 
 def _hausdorff_grids(rng):
     def vector_grid(space):
-        return CandidateGrid(
-            space, (Point.vector(*rng.uniform(-10, 10, space.dimension)) for _ in range(20))
-        )
+        points = [Point.vector(*rng.uniform(-10, 10, space.dimension)) for _ in range(20)]
+        return CandidateGrid(space, space.pack(points))
 
     pts = rng.integers(0, 50, size=(16, 3))
     table = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
@@ -260,7 +259,10 @@ def _hausdorff_grids(rng):
     return [
         vector_grid(euclidean_space(3)),
         vector_grid(product_l1_space(2)),
-        CandidateGrid(circle_space(), (Point.angle(a) for a in rng.uniform(0, 2 * math.pi, 20))),
+        CandidateGrid(
+            circle_space(),
+            circle_space().pack([Point.angle(a) for a in rng.uniform(0, 2 * math.pi, 20)]),
+        ),
         integer_grid(table_space(table), 16),
         integer_grid(n0_unit_space(), 20),
         integer_grid(n0_line_space(), 20),
@@ -373,7 +375,7 @@ def test_singleton_distance_memory_is_independent_of_grid_size():
 def test_approachable_minimizers_trajectories():
     space = euclidean_space(1)
     grid = line_grid(space, np.linspace(-2, 2, 41))
-    quad = Objective(grid, np.array([p.value[0] ** 2 for p in grid.points]))
+    quad = Objective(grid, np.array([grid[i].value[0] ** 2 for i in range(len(grid))]))
     traj = approachable_minimizers_check(quad, [1.0, 0.25, 0.04, 0.001])
     assert [d for _, d in traj] == sorted([d for _, d in traj], reverse=True)
     assert traj[-1][1] == 0.0
