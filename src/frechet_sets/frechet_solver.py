@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -157,7 +157,7 @@ def empirical_objective(
     cost: CostFunction,
     grid: CandidateGrid,
     ns: "Sequence[int] | None" = None,
-) -> "Objective | list[Objective]":
+) -> "Objective | Iterator[Objective]":
     """Mean cost of a sample on a grid, from the counts of its support points.
 
     ``support`` lists the data points (``Point``s or integer data indices)
@@ -172,10 +172,13 @@ def empirical_objective(
     check cannot certify as exact rationals.
 
     Without ``ns`` the objective of the whole sample is returned. With
-    ``ns``, a nondecreasing list of prefix lengths in [1, len(sample)], the
-    counts are advanced from checkpoint to checkpoint in one pass over the
-    sample, and the list of prefix objectives, one per entry of ``ns``, is
-    returned.
+    ``ns``, a nondecreasing list of prefix lengths in [1, len(sample)], an
+    iterator over the prefix objectives, one per entry of ``ns``, is
+    returned: it advances the counts from checkpoint to checkpoint in one
+    pass over the sample and builds each objective when it is asked for,
+    so a caller that consumes them one at a time holds one, not one per
+    checkpoint. The arguments and ``ns`` are checked, and the cost rows
+    computed, before this function returns.
     """
     sample = np.asarray(sample)
     if sample.ndim != 1 or not sample.size or sample.dtype.kind not in "iu":
@@ -198,18 +201,22 @@ def empirical_objective(
     sample = sample.astype(np.intp, copy=False)  # older numpy bincount rejects uint64
     rows = np.vstack([cost.row(y, grid) for y in support])
     halves = _split_rows(rows)
+    objectives = _prefix_objectives(sample, checkpoints, rows, halves, grid)
+    return next(objectives) if ns is None else objectives
+
+
+def _prefix_objectives(sample, checkpoints, rows, halves, grid) -> Iterator[Objective]:
+    """The objective at each checkpoint, from counts advanced draw by draw."""
     work = np.empty((4, len(grid)))  # TwoSum rows, allocated once per call
-    counts = np.zeros(len(support), dtype=np.intp)
-    objectives = []
+    counts = np.zeros(len(rows), dtype=np.intp)
     start = 0
     for n in checkpoints:
-        counts += np.bincount(sample[start:n], minlength=len(support))
+        counts += np.bincount(sample[start:n], minlength=len(rows))
         start = n
         sums = _exact_sums(counts, rows, halves, work)
         sums += 0.0  # makes an exact zero +0.0, whatever sign its sum has
         sums /= n
-        objectives.append(Objective(grid, sums))
-    return objectives[0] if ns is None else objectives
+        yield Objective(grid, sums)
 
 
 def _two_sum(s: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -306,10 +313,19 @@ def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float
             return float(mid), float(mid)
         return float(xs[n // 2 - 1]), float(xs[n // 2])
 
-    prefix = np.concatenate([[0.0], np.cumsum(xs)])
+    # compensated prefix sums: np.cumsum adds in order, so TwoSum of each
+    # step against the prefix before it gives that step's rounding error
+    # exactly, and the running sum of those errors is added back (for 0/1
+    # samples every step is exact and the prefix is unchanged)
+    prefix = np.zeros(n + 1)
+    np.cumsum(xs, out=prefix[1:])
+    before, after = prefix[:-1], prefix[1:]
+    addend = after - before
+    errors = (before - (after - addend)) + (xs - addend)
+    after += np.cumsum(errors)
     total = prefix[-1]
     j = np.arange(n)
-    # G at each knot: sum of |y_i - xs[j]| with exact prefix arithmetic
+    # G at each knot: sum of |y_i - xs[j]| from the compensated prefix
     g_knots = ((j + 1) * xs - prefix[1:]) + ((total - prefix[1:]) - (n - 1 - j) * xs)
     g_min = float(g_knots.min())
     threshold = g_min + n * eps

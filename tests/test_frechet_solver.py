@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frechet_sets import frechet_solver
@@ -168,7 +168,7 @@ def test_prefix_objectives_match_fraction_oracle(case):
             for j in range(len(grid))
         ]
 
-    objectives = empirical_objective(support, sample, cost, grid, ns=ns)
+    objectives = list(empirical_objective(support, sample, cost, grid, ns=ns))
     assert len(objectives) == len(ns)
     for n, obj in zip(ns, objectives):
         assert _hex(obj.values) == _hex(expected(n))
@@ -342,7 +342,7 @@ def test_prefix_objectives_match_scalar_kahan_loop(kind, ns):
     # the count form against a per-draw sum in sample order
     support, sample, cost, grid = _prefix_case(kind)
     rows = np.vstack([cost.row(support[i], grid) for i in sample])
-    objectives = empirical_objective(support, sample, cost, grid, ns=ns)
+    objectives = list(empirical_objective(support, sample, cost, grid, ns=ns))
     assert len(objectives) == len(ns)
     for n, obj in zip(ns, objectives):
         assert np.array_equal(obj.values, _scalar_kahan_means(rows, n))
@@ -516,6 +516,9 @@ _normal_samples = st.tuples(st.integers(1, 11), st.integers(0, 2**32 - 1)).map(
 
 
 @given(sample=st.one_of(_interval_samples, _normal_samples), exponent=st.floats(-300.0, 0.0))
+# an uncompensated prefix misses the bound here by 10%: its rounding grows
+# with n, while the bound's factor is fixed
+@example(sample=[0.0, -68435457.0, -1e8, -1e8] + [0.1] * 5, exponent=0.0)
 @settings(max_examples=400, deadline=None)
 def test_median_interval_endpoints_within_rounding_bound(sample, exponent):
     # in exact arithmetic, G(q) = sum |y_i - q| at each endpoint is the

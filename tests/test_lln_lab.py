@@ -82,6 +82,12 @@ def scalar_stream(seed, count):
     return out
 
 
+def uniform_floats(rng, count):
+    """u = m * 2**-53 from the top 53 bits m of each of the next outputs:
+    the float a finite-law draw places among its cumulative weights."""
+    return (rng.next_block(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 def test_rng_golden_streams():
     for seed, golden in ((0, GOLDEN_SEED0), (42, GOLDEN_SEED42)):
         assert tuple(scalar_stream(seed, 10)) == golden
@@ -101,7 +107,6 @@ def test_rng_block_matches_scalar_stream():
         scalars = scalar_stream(seed, sum(sizes))
         for method, dtype, derive in (
             ("next_block", np.uint64, lambda u: u),
-            ("floats_block", np.float64, lambda u: (u >> 11) * 2.0**-53),
             ("bits_block", np.int64, lambda u: u >> 63),
         ):
             rng = SplitMix64(seed)
@@ -120,7 +125,7 @@ def test_rng_derived_draws():
     outputs = scalar_stream(7, 100)
     floats = [(u >> 11) * 2.0**-53 for u in outputs]
     assert all(0.0 <= f < 1.0 for f in floats)
-    assert np.array_equal(SplitMix64(7).floats_block(100), np.array(floats))
+    assert np.array_equal(uniform_floats(SplitMix64(7), 100), np.array(floats))
     scalar_bits = [u >> 63 for u in outputs]
     assert SplitMix64(7).bits_block(100).tolist() == scalar_bits
 
@@ -151,7 +156,7 @@ def test_sampling_values():
     indices = SamplingDistribution.finite(ANTIPODAL).draw(rng, 200)
     assert indices.dtype == np.intp and set(indices.tolist()) == {0, 1}
     # index k is drawn exactly when the float lies in k's cumulative slot
-    u = SplitMix64(3).floats_block(200)
+    u = uniform_floats(SplitMix64(3), 200)
     assert np.array_equal(indices, (u >= 0.5).astype(np.intp))
 
     mass = SamplingDistribution.finite(FiniteDistribution((Point.vector(2.0),), [1.0]))
@@ -165,6 +170,67 @@ def test_sampling_values():
     assert set(np.unique(x[:, 0])) == {1.0}
     assert set(np.unique(x[:, 1])) == {-1.0, 1.0}
     assert np.allclose(y, x.sum(axis=1))
+
+
+@st.composite
+def _finite_laws(draw):
+    """Laws of 1 to 64 support points, some weights zero or subnormal, the
+    weights summing to 1 within the 1e-12 that ``FiniteDistribution``
+    admits (the last cumulative weight may lie on either side of 1)."""
+    k = draw(st.integers(1, 64))
+    massive = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    massive[draw(st.integers(0, k - 1))] = True
+    mass = st.one_of(st.floats(1e-6, 1.0), st.sampled_from([0.5, 0.25, 2.0**-30]))
+    weights = np.array([draw(mass) if big else 0.0 for big in massive])
+    weights *= (1.0 + draw(st.floats(-5e-13, 5e-13))) / weights.sum()
+    tiny = st.sampled_from([0.0, 5e-324, 2.0**-1050, 2.0**-1022])
+    for i in np.flatnonzero(~np.array(massive)):
+        weights[i] = draw(tiny)
+    return FiniteDistribution(tuple(range(k)), weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _finite_laws(),
+    st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]),
+    st.integers(0, MASK64),
+)
+def test_finite_draw_matches_searchsorted_oracle(law, n, seed):
+    # the integer cut tests against a binary search of the drawn floats
+    rng = SplitMix64(seed)
+    indices = SamplingDistribution.finite(law).draw(rng, n)
+    stepped = SplitMix64(seed)
+    u = uniform_floats(stepped, n)
+    k = len(law.weights)
+    expected = np.minimum(np.searchsorted(np.cumsum(law.weights), u, side="right"), k - 1)
+    assert indices.dtype == np.intp
+    assert np.array_equal(indices, expected)
+    assert rng.state == stepped.state
+
+
+def test_finite_draw_cut_points_are_exact():
+    # a cumulative weight equal to the drawn float takes the next index,
+    # one a float step above it does not
+    for seed in range(20):
+        u = float(uniform_floats(SplitMix64(seed), 1)[0])
+        for w0, index in ((u, 1), (np.nextafter(u, 2.0), 0)):
+            law = FiniteDistribution((0, 1), [w0, 1.0 - w0])
+            assert SamplingDistribution.finite(law).draw(SplitMix64(seed), 1).tolist() == [index]
+
+
+def test_finite_draw_memory_is_one_array():
+    # the indices are written into the generator block: 8 B per draw plus
+    # chunk scratch, where a float array and a separate index array took 16
+    n = 2**20
+    law = SamplingDistribution.finite(ANTIPODAL)
+    tracemalloc.start()
+    try:
+        indices = law.draw(SplitMix64(0), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(indices) == n
+    assert peak < 8 * n + (1 << 20)
 
 
 def test_make_n_grid():
@@ -357,6 +423,23 @@ def test_circle_experiment_population_set():
     assert final["d_sub"] <= math.pi / 4
 
 
+def test_circle_memory_does_not_grow_with_checkpoints():
+    # the runner consumes one prefix objective at a time: from n_max 64 to
+    # 4096 the n-grid gains 6 checkpoints (38 -> 44), and holding every
+    # objective at once would add 6 grid-sized float arrays to the peak;
+    # the 32 KB of extra draws and records stay below one such array
+    grid_size = 2**15
+    peaks = []
+    for n_max in (64, 4096):
+        tracemalloc.start()
+        try:
+            run_circle_experiment(grid_size, n_max, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8 * grid_size
+
+
 def test_circle_point_mass_is_singleton():
     # degenerate check through the population pipeline
     from frechet_sets.frechet_solver import eps_argmin, population_objective
@@ -540,7 +623,7 @@ def test_heavy_tail_median_stays_put_demo(capsys):
     # absolute-loss mean set stays in a fixed window while the squared-loss
     # minimizer drifts with the largest observations
     rng = SplitMix64(2024)
-    u = rng.floats_block(4000)
+    u = uniform_floats(rng, 4000)
     sample = (1.0 / (1.0 - u)) ** (1.0 / 1.2)  # infinite variance regime
     space = euclidean_space(1)
     grid = line_grid(space, np.linspace(0.0, 50.0, 201))
