@@ -81,6 +81,12 @@ class Objective:
         object.__setattr__(self, "values", values)
 
 
+#: Upper bound on a schedule's constant c: the median runner's slack
+#: n * eps_n (n <= 2**30), twice it, and every interval endpoint and box
+#: distance derived from it stay finite.
+MAX_SCHEDULE_C = 1e100
+
+
 @dataclass(frozen=True)
 class EpsilonSchedule:
     """The slack sequence eps_n: constant, or c * n**(-exponent)."""
@@ -94,8 +100,8 @@ class EpsilonSchedule:
             raise ValueError("schedule kind must be 'constant' or 'power-decay'")
         if not math.isfinite(self.c):
             raise ValueError("schedule constant must be finite")
-        if self.c < 0:
-            raise ValueError("schedule constant must be >= 0")
+        if not 0 <= self.c <= MAX_SCHEDULE_C:
+            raise ValueError(f"schedule constant must be >= 0 and <= {MAX_SCHEDULE_C:g}")
         if not math.isfinite(self.exponent):
             raise ValueError("schedule exponent must be finite")
         if self.exponent < 0:
@@ -289,6 +295,12 @@ def eps_argmin(obj: Objective, eps: float) -> PointSet:
     return PointSet(obj.grid, np.flatnonzero(obj.values <= threshold))
 
 
+#: n * (3 * max|y_i| + eps) bounds G, its knot sums, the threshold and both
+#: endpoints of ``median_interval_1d``; above 2**_SOLVE_LIMIT_EXP the sample
+#: is solved scaled by a power of two that brings it below.
+_SOLVE_LIMIT_EXP = 1020
+
+
 def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float, float]:
     """Exact eps-argmin of q -> mean |y_i - q| over the whole real line.
 
@@ -297,7 +309,10 @@ def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float
     closed form: the interval boundary lies where the unscaled objective
     G(q) = sum |y_i - q| crosses min G + n * eps, found by walking the
     sorted knots and inverting the linear segment that crosses; the result
-    always has finite endpoints containing the eps = 0 interval.
+    has finite endpoints containing the eps = 0 interval. Samples whose
+    sums could overflow are solved scaled by an exact power of two (the
+    eps-argmin scales with the sample and eps), and an endpoint beyond the
+    float range raises ``ValueError``.
     """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
@@ -313,6 +328,25 @@ def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float
             return float(mid), float(mid)
         return float(xs[n // 2 - 1]), float(xs[n // 2])
 
+    eps = float(eps)
+    top = max(-float(xs[0]), float(xs[-1]))  # max |y_i|
+    if n * (3 * top + eps) <= 2.0**_SOLVE_LIMIT_EXP:  # Python floats: inf, no warning
+        lo, hi = _slack_interval(xs, eps)
+    else:
+        # n * 4 * max(top, eps) < 2**(k + _SOLVE_LIMIT_EXP)
+        k = n.bit_length() + 2 + math.frexp(max(top, eps))[1] - _SOLVE_LIMIT_EXP
+        lo, hi = _slack_interval(np.ldexp(xs, -k), math.ldexp(eps, -k))
+        try:
+            lo, hi = math.ldexp(lo, k), math.ldexp(hi, k)
+        except OverflowError:
+            raise ValueError("eps-argmin endpoint beyond the float range") from None
+    # the interval always contains the eps = 0 median interval
+    return float(min(lo, xs[(n - 1) // 2])), float(max(hi, xs[n // 2]))
+
+
+def _slack_interval(xs: np.ndarray, eps: float) -> tuple[float, float]:
+    """Where G crosses min G + n * eps, for a sorted sample within range."""
+    n = xs.size
     # compensated prefix sums: np.cumsum adds in order, so TwoSum of each
     # step against the prefix before it gives that step's rounding error
     # exactly, and the running sum of those errors is added back (for 0/1
@@ -338,8 +372,7 @@ def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float
     # descent rate of G just left of knot lo_idx, ascent rate just right of hi_idx
     lo = xs[lo_idx] - (threshold - g_knots[lo_idx]) / (n - 2 * lo_idx)
     hi = xs[hi_idx] + (threshold - g_knots[hi_idx]) / (2 * (hi_idx + 1) - n)
-    # and the interval always contains the eps = 0 median interval
-    return float(min(lo, xs[(n - 1) // 2])), float(max(hi, xs[n // 2]))
+    return lo, hi
 
 
 def grid_restrict_interval(axis: CandidateGrid, lo: float, hi: float) -> PointSet:

@@ -209,6 +209,12 @@ def test_validate_rejects_malformed_seeds(bad_seeds):
             "params.beta_extent",
             id="regression-overrides22-params.beta_extent",
         ),
+        pytest.param(
+            "median",
+            {"n_max": 8, "schedule": {"kind": "constant", "c": 1e308}},
+            "schedule constant must be >= 0 and <= 1e+100",
+            id="median-overrides23-schedule.c",
+        ),
     ],
 )
 def test_validate_only_rejects_out_of_range_config(

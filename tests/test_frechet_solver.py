@@ -17,6 +17,7 @@ from frechet_sets.cli import MAX_DRAWS
 from frechet_sets.cost_model import NondecreasingFn, h_cost, power_cost, table_cost
 from frechet_sets.frechet_solver import (
     MAX_SAMPLE_LEN,
+    MAX_SCHEDULE_C,
     EpsilonSchedule,
     FiniteDistribution,
     Objective,
@@ -519,6 +520,10 @@ _normal_samples = st.tuples(st.integers(1, 11), st.integers(0, 2**32 - 1)).map(
 # an uncompensated prefix misses the bound here by 10%: its rounding grows
 # with n, while the bound's factor is fixed
 @example(sample=[0.0, -68435457.0, -1e8, -1e8] + [0.1] * 5, exponent=0.0)
+# knot sums and n * eps beyond the float range: solved on a scaled sample
+@example(sample=[1e308, 1e308, -1e308], exponent=-1.0)
+@example(sample=[1.7e308, 1.7e308], exponent=-1.0)
+@example(sample=[-1.7e308, 1.7e308, 1.0], exponent=-1.0)
 @settings(max_examples=400, deadline=None)
 def test_median_interval_endpoints_within_rounding_bound(sample, exponent):
     # in exact arithmetic, G(q) = sum |y_i - q| at each endpoint is the
@@ -536,6 +541,15 @@ def test_median_interval_endpoints_within_rounding_bound(sample, exponent):
     bound = 8 * Fraction(1, 2**53) * scale
     assert abs(g(Fraction(lo)) - threshold) <= bound
     assert abs(g(Fraction(hi)) - threshold) <= bound
+
+
+def test_median_interval_beyond_the_float_range():
+    # G(q) = 3|q| meets 3 * 1e308 at +-1e308, although 3 * 1e308 overflows
+    assert median_interval_1d([0.0, 0.0, 0.0], 1e308) == (-1e308, 1e308)
+    assert median_interval_1d([1.0, 2.0, 3.0], 1e308) == (-1e308, 1e308)
+    for sample, eps in (([1e308], 1.7e308), ([-1.7e308, 1.0], 1e308)):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            median_interval_1d(sample, eps)
 
 
 def test_median_interval_rejects_non_finite_samples():
@@ -681,6 +695,10 @@ def test_epsilon_schedule():
         EpsilonSchedule("weird")
     with pytest.raises(ValueError, match="constant must be finite"):
         EpsilonSchedule.constant(math.nan)
+    assert EpsilonSchedule.constant(MAX_SCHEDULE_C).c == 1e100
+    for c in (-1.0, math.nextafter(MAX_SCHEDULE_C, math.inf), 1e308):
+        with pytest.raises(ValueError, match=r"constant must be >= 0 and <= 1e\+100"):
+            EpsilonSchedule.power_decay(c, 0.25)
     with pytest.raises(ValueError, match="exponent must be finite"):
         EpsilonSchedule.power_decay(1.0, math.inf)
 

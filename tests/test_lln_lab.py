@@ -10,14 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frechet_sets.cost_model import power_cost
+from frechet_sets import lln_lab
 from frechet_sets.frechet_solver import (
     EpsilonSchedule,
     FiniteDistribution,
+    grid_restrict_interval,
     median_interval_1d,
+    product_mean_set,
 )
 from frechet_sets.lln_lab import (
     _CHUNK,
     MAX_MEDIAN_N,
+    MEDIAN_AXIS_COORDS,
+    _box_d_subset,
+    _box_events,
     MAX_REGRESSION_SCALE,
     SamplingDistribution,
     SplitMix64,
@@ -33,7 +39,8 @@ from frechet_sets.lln_lab import (
     write_results_csv,
     write_results_json,
 )
-from frechet_sets.metric_core import Point, euclidean_space, line_grid
+from frechet_sets.metric_core import Point, PointSet, euclidean_space, line_grid, product_grid
+from frechet_sets.set_limits import d_hausdorff, d_subset
 
 ANTIPODAL = FiniteDistribution.uniform((Point.angle(0.0), Point.angle(math.pi)))
 
@@ -378,6 +385,126 @@ def test_median_walk_matches_per_axis_oracle(s, n_max, c, exponent, seed):
     assert len(result.records) == len(records)
     assert [{key: r[key] for key in o} for r, o in zip(result.records, records)] == records
     assert {key: result.summary[key] for key in summary} == summary
+
+
+def uncached_median_oracle(s, schedule, n_max, seed):
+    """The median runner's records and summary with nothing shared between
+    records: each one restricts its own axis sets, composes its own mean
+    set and measures both distances, and each beyond-checkpoint flag scans
+    its own window."""
+    bits = SamplingDistribution.bernoulli_product(s).draw(SplitMix64(seed), n_max).T
+    n_row = np.arange(1, n_max + 1)
+    walks = 2 * np.cumsum(bits, axis=1) - n_row
+    eps = schedule.values(n_row)
+    sim_zero, corner_zero, corner_one, unit_box, interior = _box_events(walks, n_row * eps)
+    sim_zero_counts = np.cumsum(sim_zero)
+    axes = [line_grid(euclidean_space(1), MEDIAN_AXIS_COORDS) for _ in range(s)]
+    box_grid = product_grid(axes)
+    target = PointSet.full(box_grid)
+    target_box = [(0.0, 1.0)] * s
+    records = []
+    for n in make_n_grid(n_max):
+        intervals = [median_interval_1d(bits[k, :n], eps[n - 1]) for k in range(s)]
+        axis_sets = [grid_restrict_interval(axes[k], *intervals[k]) for k in range(s)]
+        mean_set = product_mean_set(axis_sets, box_grid, alpha=1.0)
+        d_sub_box = _box_d_subset(intervals, target_box)
+        record = {
+            "n": n,
+            "eps": float(eps[n - 1]),
+            "d_sub": d_subset(mean_set, target),
+            "d_haus": d_hausdorff(mean_set, target),
+            "d_sub_box": d_sub_box,
+            "d_haus_box": max(d_sub_box, _box_d_subset(target_box, intervals)),
+            "unit_box_subset": int(unit_box[n - 1]),
+            "interior_member": int(interior[n - 1]),
+            "corner_zero_member": int(corner_zero[n - 1]),
+            "corner_one_member": int(corner_one[n - 1]),
+            "any_corner_member": 1,
+            "sim_zero_count": int(sim_zero_counts[n - 1]),
+        }
+        for k in range(s):
+            record[f"lo{k}"], record[f"hi{k}"] = intervals[k]
+            record[f"walk{k}"] = int(walks[k, n - 1])
+        records.append(record)
+    checkpoints = [2**j for j in range(n_max.bit_length()) if 2**j < n_max]
+    summary = {
+        "zero_return_count": int(sim_zero.sum()),
+        "zero_return_indices": (np.flatnonzero(sim_zero) + 1).tolist(),
+        "zero_return_indices_truncated": False,
+        "interior_occurrence_count": int(interior.sum()),
+        "interior_occurrence_indices": (np.flatnonzero(interior) + 1).tolist(),
+        "interior_occurrence_indices_truncated": False,
+        "checkpoints": checkpoints,
+        "corner_any_beyond_checkpoint": [True] * len(checkpoints),
+        "corner_zero_beyond_checkpoint": [bool(corner_zero[c:].any()) for c in checkpoints],
+        "corner_one_beyond_checkpoint": [bool(corner_one[c:].any()) for c in checkpoints],
+        "interior_beyond_checkpoint": [bool(interior[c:].any()) for c in checkpoints],
+        "final_unit_box_subset": int(unit_box[-1]),
+        "final_d_haus": records[-1]["d_haus"],
+    }
+    return records, summary
+
+
+def _hexed(value):
+    """A JSON value with every float as its hex string and every other
+    scalar tagged with its type, so equality is bit equality."""
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_hexed(item) for item in value]
+    if isinstance(value, float):
+        return value.hex()
+    return type(value).__name__, value
+
+
+_ORACLE_SCHEDULES = (
+    EpsilonSchedule.constant(0.0),
+    EpsilonSchedule.constant(0.05),
+    EpsilonSchedule.power_decay(1.0, 0.25),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.integers(1, 4),
+    schedule=st.sampled_from(_ORACLE_SCHEDULES),
+    n_max=st.sampled_from([2, 63, 64, 1000, 4097]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_median_set_distances_match_uncached_oracle(s, schedule, n_max, seed):
+    # indices stay below MAX_STORED_INDICES, so nothing is truncated
+    result = run_median_experiment(s, schedule, n_max, seed)
+    records, summary = uncached_median_oracle(s, schedule, n_max, seed)
+    assert _hexed(result.records) == _hexed(records)
+    assert _hexed(result.summary) == _hexed(summary)
+
+
+@pytest.mark.parametrize(
+    "s, schedule, n_max, shared",
+    [
+        # at slack 0 each axis interval is {0}, {1} or [0, 1]: keys repeat
+        (3, EpsilonSchedule.constant(0.0), 4096, True),
+        # a decaying slack gives every record its own intervals
+        (2, EpsilonSchedule.power_decay(1.0, 0.25), 1000, False),
+    ],
+)
+def test_median_set_distances_once_per_interval_tuple(monkeypatch, s, schedule, n_max, shared):
+    calls = {"product_mean_set": 0, "d_hausdorff": 0}
+    for name in calls:
+        original = getattr(lln_lab, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lln_lab, name, counted)
+    result = run_median_experiment(s, schedule, n_max, seed=0)
+    keys = {
+        tuple((record[f"lo{k}"], record[f"hi{k}"]) for k in range(s))
+        for record in result.records
+    }
+    assert calls == {"product_mean_set": len(keys), "d_hausdorff": len(keys)}
+    assert (len(keys) < len(result.records)) == shared
 
 
 def test_median_walk_memory_has_no_per_sample_matrix_temporaries():
