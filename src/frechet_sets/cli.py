@@ -41,6 +41,13 @@ MAX_DRAWS = 2**24
 #: 550 B per point for a circle run at MAX_DRAWS (56 checkpoints), 115 B for ulln.
 MAX_GRID_POINTS = 2**20
 
+#: Upper bound on the circle's cost exponent. Its largest cost term is
+#: pi**alpha, which overflows a float from alpha of about 620, and an
+#: objective sums up to MAX_DRAWS such terms; at 100, pi**alpha is about
+#: 5e49 and every sum stays far inside the float range. ulln needs no bound:
+#: its grid lies in [0, 1], so no cost term exceeds 1.
+MAX_POWER_ALPHA = 100
+
 _TOP_LEVEL_KEYS = {
     "experiment",
     "seeds",
@@ -133,7 +140,10 @@ EXPERIMENTS = {
     ),
     "circle": Experiment(
         4096,
-        {"grid_size": _int(360, hi=MAX_GRID_POINTS), "alpha": _real(2.0, strict=True)},
+        {
+            "grid_size": _int(360, hi=MAX_GRID_POINTS),
+            "alpha": _real(2.0, strict=True, hi=MAX_POWER_ALPHA),
+        },
         lambda p, schedule, n_max, seed: lln_lab.run_circle_experiment(
             p["grid_size"], n_max, seed, alpha=p["alpha"]
         ),

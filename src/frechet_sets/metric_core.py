@@ -7,13 +7,17 @@ the two nonnegative-integer spaces with unit and line metrics), an
 optional metric transform d -> fn(d) built as a power d^alpha or a
 concave inverse, candidate grids, and diameters.
 
-Every distance comes from one block kernel, ``MetricSpace.distances``,
-over packed value arrays that ``MetricSpace.check`` validates; the scalar
-``MetricSpace.distance`` is its 1x1 block. A grid is its packed array:
-``Point`` objects exist only where a caller converts at the edge
-(``grid[i]``, ``grid.index_of``, ``MetricSpace.pack``), and grids compute
-only the rows x cols block a caller asks for, caching no grid-sized
-matrix.
+Every distance comes from one broadcasting kernel,
+``MetricSpace.distances``, over packed value arrays that
+``MetricSpace.check`` validates: it evaluates d(x, y) elementwise over the
+broadcast shape of its two arguments. The scalar ``MetricSpace.distance``
+is its one-pair case, ``CandidateGrid.distance_matrix`` its all-pairs
+block, and ``CandidateGrid.nearest`` its two-candidate case on the line
+kinds (``MetricSpace.on_line``), whose nearest member of a set is one of
+two sorted neighbours. A grid is its packed array: ``Point`` objects exist
+only where a caller converts at the edge (``grid[i]``, ``grid.index_of``,
+``MetricSpace.pack``), and grids compute only the distances a caller asks
+for, caching no grid-sized matrix.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -35,6 +39,7 @@ TWO_PI = 2.0 * math.pi
 FULL_TRIANGLE_CHECK_LIMIT = 512
 
 _TRIANGLE_SAMPLES = 100_000
+_LEFT_RIGHT = np.array([[1], [0]])  # offsets of a row's two neighbour candidates
 _METRIC_ATOL = 1e-12
 
 
@@ -56,9 +61,8 @@ class SpaceKind(enum.Enum):
 
 
 _VECTOR_KINDS = frozenset({SpaceKind.EUCLIDEAN_L2, SpaceKind.PRODUCT_L1})
-_INDEX_KINDS = frozenset(
-    {SpaceKind.DISCRETE_TABLE, SpaceKind.N0_UNIT, SpaceKind.N0_LINE}
-)
+_N0_KINDS = frozenset({SpaceKind.N0_UNIT, SpaceKind.N0_LINE})
+_INDEX_KINDS = _N0_KINDS | {SpaceKind.DISCRETE_TABLE}
 
 
 @dataclass(frozen=True)
@@ -204,32 +208,43 @@ class MetricSpace:
             return Point.vector(*value)
         return Point.angle(value) if self.kind is SpaceKind.CIRCLE_ARCLENGTH else Point.index(value)
 
-    def distance(self, q: Point, p: Point) -> float:
-        """Distance between two points: the 1x1 block of ``distances``."""
-        return float(self.distances(self.pack((q,)), self.pack((p,)))[0, 0])
+    @property
+    def on_line(self) -> bool:
+        """Whether the metric is a nondecreasing function of |x - y| for
+        points on the real line: the two N0 kinds and the one-dimensional
+        vector kinds, with or without a transform."""
+        kind = self.kind
+        return kind in _N0_KINDS or (kind in _VECTOR_KINDS and self.dimension == 1)
 
-    def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Distances between packed points, one row per ``rows`` entry, with
-        the transform applied last: the one place each kind's formula lives."""
+    def distance(self, q: Point, p: Point) -> float:
+        """Distance between two points: ``distances`` on one pair."""
+        return float(self.distances(self.pack((q,)), self.pack((p,)))[0])
+
+    def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Distances d(x, y) between packed points, elementwise over the
+        broadcast shape of ``x`` and ``y`` (a vector point's coordinates are
+        the last axis), with the transform applied last: the one place each
+        kind's formula lives. ``x[:, None]`` against ``y[None, :]`` is the
+        all-pairs block."""
         kind = self.kind
         if kind is SpaceKind.EUCLIDEAN_L2:
-            diff = cols[None, :, :] - rows[:, None, :]
-            block = np.sqrt((diff * diff).sum(axis=2))
+            diff = y - x
+            d = np.sqrt((diff * diff).sum(axis=-1))
         elif kind is SpaceKind.PRODUCT_L1:
-            block = np.abs(cols[None, :, :] - rows[:, None, :]).sum(axis=2)
+            d = np.abs(y - x).sum(axis=-1)
         elif kind is SpaceKind.DISCRETE_TABLE:
-            block = self.distance_table[rows[:, None], cols[None, :]]
+            d = self.distance_table[x, y]
         elif kind is SpaceKind.N0_UNIT:
-            block = (cols[None, :] != rows[:, None]).astype(float)
+            d = (y != x).astype(float)
         else:
-            gap = np.abs(cols[None, :] - rows[:, None])
+            gap = np.abs(y - x)
             if kind is SpaceKind.CIRCLE_ARCLENGTH:
-                block = np.minimum(gap, TWO_PI - gap)
+                d = np.minimum(gap, TWO_PI - gap)
             else:  # N0_LINE
-                block = gap.astype(float)
+                d = gap.astype(float)
         if self.transform is not None:
-            block = np.asarray(self.transform.fn(block), dtype=float)
-        return block
+            d = np.asarray(self.transform.fn(d), dtype=float)
+        return d
 
 
 def _validate_distance_table(table: np.ndarray) -> None:
@@ -301,14 +316,41 @@ class CandidateGrid:
 
     def distances_from(self, q: Point) -> np.ndarray:
         """Distances from ``q`` (any point of the space) to every grid point."""
-        return self.space.distances(self.space.pack((q,)), self.coords)[0]
+        return self.space.distances(self.space.pack((q,)), self.coords)
 
     def distance_matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The |rows| x |cols| block of grid distances, computed on each call."""
         packed = self.coords
         return self.space.distances(
-            packed[np.asarray(rows, dtype=np.intp)], packed[np.asarray(cols, dtype=np.intp)]
+            packed[np.asarray(rows, dtype=np.intp), None],
+            packed[None, np.asarray(cols, dtype=np.intp)],
         )
+
+    def nearest(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """dist(q, cols) for each grid index q in ``rows``: the row minima of
+        the rows x cols block, and +inf for every row when ``cols`` is empty.
+
+        On a line kind (``MetricSpace.on_line``) the nearest column of a row
+        is one of its two neighbours among the sorted column values, and no
+        block is built: float subtraction rounds monotonically and the
+        transform is nondecreasing, so the kernel on those two candidates
+        has the block's row minimum bit for bit, in O(|rows| + |cols|)
+        memory. Other kinds reduce the block.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        if not len(cols):
+            return np.full(len(rows), math.inf)
+        if not self.space.on_line:
+            return self.distance_matrix(rows, cols).min(axis=1)
+        packed = self.coords
+        line = packed[np.asarray(cols, dtype=np.intp)]
+        line.sort(axis=0)
+        at = packed[rows]
+        # line[right] is the first member >= the row, or the last member;
+        # line[right - 1] the one before it, or (index -1) the last member
+        right = np.searchsorted(line[:-1].reshape(-1), at.reshape(-1))
+        left_right = self.space.distances(at, line[right - _LEFT_RIGHT])
+        return np.minimum(left_right[0], left_right[1])
 
 
 class PointSet:

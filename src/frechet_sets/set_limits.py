@@ -10,14 +10,23 @@ an explicit tail start and tolerance, and reports carry the parameters
 used. On a finite grid the surrogates agree with the exact notions for
 sequences that stabilize within the horizon.
 
+Every set distance is a row minimum dist(q, B) = min over b in B of
+d(q, b). On the line kinds (``MetricSpace.on_line``: the two N0 kinds and
+one-dimensional vector grids) ``CandidateGrid.nearest`` reads it from the
+two sorted neighbours of q in B, so ``d_subset``, both halves of
+``d_hausdorff`` and the inner-limit filter build no |A| x |B| block. The
+circle, distance-table and multi-dimensional kinds keep one |A| x |B|
+block per distance (``d_hausdorff`` reduces its one block along both
+axes), and no path builds a G x G matrix.
+
 The outer limit is the tol-enlargement of the tail union, found with one
-distance profile over the grid. The inner limit is the intersection of
-the tol-enlargements of the tail sets: one profile seeds the candidates,
-and each further tail set only filters the survivors, so its cost is a
-|candidates| x |B_n| block rather than a pass over the whole grid. Set
-distances are reductions of the |A| x |B| block, never of a G x G matrix.
-A d_subset trajectory against one fixed target T is a gather per set from
-one profile q -> dist(q, T), built from one grid row per member of T.
+distance profile over the grid, one grid row per member of the union. The
+inner limit is the intersection of the tol-enlargements of the tail sets:
+one profile seeds the candidates, and each further tail set only filters
+the survivors with ``nearest``. A d_subset trajectory against one fixed
+target T is a gather per set from one profile q -> dist(q, T), built from
+one grid row per member of T. Tail diameters take each tail set's new
+points against the union so far, as one block.
 """
 
 from __future__ import annotations
@@ -70,22 +79,27 @@ def d_subset(a: PointSet, b: PointSet) -> float:
         return 0.0
     if not len(b):
         return math.inf
-    return float(a.grid.distance_matrix(a.indices, b.indices).min(axis=1).max())
+    return float(a.grid.nearest(a.indices, b.indices).max())
 
 
 def d_hausdorff(a: PointSet, b: PointSet) -> float:
     """Symmetric Hausdorff distance max(d_subset(a, b), d_subset(b, a)).
 
-    Both one-sided distances are reductions of the one |a| x |b| block,
-    along its rows and along its columns (grid distances are bitwise
-    symmetric). Conventions: 0 when both sets are empty, +inf when exactly
-    one is.
+    On a line kind these are two ``nearest`` queries; on the other kinds
+    they are reductions of the one |a| x |b| block, along its rows and
+    along its columns (grid distances are bitwise symmetric). Conventions:
+    0 when both sets are empty, +inf when exactly one is.
     """
     if a.grid is not b.grid:
         raise GridMismatchError("point sets belong to different grids")
     if not len(a) or not len(b):
         return math.inf if len(a) or len(b) else 0.0
-    block = a.grid.distance_matrix(a.indices, b.indices)
+    grid = a.grid
+    if grid.space.on_line:
+        return float(
+            max(grid.nearest(a.indices, b.indices).max(), grid.nearest(b.indices, a.indices).max())
+        )
+    block = grid.distance_matrix(a.indices, b.indices)
     return float(max(block.min(axis=1).max(), block.min(axis=0).max()))
 
 
@@ -138,7 +152,7 @@ def inner_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) ->
     n >= tail_start of the tol-enlargements {q : dist(q, B_n) <= tol}.
     The candidates are the enlargement of the smallest tail set, one
     distance profile over the grid; each other tail set then filters them
-    with one |candidates| x |B_n| block, until none remain. An empty tail
+    with one ``nearest`` query, until none remain. An empty tail
     set is at distance +inf from every point, so it empties the result
     unless tol is +inf; being the smallest, it is the one that seeds.
     """
@@ -152,8 +166,8 @@ def inner_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) ->
     for s in tail:
         if not keep.size:
             break
-        if s is not seed and len(s):
-            keep = keep[seq.grid.distance_matrix(keep, s.indices).min(axis=1) <= tol]
+        if s is not seed:
+            keep = keep[seq.grid.nearest(keep, s.indices) <= tol]
     return PointSet(seq.grid, keep)
 
 
@@ -260,7 +274,7 @@ def analyze_sequence(
     Trajectories are taken against ``reference`` when given, otherwise
     against the outer-limit estimate itself. The d_subset trajectory is a
     gather per set from one distance profile of that target; the Hausdorff
-    trajectory takes one |B_n| x |target| block per set.
+    trajectory takes one ``d_hausdorff`` per set.
     """
     outer = outer_limit_estimate(seq, tail_start, tol)
     inner = inner_limit_estimate(seq, tail_start, tol)

@@ -9,6 +9,7 @@ import pytest
 from frechet_sets.cli import (
     EXPERIMENT_IDS,
     MAX_GRID_POINTS,
+    MAX_POWER_ALPHA,
     run,
     validate_config,
 )
@@ -215,6 +216,12 @@ def test_validate_rejects_malformed_seeds(bad_seeds):
             "schedule constant must be >= 0 and <= 1e+100",
             id="median-overrides23-schedule.c",
         ),
+        pytest.param(
+            "circle",
+            {"n_max": 10, "params": {"grid_size": 8, "alpha": 650}},
+            "params.alpha",
+            id="circle-alpha-650",
+        ),
     ],
 )
 def test_validate_only_rejects_out_of_range_config(
@@ -235,6 +242,19 @@ def test_draw_bound_admits_its_limit():
     ):
         echo, report = validate_config(dict(config, seeds=[0]))
         assert report.ok, report.issues
+
+
+def test_power_alpha_bound_admits_its_limit_and_runs(tmp_path):
+    # pi**alpha is the circle's largest cost term; at the bound it is finite.
+    # ulln is unbounded: its grid lies in [0, 1], so d**alpha <= 1.
+    for experiment, params in (
+        ("circle", {"grid_size": 8, "alpha": MAX_POWER_ALPHA}),
+        ("ulln", {"grid_points": 5, "alpha": 650, "n_list": [10]}),
+    ):
+        path, _ = write_config(
+            tmp_path, experiment=experiment, seeds=[0], n_max=10, params=params
+        )
+        assert run(str(path)) == 0
 
 
 def test_grid_bounds_admit_their_limit():

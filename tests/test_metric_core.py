@@ -50,7 +50,7 @@ def random_table_space(rng, size):
 
 
 def scalar_distance(space, q, p):
-    """Per-kind scalar formulas, the oracle for the block kernel
+    """Per-kind scalar formulas, the oracle for the distance kernel
     ``MetricSpace.distances`` (and so for ``MetricSpace.distance``)."""
     kind = space.kind
     if kind is SpaceKind.EUCLIDEAN_L2:

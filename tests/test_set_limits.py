@@ -4,6 +4,7 @@ the three counterexample fixtures."""
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from frechet_sets.lln_lab import markov_bound, run_regression_certificate
 from frechet_sets.metric_core import (
     CandidateGrid,
     GridMismatchError,
+    MetricSpace,
     MetricTransform,
     Point,
     PointSet,
@@ -45,6 +47,7 @@ from frechet_sets.metric_core import (
     product_l1_space,
     table_space,
 )
+from frechet_sets import set_limits
 from frechet_sets.set_limits import (
     FIXTURE_NAMES,
     SetSequence,
@@ -573,34 +576,199 @@ def test_analyze_sequence_report_and_json():
 
 
 def test_trajectories_cost_one_hausdorff_block_per_set(monkeypatch):
-    blocks = []  # (rows, cols) of every distance block built
-    build = CandidateGrid.distance_matrix
+    shapes = []  # result shape of every kernel evaluation, in call order
+    kernel = MetricSpace.distances
 
-    def counting(grid, rows, cols):
-        blocks.append((len(rows), len(cols)))
-        return build(grid, rows, cols)
+    def counting(space, x, y):
+        d = kernel(space, x, y)
+        shapes.append(d.shape)
+        return d
 
-    monkeypatch.setattr(CandidateGrid, "distance_matrix", counting)
+    per_set = []  # (|a|, |b|, kernel shapes) of every d_hausdorff(a, b)
+    hausdorff = set_limits.d_hausdorff
+
+    def recording(a, b):
+        start = len(shapes)
+        try:
+            return hausdorff(a, b)
+        finally:
+            per_set.append((len(a), len(b), shapes[start:]))
+
+    monkeypatch.setattr(MetricSpace, "distances", counting)
+    monkeypatch.setattr(set_limits, "d_hausdorff", recording)
+
+    def trajectories(seq):
+        shapes.clear()
+        per_set.clear()
+        report = analyze_sequence(seq)
+        used = Counter(shapes)
+        # the limit estimates and the d_subset profile evaluate the same
+        # distances on their own; the Hausdorff trajectory adds the rest
+        shapes.clear()
+        outer_limit_estimate(seq, 0, 0.0)
+        inner_limit_estimate(seq, 0, 0.0)
+        _d_subset_trajectory(seq.sets, report.outer_limit)
+        eventually_bounded(seq, math.inf)
+        assert used == Counter(shapes) + Counter(c for _, _, calls in per_set for c in calls)
+        target = len(report.outer_limit)
+        assert [(rows, cols) for rows, cols, _ in per_set] == [(len(s), target) for s in seq.sets]
+        return per_set
+
+    # unit metric: two nearest-member queries per set, each O(|B_n| + |T|)
+    # kernel elements, never the |B_n| x |T| block
     fixture = counterexample_fixture("reciprocal-tail", horizon=40)
     seq = fixture.argmin_sequence
-    report = analyze_sequence(seq)
-    used = len(blocks)
-    # the limit estimates build the same blocks on their own
-    inner_limit_estimate(seq, 0, 0.0)
-    eventually_bounded(seq, math.inf)
-    limits = len(blocks) - used
-    assert used - limits == len(seq)
-    target = len(report.outer_limit)
-    assert sorted(blocks[:used]) == sorted(
-        blocks[used:] + [(len(s), target) for s in seq.sets]
-    )
+    for rows, cols, calls in trajectories(seq):
+        assert sum(math.prod(c) for c in calls) <= 2 * (rows + cols)
+        assert max(math.prod(c) for c in calls) < rows * cols
 
-    blocks.clear()
+    # a 2-D product grid keeps exactly one block per set
+    axis = line_grid(euclidean_space(1), [0.0, 0.5, 1.0, 2.0])
+    grid = product_grid([axis, axis])
+    rng = np.random.default_rng(16)
+    sets = tuple(
+        PointSet(grid, rng.choice(len(grid), size=rng.integers(1, 7), replace=False))
+        for _ in range(12)
+    )
+    for rows, cols, calls in trajectories(SetSequence(grid, sets)):
+        assert calls == [(rows, cols)]
+
+    shapes.clear()
     diagnose_fixture(fixture)
-    used = len(blocks)
+    used = Counter(shapes)
+    shapes.clear()
     eventually_bounded(seq, 50.0)
     approachable_minimizers_check(fixture.limit_objective, fixture.approachability_eps)
-    assert blocks[:used] == blocks[used:]
+    _d_subset_trajectory(seq.sets, eps_argmin(fixture.limit_objective, 0.0))
+    assert used == Counter(shapes)
+
+
+def test_line_hausdorff_memory_is_linear_in_the_set_sizes():
+    # reciprocal-tail at the CLI's largest grid: a block of its largest set
+    # against the horizon/2 outer limit would hold 4096 x 4064 floats (133 MB)
+    fixture = counterexample_fixture("reciprocal-tail", horizon=64, grid_max=4095)
+    seq = fixture.argmin_sequence
+    outer = outer_limit_estimate(seq, len(seq) // 2)
+    largest = max(seq.sets, key=len)
+    assert (len(largest), len(outer)) == (4096, 4064)
+    tracemalloc.start()
+    try:
+        assert d_hausdorff(largest, outer) == 1.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+_TRANSFORMS = (None, MetricTransform.power(0.5), MetricTransform.concave_inverse(np.sqrt))
+
+# coordinates of mixed scale, small enough that no squared difference
+# overflows; integers give equidistant neighbours
+_COORDS = st.one_of(
+    st.integers(-20, 20).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(-1e150, 1e150, allow_nan=False),
+)
+
+
+@st.composite
+def _any_grid(draw):
+    # every kind, each without a transform and with the two sqrt transforms;
+    # coordinates in drawn (unsorted) order, N0 indices with gaps
+    kind = draw(st.sampled_from(list(SpaceKind)))
+    transform = draw(st.sampled_from(_TRANSFORMS))
+    size = draw(st.integers(1, 10))
+    if kind in (SpaceKind.EUCLIDEAN_L2, SpaceKind.PRODUCT_L1):
+        dimension = draw(st.sampled_from([1, 1, 2, 3]))
+        rows = draw(
+            st.lists(
+                st.tuples(*[_COORDS] * dimension), min_size=size, max_size=size, unique=True
+            )
+        )
+        space = MetricSpace(kind, dimension=dimension, transform=transform)
+        return CandidateGrid(space, rows)
+    if kind is SpaceKind.CIRCLE_ARCLENGTH:
+        angles = st.floats(0.0, 2 * math.pi)
+        values = draw(st.lists(angles, min_size=size, max_size=size, unique=True))
+        return CandidateGrid(circle_space(transform), values)
+    if kind is SpaceKind.DISCRETE_TABLE:
+        pts = np.array(
+            draw(
+                st.lists(
+                    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                    min_size=size, max_size=size, unique=True,
+                )
+            )
+        )
+        table = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2).astype(float)
+        return integer_grid(table_space(table, transform), size)
+    values = draw(st.lists(st.integers(0, 60), min_size=size, max_size=size, unique=True))
+    return CandidateGrid(MetricSpace(kind, transform=transform), values)
+
+
+def _indices(grid, **kwargs):
+    return st.lists(st.integers(0, len(grid) - 1), **kwargs)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_nearest_is_the_block_row_minimum_bit_for_bit(data):
+    grid = data.draw(_any_grid())
+    rows = data.draw(_indices(grid, max_size=12))  # unsorted, with repeats
+    cols = data.draw(_indices(grid, max_size=12))
+    got = grid.nearest(rows, cols)
+    if cols:
+        expected = grid.distance_matrix(rows, cols).min(axis=1)
+    else:
+        expected = np.full(len(rows), math.inf)
+    assert got.shape == (len(rows),)
+    assert _hex(got) == _hex(expected)
+
+
+def _block_d_subset(a, b):
+    if not len(a):
+        return 0.0
+    if not len(b):
+        return math.inf
+    return float(a.grid.distance_matrix(a.indices, b.indices).min(axis=1).max())
+
+
+def _block_inner(seq, tail_start, tol):
+    grid = seq.grid
+    every = np.arange(len(grid))
+    worst = np.zeros(len(grid))
+    for s in seq.sets[tail_start:]:
+        if len(s):
+            worst = np.maximum(worst, grid.distance_matrix(every, s.indices).min(axis=1))
+        else:
+            worst[:] = math.inf
+    return np.flatnonzero(worst <= tol)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_set_distances_match_the_block_oracle(data):
+    grid = data.draw(_any_grid())
+    sets = [
+        PointSet(grid, s)
+        for s in data.draw(st.lists(_indices(grid, max_size=6), min_size=2, max_size=6))
+    ]
+    a, b = sets[:2]
+    assert _hex([d_subset(a, b)]) == _hex([_block_d_subset(a, b)])
+    expected = max(_block_d_subset(a, b), _block_d_subset(b, a))
+    assert _hex([d_hausdorff(a, b)]) == _hex([expected])
+
+    every = np.arange(len(grid))
+    occurring = grid.distance_matrix(every, every).ravel().tolist()
+    tol = data.draw(st.sampled_from(occurring + [0.0, 0.3, math.inf]))
+    tail_start = data.draw(st.integers(0, len(sets) - 1))
+    seq = SetSequence(grid, tuple(sets))
+    inner = inner_limit_estimate(seq, tail_start, tol)
+    assert np.array_equal(inner.indices, _block_inner(seq, tail_start, tol))
 
 
 def test_sequence_space_embedding_counterexample():
