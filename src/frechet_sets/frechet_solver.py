@@ -1,18 +1,21 @@
 """Population and empirical Frechet objectives and their epsilon-argmin sets.
 
-Objectives are vectors of cost values over a candidate grid. A sample
-of a finite law is an array of indices into its support, so an empirical
-objective depends on the sample only through the count of each support
-point: it is the count-weighted sum of one cost row per support point,
-divided by n. That sum is computed correctly rounded (each row is split
-once into two halves whose products with any count are exact, and the
-exact terms of all grid values are summed at once by a checked cascade of
-TwoSum steps, with exact rational sums for the columns the check cannot
-certify), so the result does not depend on the order of the draws or on
-the platform, and the counts of every requested prefix come from one pass
-over the sample. The module also provides the exact epsilon-argmin
-interval of the 1-D absolute-loss objective over the whole real line, and
-the Cartesian composition of per-axis mean sets into a product grid.
+Objectives are vectors of cost values over a candidate grid. Both kinds
+are weighted sums of one cost row per support point of a finite law: a
+population objective weighs row k by the law's weight w_k, and an
+empirical objective, which depends on a sample only through the count of
+each support point, weighs it by count_k and divides by n. One kernel,
+``_exact_sums``, computes every such sum: each row is split once into two
+halves whose products with the weights are exact, and the exact terms of
+all grid values are summed at once by a checked cascade of TwoSum steps,
+with exact rational sums for the columns the check cannot certify. The
+result is correctly rounded wherever no product of a weight half and a
+row half underflows, so it does not depend on the order of the support
+points or of the draws, or on the platform, and the counts of every
+requested prefix come from one pass over the sample. The module also
+provides the exact epsilon-argmin interval of the 1-D absolute-loss
+objective over the whole real line, and the Cartesian composition of
+per-axis mean sets into a product grid.
 """
 
 from __future__ import annotations
@@ -124,11 +127,23 @@ class EpsilonSchedule:
 def population_objective(
     dist: FiniteDistribution, cost: CostFunction, grid: CandidateGrid
 ) -> Objective:
-    """Exact weighted cost sum of a finite-support distribution on a grid."""
-    total = np.zeros(len(grid))
-    for y, w in zip(dist.support, dist.weights):
-        total += w * cost.row(y, grid)
-    return Objective(grid, total)
+    """Weighted cost sum of a finite-support distribution on a grid.
+
+    The value at each grid point q is the sum over k of w_k * r_k(q),
+    correctly rounded wherever no product of a weight half and a row half
+    underflows. Each weight is split exactly into two halves of at most
+    26 significant bits, w_k = hi_k + lo_k, and ``_exact_sums`` sums the
+    halves against the cost rows stacked twice. A zero half (both halves
+    of a zero weight, the low half of a dyadic one) adds no term, so a
+    support point of weight 0 adds nothing, even where its cost row is
+    not finite.
+    """
+    rows = np.vstack([cost.row(y, grid) for y in dist.support])
+    weights = _split_rows(dist.weights[:, None]).ravel()  # hi_0..hi_K-1, lo_0..lo_K-1
+    terms = np.flatnonzero(weights)
+    rows = rows[terms % len(rows)]
+    work = np.empty((4, len(grid)))
+    return Objective(grid, _exact_sums(weights[terms], rows, _split_rows(rows), work))
 
 
 #: Sample lengths must stay below this bound: a count below 2**27 times a
@@ -144,15 +159,16 @@ def _split_rows(rows: np.ndarray) -> np.ndarray:
     step can overflow, and ``ldexp`` restores the exponent exactly, except
     that the high half of an entry within about 2**-27 of the float maximum
     rounds up to 2**1024 and becomes inf. ``_exact_sums`` then sums that
-    column from the unsplit rows.
+    column from the unsplit rows, as it does a column with an inf or NaN
+    entry, whose halves are NaN.
     """
     mant, exp = np.frexp(rows)
     halves = np.empty((2, *rows.shape))
     hi, lo = halves
-    np.multiply(mant, 2.0**27 + 1.0, out=hi)
-    np.subtract(hi, np.subtract(hi, mant, out=lo), out=hi)
-    np.subtract(mant, hi, out=lo)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(mant, 2.0**27 + 1.0, out=hi)
+        np.subtract(hi, np.subtract(hi, mant, out=lo), out=hi)
+        np.subtract(mant, hi, out=lo)
         np.ldexp(halves, exp, out=halves)
     return halves.reshape(2 * len(rows), -1)
 
@@ -220,7 +236,6 @@ def _prefix_objectives(sample, checkpoints, rows, halves, grid) -> Iterator[Obje
         counts += np.bincount(sample[start:n], minlength=len(rows))
         start = n
         sums = _exact_sums(counts, rows, halves, work)
-        sums += 0.0  # makes an exact zero +0.0, whatever sign its sum has
         sums /= n
         yield Objective(grid, sums)
 
@@ -240,24 +255,29 @@ def _two_sum(s: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray):
     return a, s
 
 
-def _exact_sums(counts: np.ndarray, rows: np.ndarray, halves, work) -> np.ndarray:
-    """Column sums of ``counts[:, None] * rows``, correctly rounded.
+def _exact_sums(weights: np.ndarray, rows: np.ndarray, halves, work) -> np.ndarray:
+    """Column sums of ``weights[:, None] * rows``, correctly rounded
+    wherever no product of a weight and a row half underflows (the weights
+    of a population objective are the halves of its law's weights).
 
-    The terms, the counts times the split ``halves`` of ``rows``, are exact
-    (or beyond the float range). TwoSum down the terms gives s and errors
-    e_j with S = s + sum(e) exactly, and TwoSum down the errors gives c and
-    errors f_j. Where every f_j is 0 and s + c is finite, c == sum(e)
-    exactly, so fl(s + c) is S correctly rounded. ``_rational_sum`` sums
-    the columns this check cannot certify. ``work`` is four rows of scratch.
+    Each weight must have at most 27 significant bits, so that its
+    products with the 26-bit ``halves`` of ``rows`` are exact (or beyond
+    the float range): counts below ``MAX_SAMPLE_LEN`` and the halves of a
+    split weight qualify. TwoSum down the terms gives s and errors e_j with
+    S = s + sum(e) exactly, and TwoSum down the errors gives c and errors
+    f_j. Where every f_j is 0 and s + c is finite, c == sum(e) exactly, so
+    fl(s + c) is S correctly rounded. ``_rational_sum`` sums the columns
+    this check cannot certify. An exact zero sum is +0.0. ``work`` is four
+    rows of scratch.
     """
-    weights = np.tile(counts, 2).astype(float)
+    per_half = np.tile(weights, 2).astype(float)
     s, c, x, a = work
     sums = np.empty(halves.shape[1])  # scratch until it takes s + c
     certified = np.ones(len(sums), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(halves[0], weights[0], out=s)
+        np.multiply(halves[0], per_half[0], out=s)
         for j in range(1, len(halves)):
-            np.multiply(halves[j], weights[j], out=x)
+            np.multiply(halves[j], per_half[j], out=x)
             s, a = _two_sum(s, x, a, sums)  # x = e_j
             if j == 1:
                 c, x = x, c
@@ -269,16 +289,19 @@ def _exact_sums(counts: np.ndarray, rows: np.ndarray, halves, work) -> np.ndarra
     certified &= np.isfinite(sums)
     rest = np.flatnonzero(~certified)
     if rest.size:
-        sums[rest] = [_rational_sum(counts, rows[:, j]) for j in rest]
+        sums[rest] = [_rational_sum(weights, rows[:, j]) for j in rest]
+    sums += 0.0  # makes an exact zero +0.0, whatever sign its sum has
     return sums
 
 
-def _rational_sum(counts: np.ndarray, column: np.ndarray) -> float:
-    """fl(sum of counts[k] * column[k]): exact, so no partial sum can overflow."""
+def _rational_sum(weights: np.ndarray, column: np.ndarray) -> float:
+    """fl(sum of weights[k] * column[k]): exact, so no partial sum can overflow."""
     from fractions import Fraction  # imported on first use: it loads decimal
 
     try:
-        return float(sum(c * Fraction(v) for c, v in zip(counts.tolist(), column.tolist())))
+        return float(
+            sum(Fraction(c) * Fraction(v) for c, v in zip(weights.tolist(), column.tolist()))
+        )
     except (OverflowError, ValueError):  # an inf or NaN entry, or a total beyond the range
         raise ValueError("objective values must be finite") from None
 

@@ -460,7 +460,8 @@ def run_median_experiment(
 def markov_bound(n: int, eps: float, fourth_central_moment: float) -> float:
     """Fourth-moment tail bound for the centered mean exceeding eps/2.
 
-    The raw bound is n**-3 * m4 / (eps/2)**4, clamped into [0, 1].
+    The raw bound is n**-3 * m4 / (eps/2)**4, clamped into [0, 1]. Where
+    eps**4 leaves the float range, the bound is evaluated exactly.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -468,7 +469,13 @@ def markov_bound(n: int, eps: float, fourth_central_moment: float) -> float:
         raise ValueError("n must be positive")
     if not fourth_central_moment >= 0:
         raise ValueError("the fourth central moment must be nonnegative")
-    raw = float(n) ** -3 * fourth_central_moment / (2.0**-4 * eps**4)
+    try:
+        raw = float(n) ** -3 * fourth_central_moment / (2.0**-4 * eps**4)
+    except (OverflowError, ZeroDivisionError):  # eps**4 beyond the float range, or 0
+        from fractions import Fraction  # imported on first use: it loads decimal
+
+        exact = Fraction(fourth_central_moment) * 16 / (n**3 * Fraction(eps) ** 4)
+        raw = float(min(exact, 1))
     return min(1.0, raw)
 
 

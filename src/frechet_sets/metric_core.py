@@ -228,8 +228,7 @@ class MetricSpace:
         all-pairs block."""
         kind = self.kind
         if kind is SpaceKind.EUCLIDEAN_L2:
-            diff = y - x
-            d = np.sqrt((diff * diff).sum(axis=-1))
+            d = _l2_norm(y - x)
         elif kind is SpaceKind.PRODUCT_L1:
             d = np.abs(y - x).sum(axis=-1)
         elif kind is SpaceKind.DISCRETE_TABLE:
@@ -245,6 +244,22 @@ class MetricSpace:
         if self.transform is not None:
             d = np.asarray(self.transform.fn(d), dtype=float)
         return d
+
+
+def _l2_norm(diff: np.ndarray) -> np.ndarray:
+    """sqrt(sum(diff**2)) over the last axis. A vector whose largest |entry|
+    lies outside [2**-500, 2**500] is first scaled by a power of two that
+    brings it into [0.5, 1), so no square overflows or underflows to zero:
+    the norm of finite differences is finite wherever its value is, and
+    positive for a nonzero vector. Vectors inside that range, which cover
+    every bundled run, take the unscaled formula bit for bit."""
+    top = np.abs(diff).max(axis=-1, keepdims=True)
+    far = (top > 2.0**500) | ((top > 0.0) & (top < 2.0**-500))
+    if not far.any():
+        return np.sqrt((diff * diff).sum(axis=-1))
+    k = np.where(far, np.frexp(top)[1], 0)
+    scaled = np.ldexp(diff, -k)
+    return np.ldexp(np.sqrt((scaled * scaled).sum(axis=-1)), k[..., 0])
 
 
 def _validate_distance_table(table: np.ndarray) -> None:

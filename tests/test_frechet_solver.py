@@ -81,12 +81,59 @@ def test_population_circle_antipodal_two_minimizers():
 def test_empirical_matches_population_on_multiplicity_sample():
     space = euclidean_space(1)
     grid = line_grid(space, np.linspace(0, 1, 9))
-    support = (Point.vector(0.0), Point.vector(1.0))
-    dist = FiniteDistribution.uniform(support)
     cost = power_cost(2.0, ORIGIN)
-    emp = empirical_objective(support, np.array([0, 1, 0, 1]), cost, grid)
-    pop = population_objective(dist, cost, grid)
-    assert np.array_equal(emp.values, pop.values)
+    for coords, weights, sample in [
+        ((0.0, 1.0), (0.5, 0.5), [0, 1, 0, 1]),
+        # K = 4 with dyadic weights: each count is n * w_k
+        ((0.0, 0.3, 0.7, 1.0), (0.125, 0.375, 0.25, 0.25), [1, 2, 0, 1, 3, 2, 3, 1]),
+    ]:
+        support = tuple(Point.vector(v) for v in coords)
+        dist = FiniteDistribution(support, np.array(weights))
+        emp = empirical_objective(support, np.array(sample), cost, grid)
+        pop = population_objective(dist, cost, grid)
+        assert np.array_equal(emp.values, pop.values)
+
+
+@st.composite
+def _population_cases(draw):
+    """A finite law with K <= 8 non-dyadic weights, a cost and a grid at one scale."""
+    k = draw(st.integers(1, 8))
+    masses = draw(st.lists(st.integers(0, 1000), min_size=k, max_size=k).filter(any))
+    weights = np.array(masses) / sum(masses)
+    scale = 10.0 ** draw(st.integers(-3, 9))
+    # 0 or at least 2**-64 of the scale: no product of a weight half and a
+    # row half underflows, which is where the kernel is correctly rounded
+    coord = st.floats(-1.0, 1.0, allow_nan=False).map(
+        lambda v: v * scale if abs(v) >= 2.0**-64 else 0.0
+    )
+    g = draw(st.integers(1, 20))
+    grid = line_grid(euclidean_space(1), draw(st.lists(coord, min_size=g, max_size=g, unique=True)))
+    kind = draw(st.sampled_from(["power", "h", "table"]))
+    if kind == "table":
+        support = tuple(range(k))
+        cost = table_cost({(i, j): draw(coord) for i in range(k) for j in range(g)}, grid)
+    else:
+        support = tuple(Point.vector(draw(coord)) for _ in range(k))
+        anchor = Point.vector(draw(coord))
+        if kind == "power":
+            cost = power_cost(draw(st.sampled_from([0.7, 1.0, 2.0, 3.0])), anchor)
+        else:
+            cost = h_cost(NondecreasingFn((0.0, 1.0), (0.5, 2.0), 1.0), anchor)
+    return FiniteDistribution(support, weights), cost, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_population_cases())
+def test_population_objective_matches_fraction_oracle(case):
+    # sum over k of w_k * r_k(q), rounded once, for weights such as 1/3
+    dist, cost, grid = case
+    rows = [cost.row(y, grid).tolist() for y in dist.support]
+    expected = [
+        float(sum(Fraction(w) * Fraction(row[j]) for w, row in zip(dist.weights.tolist(), rows)))
+        + 0.0
+        for j in range(len(grid))
+    ]
+    assert _hex(population_objective(dist, cost, grid).values) == _hex(expected)
 
 
 def test_empirical_single_point_objective():

@@ -257,6 +257,9 @@ def test_markov_bound_values():
     assert markov_bound(2, 100.0, m4) <= 1.0
     assert markov_bound(10, 0.5, m4) >= markov_bound(10, 1.0, m4)
     assert markov_bound(1, 0.1, m4) == 1.0  # clamped
+    # eps**4 beyond the float range either way
+    assert markov_bound(10, 1e100, 1.0) == 0.0
+    assert markov_bound(10, 1e-100, 1.0) == 1.0
     with pytest.raises(ValueError):
         markov_bound(10, 0.0, m4)
 

@@ -114,6 +114,15 @@ def test_distance_examples():
     assert product_l1_space(2).distance(Point.vector(0, 0), Point.vector(1, 1)) == 2.0
     half = euclidean_space(1, transform=MetricTransform.power(0.5))
     assert half.distance(Point.vector(0), Point.vector(4)) == 2.0
+    # squares of these differences overflow or underflow to 0 unscaled
+    line = euclidean_space(1)
+    assert line.distance(Point.vector(0.0), Point.vector(1e200)) == 1e200
+    assert line.distance(Point.vector(0.0), Point.vector(1e-170)) == 1e-170
+    assert line.distance(Point.vector(0.0), Point.vector(5e-324)) == 5e-324
+    plane = euclidean_space(2)
+    for scale in (1e-170, 1e200):
+        far = Point.vector(3 * scale, 4 * scale)
+        assert plane.distance(Point.vector(0, 0), far) == pytest.approx(5 * scale, rel=1e-15)
 
 
 def test_angle_normalization():

@@ -662,12 +662,13 @@ def test_line_hausdorff_memory_is_linear_in_the_set_sizes():
 
 _TRANSFORMS = (None, MetricTransform.power(0.5), MetricTransform.concave_inverse(np.sqrt))
 
-# coordinates of mixed scale, small enough that no squared difference
-# overflows; integers give equidistant neighbours
+# coordinates of mixed scale, small enough that no coordinate difference
+# overflows and no product-L1 sum over three axes does (at 2**1022 two
+# axes can sum past the float range); integers give equidistant neighbours
 _COORDS = st.one_of(
     st.integers(-20, 20).map(float),
     st.floats(-1e3, 1e3, allow_nan=False),
-    st.floats(-1e150, 1e150, allow_nan=False),
+    st.floats(-(2.0**1021), 2.0**1021, allow_nan=False),
 )
 
 
