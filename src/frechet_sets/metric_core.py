@@ -227,9 +227,9 @@ class MetricSpace:
         kind's formula lives. ``x[:, None]`` against ``y[None, :]`` is the
         all-pairs block."""
         kind = self.kind
-        if kind is SpaceKind.EUCLIDEAN_L2:
+        if kind is SpaceKind.EUCLIDEAN_L2 and self.dimension > 1:
             d = _l2_norm(y - x)
-        elif kind is SpaceKind.PRODUCT_L1:
+        elif kind in _VECTOR_KINDS:  # L1, and L2 in one dimension: |y - x| exactly
             d = np.abs(y - x).sum(axis=-1)
         elif kind is SpaceKind.DISCRETE_TABLE:
             d = self.distance_table[x, y]
@@ -251,12 +251,10 @@ def _l2_norm(diff: np.ndarray) -> np.ndarray:
     lies outside [2**-500, 2**500] is first scaled by a power of two that
     brings it into [0.5, 1), so no square overflows or underflows to zero:
     the norm of finite differences is finite wherever its value is, and
-    positive for a nonzero vector. Vectors inside that range, which cover
-    every bundled run, take the unscaled formula bit for bit."""
+    positive for a nonzero vector. Vectors inside that range are scaled by
+    2**0, so their norm is the unscaled formula's bit for bit."""
     top = np.abs(diff).max(axis=-1, keepdims=True)
     far = (top > 2.0**500) | ((top > 0.0) & (top < 2.0**-500))
-    if not far.any():
-        return np.sqrt((diff * diff).sum(axis=-1))
     k = np.where(far, np.frexp(top)[1], 0)
     scaled = np.ldexp(diff, -k)
     return np.ldexp(np.sqrt((scaled * scaled).sum(axis=-1)), k[..., 0])

@@ -122,18 +122,45 @@ def _population_cases(draw):
     return FiniteDistribution(support, weights), cost, grid
 
 
+def _table_law(weights, rows):
+    """A law on data indices 0..K-1 whose cost row k is ``rows[k]``."""
+    grid = line_grid(euclidean_space(1), np.arange(len(rows[0]), dtype=float))
+    cost = table_cost({(k, j): v for k, row in enumerate(rows) for j, v in enumerate(row)}, grid)
+    return FiniteDistribution(tuple(range(len(rows))), np.array(weights)), cost, grid
+
+
+_MAX = sys.float_info.max
+
+
 @settings(max_examples=300, deadline=None)
 @given(_population_cases())
+# rows at the float maximum, whose high halves round up to 2**1024: the
+# exact rational fallback with weights 1/3 and 2/3, once with a sum inside
+# the float range and once, with weights that sum to 1 + 1e-13, beyond it
+@example(_table_law([1 / 3, 2 / 3], [[_MAX, 1.0, -_MAX], [_MAX, 1.0, 1e308]]))
+@example(_table_law([1 / 3, 2 / 3 + 1e-13], [[_MAX, 1.0], [_MAX, 1.0]]))
+# an inf row: it adds nothing at weight 0, and raises at a positive weight
+@example(_table_law([0.0, 1.0], [[math.inf, -math.inf], [1.0, 0.1]]))
+@example(_table_law([0.5, 0.5], [[math.inf, 1.0], [1.0, 0.1]]))
 def test_population_objective_matches_fraction_oracle(case):
-    # sum over k of w_k * r_k(q), rounded once, for weights such as 1/3
+    # sum over the support points of positive weight of w_k * r_k(q),
+    # rounded once, for weights such as 1/3; it raises where that sum is
+    # beyond the float range or a row it weighs is not finite
     dist, cost, grid = case
-    rows = [cost.row(y, grid).tolist() for y in dist.support]
-    expected = [
-        float(sum(Fraction(w) * Fraction(row[j]) for w, row in zip(dist.weights.tolist(), rows)))
-        + 0.0
-        for j in range(len(grid))
+    terms = [
+        (Fraction(w), cost.row(y, grid).tolist())
+        for w, y in zip(dist.weights.tolist(), dist.support)
+        if w
     ]
-    assert _hex(population_objective(dist, cost, grid).values) == _hex(expected)
+    try:
+        expected = [
+            float(sum(w * Fraction(row[j]) for w, row in terms)) + 0.0 for j in range(len(grid))
+        ]
+    except (OverflowError, ValueError):  # a total beyond the range, an inf or NaN entry
+        with pytest.raises(ValueError, match="objective values must be finite"):
+            population_objective(dist, cost, grid)
+    else:
+        assert _hex(population_objective(dist, cost, grid).values) == _hex(expected)
 
 
 def test_empirical_single_point_objective():
