@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 config error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import hashlib
 import json
@@ -392,6 +391,8 @@ def run(
         if jobs == 1 or len(seeds) == 1:
             results = [_run_one_seed(echo, seed) for seed in seeds]
         else:
+            import concurrent.futures  # imported only here: it costs every serial run's startup
+
             with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(lambda s: _run_one_seed(echo, s), seeds))
 

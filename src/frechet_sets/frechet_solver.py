@@ -339,7 +339,8 @@ def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float
     """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
-    xs = np.sort(np.asarray(sample, dtype=float))
+    xs = np.array(sample, dtype=float)  # the one copy: the caller's array is never sorted
+    xs.sort()
     n = xs.size
     if n == 0:
         raise ValueError("sample must be nonempty")

@@ -309,6 +309,13 @@ def _box_events(walks: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
+def _last_true(flags: np.ndarray) -> int:
+    """Index of the last true entry, or -1: argmax on the reversed view
+    finds it without an index array."""
+    back = int(np.argmax(flags[::-1]))
+    return len(flags) - 1 - back if flags[-1 - back] else -1
+
+
 def run_median_experiment(
     s: int, schedule: EpsilonSchedule, n_max: int, seed: int
 ) -> ExperimentResult:
@@ -322,16 +329,27 @@ def run_median_experiment(
     the mean set exactly when |S_n| <= n * eps_n, and corner or interior
     probe membership are one-sided versions of the same comparison.
 
-    The bits are held as one contiguous int8 row per axis, and the walks
-    are built in place along int32 rows, 5 bytes per generator output in
-    all. That is exact because n_max <= ``MAX_MEDIAN_N`` = 2**30 - 1, so
-    every partial value of 2 * ones_n - n lies within 2 * n_max < 2**31;
-    a larger n_max raises ``ValueError`` before anything is drawn. Every
-    box event is then a comparison of one of two cross-axis statistics
-    with the slack n * eps_n: top = max_k S_k and bottom = min_k S_k. This
-    relies on the slack being nonnegative, which ``EpsilonSchedule``
-    guarantees; for the same reason some corner (0 or 1 in every axis set)
-    is always a member, so that event is recorded as the constant it is.
+    The per-n trajectories are made in one pass over n in blocks of
+    ``_CHUNK`` samples. Each block draws its bits (the stream is the one
+    whole draw, since consecutive blocks of the generator concatenate),
+    writes them into one contiguous int8 row per axis, builds its int32
+    walks from the walk carried out of the block before, and reduces its
+    box events in place: the running simultaneous-zero count, the zero and
+    interior occurrence indices (kept until their count passes
+    ``MAX_STORED_INDICES``; the count goes on), the last n at which each
+    beyond-checkpoint event holds, and the walk, flags, count and eps_n of
+    every n-grid point. So the bits, 1 byte per generator output, are the
+    only n_max-long array; the block scratch is O(s * ``_CHUNK``), and each
+    interval solve adds one sorted float copy of its prefix (8 bytes per
+    sample). The int32 walks are exact because n_max <= ``MAX_MEDIAN_N`` =
+    2**30 - 1, so every partial value of 2 * ones_n - n lies within
+    2 * n_max < 2**31; a larger n_max raises ``ValueError`` before
+    anything is drawn. Every box event is a comparison of one of two
+    cross-axis statistics with the slack n * eps_n: top = max_k S_k and
+    bottom = min_k S_k. This relies on the slack being nonnegative, which
+    ``EpsilonSchedule`` guarantees; for the same reason some corner (0 or
+    1 in every axis set) is always a member, so that event is recorded as
+    the constant it is.
 
     Per-n trajectories (every n up to n_max) drive the summary counters;
     full interval solves and set distances are recorded on the n-grid.
@@ -345,22 +363,8 @@ def run_median_experiment(
     if n_max > MAX_MEDIAN_N:
         raise ValueError(f"n_max must be <= {MAX_MEDIAN_N}: the walks are int32")
     rng = SplitMix64(seed)
-    # (s, n_max) int8, one contiguous row per axis; the drawn (n_max, s)
-    # int64 array is dropped
     law = SamplingDistribution.bernoulli_product(s)
-    axis_bits = law.draw(rng, n_max).T.astype(np.int8, order="C")
-    n_row = np.arange(1, n_max + 1, dtype=np.int32)
-    walks = np.cumsum(axis_bits, axis=1, dtype=np.int32)
-    walks *= 2
-    walks -= n_row
-    eps = schedule.values(n_row)
-
-    sim_zero, corner_zero, corner_one, unit_box, interior = _box_events(walks, n_row * eps)
-    sim_zero_counts = np.cumsum(sim_zero)
-
-    zero_indices = (np.flatnonzero(sim_zero) + 1).tolist()
-    interior_indices = (np.flatnonzero(interior) + 1).tolist()
-
+    grid_ns = make_n_grid(n_max)
     # checkpoints strictly below n_max, so every beyond-window is nonempty
     checkpoints = []
     k = 1
@@ -368,12 +372,54 @@ def run_median_experiment(
         checkpoints.append(k)
         k *= 2
 
-    def beyond(flags: np.ndarray) -> list[bool]:
-        # flags[c:] holds a true value iff the last true index is >= c;
-        # argmax on the reversed view finds it without an index array
-        back = int(np.argmax(flags[::-1]))
-        last = len(flags) - 1 - back if flags[-1 - back] else -1
-        return [last >= c for c in checkpoints]
+    axis_bits = np.empty((s, n_max), dtype=np.int8)
+    walk_block = np.empty((s, min(n_max, _CHUNK)), dtype=np.int32)
+    ones = np.zeros((s, 1), dtype=np.int32)  # ones per axis before the block
+    counts = {"zero_return": 0, "interior_occurrence": 0}
+    indices: dict[str, list[int]] = {key: [] for key in counts}
+    last = {"corner_zero": -1, "corner_one": -1, "interior": -1}
+    records = []  # n-grid records: intervals and distances are added after the pass
+    for start in range(0, n_max, _CHUNK):
+        stop = min(start + _CHUNK, n_max)
+        bits = axis_bits[:, start:stop]
+        bits[...] = law.draw(rng, stop - start).T
+        n_row = np.arange(start + 1, stop + 1, dtype=np.int32)
+        walks = walk_block[:, : stop - start]
+        np.cumsum(bits, axis=1, dtype=np.int32, out=walks)
+        walks += ones
+        ones[:, 0] = walks[:, -1]
+        walks *= 2
+        walks -= n_row
+        eps = schedule.values(n_row)
+        sim_zero, corner_zero, corner_one, unit_box, interior = _box_events(walks, n_row * eps)
+
+        zeros_before = counts["zero_return"]
+        zeros = np.flatnonzero(sim_zero)
+        occurrences = (("zero_return", zeros), ("interior_occurrence", np.flatnonzero(interior)))
+        for key, hits in occurrences:
+            counts[key] += hits.size
+            if counts[key] <= MAX_STORED_INDICES:
+                indices[key] += (hits + (start + 1)).tolist()
+        for key, flags in zip(last, (corner_zero, corner_one, interior)):
+            i = _last_true(flags)
+            if i >= 0:
+                last[key] = start + i
+        while len(records) < len(grid_ns) and grid_ns[len(records)] <= stop:
+            n = grid_ns[len(records)]
+            i = n - 1 - start
+            record = {
+                "n": n,
+                "eps": float(eps[i]),
+                "unit_box_subset": int(unit_box[i]),
+                "interior_member": int(interior[i]),
+                "corner_zero_member": int(corner_zero[i]),
+                "corner_one_member": int(corner_one[i]),
+                "any_corner_member": 1,  # -|S_k| <= 0 <= slack: always true
+                "sim_zero_count": zeros_before + int(np.searchsorted(zeros, i, side="right")),
+            }
+            for k in range(s):
+                record[f"walk{k}"] = int(walks[k, i])
+            records.append(record)
 
     axis_space = euclidean_space(1)
     axes = [line_grid(axis_space, MEDIAN_AXIS_COORDS) for _ in range(s)]
@@ -381,11 +427,10 @@ def run_median_experiment(
     target_grid_set = PointSet.full(box_grid)
     target_box = [(0.0, 1.0)] * s
 
-    records = []
-    grid_ns = make_n_grid(n_max)
     set_distances: dict[tuple, tuple[float, float]] = {}
-    for n in grid_ns:
-        eps_n = eps[n - 1]
+    for record in records:
+        n = record["n"]
+        eps_n = record["eps"]
         intervals = tuple(median_interval_1d(axis_bits[k, :n], eps_n) for k in range(s))
         distances = set_distances.get(intervals)
         if distances is None:
@@ -398,46 +443,28 @@ def run_median_experiment(
                 d_hausdorff(mean_set, target_grid_set),
             )
         d_sub_box = _box_d_subset(intervals, target_box)
-        record = {
-            "n": n,
-            "eps": float(eps_n),
-            "d_sub": distances[0],
-            "d_haus": distances[1],
-            "d_sub_box": d_sub_box,
-            "d_haus_box": max(d_sub_box, _box_d_subset(target_box, intervals)),
-            "unit_box_subset": int(unit_box[n - 1]),
-            "interior_member": int(interior[n - 1]),
-            "corner_zero_member": int(corner_zero[n - 1]),
-            "corner_one_member": int(corner_one[n - 1]),
-            "any_corner_member": 1,  # -|S_k| <= 0 <= slack: always true
-            "sim_zero_count": int(sim_zero_counts[n - 1]),
-        }
+        record["d_sub"], record["d_haus"] = distances
+        record["d_sub_box"] = d_sub_box
+        record["d_haus_box"] = max(d_sub_box, _box_d_subset(target_box, intervals))
         for k in range(s):
             record[f"lo{k}"] = float(intervals[k][0])
             record[f"hi{k}"] = float(intervals[k][1])
-            record[f"walk{k}"] = int(walks[k, n - 1])
-        records.append(record)
 
-    summary = {
-        "zero_return_count": int(sim_zero.sum()),
-        "zero_return_indices": zero_indices
-        if len(zero_indices) <= MAX_STORED_INDICES
-        else [],
-        "zero_return_indices_truncated": len(zero_indices) > MAX_STORED_INDICES,
-        "interior_occurrence_count": int(interior.sum()),
-        "interior_occurrence_indices": interior_indices
-        if len(interior_indices) <= MAX_STORED_INDICES
-        else [],
-        "interior_occurrence_indices_truncated": len(interior_indices)
-        > MAX_STORED_INDICES,
+    summary = {}
+    for key in counts:
+        stored = counts[key] <= MAX_STORED_INDICES
+        summary[f"{key}_count"] = counts[key]
+        summary[f"{key}_indices"] = indices[key] if stored else []
+        summary[f"{key}_indices_truncated"] = not stored
+    summary.update({
         "checkpoints": checkpoints,
         "corner_any_beyond_checkpoint": [True] * len(checkpoints),  # as any_corner_member
-        "corner_zero_beyond_checkpoint": beyond(corner_zero),
-        "corner_one_beyond_checkpoint": beyond(corner_one),
-        "interior_beyond_checkpoint": beyond(interior),
-        "final_unit_box_subset": int(unit_box[-1]),
+        "corner_zero_beyond_checkpoint": [last["corner_zero"] >= c for c in checkpoints],
+        "corner_one_beyond_checkpoint": [last["corner_one"] >= c for c in checkpoints],
+        "interior_beyond_checkpoint": [last["interior"] >= c for c in checkpoints],
+        "final_unit_box_subset": records[-1]["unit_box_subset"],
         "final_d_haus": records[-1]["d_haus"],
-    }
+    })
     config = {
         "s": s,
         "schedule": {

@@ -225,12 +225,16 @@ class MetricSpace:
         broadcast shape of ``x`` and ``y`` (a vector point's coordinates are
         the last axis), with the transform applied last: the one place each
         kind's formula lives. ``x[:, None]`` against ``y[None, :]`` is the
-        all-pairs block."""
+        all-pairs block. On the vector kinds a distance whose value is
+        beyond the float range is +inf, with no warning: ``check`` accepts
+        any finite coordinates, and those can be that far apart."""
         kind = self.kind
         if kind is SpaceKind.EUCLIDEAN_L2 and self.dimension > 1:
-            d = _l2_norm(y - x)
+            with np.errstate(over="ignore"):
+                d = _l2_norm(y - x)
         elif kind in _VECTOR_KINDS:  # L1, and L2 in one dimension: |y - x| exactly
-            d = np.abs(y - x).sum(axis=-1)
+            with np.errstate(over="ignore"):
+                d = np.abs(y - x).sum(axis=-1)
         elif kind is SpaceKind.DISCRETE_TABLE:
             d = self.distance_table[x, y]
         elif kind is SpaceKind.N0_UNIT:

@@ -3,9 +3,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from frechet_sets import cli as cli_module
 from frechet_sets.cli import (
     EXPERIMENT_IDS,
     MAX_GRID_POINTS,
@@ -364,6 +368,18 @@ def test_run_parallel_jobs_matches_serial(tmp_path):
     assert (tmp_path / "oa" / "median.csv").read_bytes() == (
         tmp_path / "ob" / "median.csv"
     ).read_bytes()
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # run imports concurrent.futures only for jobs > 1, so a serial run does
+    # not pay for that import at startup; a fresh interpreter shows it
+    src = Path(cli_module.__file__).resolve().parent.parent
+    code = "import sys, frechet_sets.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("validate_only", [True, False])

@@ -531,6 +531,17 @@ def test_median_interval_reads_strided_columns_like_lists():
                     )
 
 
+def test_median_interval_leaves_the_callers_array_unsorted():
+    # the solver sorts its own float copy; a float64 input is not that copy
+    sample = np.array([3.0, -1.0, 2.5, 0.0, 7.0, -4.0])
+    before = sample.copy()
+    for eps in (0.0, 0.5):
+        median_interval_1d(sample, eps)
+        assert np.array_equal(sample, before)
+        median_interval_1d(sample[::2], eps)  # a strided view of it
+        assert np.array_equal(sample, before)
+
+
 def brute_force_interval(sample, eps, lo_probe, hi_probe, step=1e-4):
     xs = np.asarray(sample)
     qs = np.arange(lo_probe, hi_probe, step)

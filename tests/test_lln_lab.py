@@ -21,6 +21,7 @@ from frechet_sets.frechet_solver import (
 from frechet_sets.lln_lab import (
     _CHUNK,
     MAX_MEDIAN_N,
+    MAX_STORED_INDICES,
     MEDIAN_AXIS_COORDS,
     _box_d_subset,
     _box_events,
@@ -482,6 +483,52 @@ def test_median_set_distances_match_uncached_oracle(s, schedule, n_max, seed):
     assert _hexed(result.summary) == _hexed(summary)
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    s=st.sampled_from([1, 3, 6]),
+    schedule=st.sampled_from(_ORACLE_SCHEDULES),
+    n_max=st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_median_blocks_match_the_whole_array_oracle(s, schedule, n_max, seed):
+    # the runner streams n in _CHUNK-sized blocks, carrying the walk, the
+    # counts and the last event index across each boundary; the oracle draws
+    # and scans the whole array at once. Indices are stored only while their
+    # count stays within MAX_STORED_INDICES, so the oracle's full lists are
+    # compared where that holds
+    result = run_median_experiment(s, schedule, n_max, seed)
+    records, summary = uncached_median_oracle(s, schedule, n_max, seed)
+    assert _hexed(result.records) == _hexed(records)
+    for key in ("zero_return", "interior_occurrence"):
+        if summary[f"{key}_count"] > MAX_STORED_INDICES:
+            summary[f"{key}_indices"] = []
+            summary[f"{key}_indices_truncated"] = True
+    assert _hexed(result.summary) == _hexed(summary)
+
+
+@pytest.mark.parametrize(
+    "s, schedule, n_max",
+    [
+        # at seed 3 the interior count passes the bound at n = 10,031, in
+        # the first block, and two more blocks are counted after it
+        (1, EpsilonSchedule.constant(0.05), 2 * _CHUNK + 3),
+        # ... and here at n = 25,818, in the second block
+        (3, EpsilonSchedule.constant(0.006), 2 * _CHUNK + 3),
+    ],
+)
+def test_median_occurrence_indices_truncate_past_the_bound(s, schedule, n_max):
+    result = run_median_experiment(s, schedule, n_max, seed=3)
+    bits = SamplingDistribution.bernoulli_product(s).draw(SplitMix64(3), n_max).T
+    n_row = np.arange(1, n_max + 1)
+    walks = 2 * np.cumsum(bits, axis=1) - n_row
+    interior = _box_events(walks, n_row * schedule.values(n_row))[4]
+    count = int(np.count_nonzero(interior))
+    assert count > MAX_STORED_INDICES
+    assert result.summary["interior_occurrence_count"] == count
+    assert result.summary["interior_occurrence_indices_truncated"] is True
+    assert result.summary["interior_occurrence_indices"] == []
+
+
 @pytest.mark.parametrize(
     "s, schedule, n_max, shared",
     [
@@ -525,6 +572,21 @@ def test_median_walk_memory_has_no_per_sample_matrix_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 28 * s * n_max
+
+
+def test_median_walk_memory_is_the_bits_and_one_sorted_prefix():
+    # the int8 bits (s B per n) are the only n_max-long array the stream
+    # keeps; the walks, events and generator block are _CHUNK-sized scratch,
+    # and the longest interval solve adds one sorted float prefix (8 B per
+    # n); the 2 MiB covers the block scratch and the records
+    s, n_max = 3, 2**20
+    tracemalloc.start()
+    try:
+        run_median_experiment(s, EpsilonSchedule.constant(0.0), n_max, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (s + 8) * n_max + 2 * 2**20
 
 
 def test_median_runner_rejects_n_max_beyond_int32_walks():

@@ -123,6 +123,17 @@ def test_distance_examples():
     for scale in (1e-170, 1e200):
         far = Point.vector(3 * scale, 4 * scale)
         assert plane.distance(Point.vector(0, 0), far) == pytest.approx(5 * scale, rel=1e-15)
+    # a distance beyond the float range is +inf, with no RuntimeWarning
+    # (an error under this suite's warning filter): from the L1 sum, and
+    # from y - x itself
+    top = 2.0**1022
+    l1 = product_l1_space(2)
+    assert l1.distance(Point.vector(-top, -top), Point.vector(top, top)) == math.inf
+    for space in (line, plane):
+        low, high = ([sign * 1.5e308] * space.dimension for sign in (-1, 1))
+        assert space.distance(Point.vector(*low), Point.vector(*high)) == math.inf
+    # a near-maximum distance that is within range stays finite
+    assert plane.distance(Point.vector(0, 0), Point.vector(1.5e308, 0)) == 1.5e308
 
 
 def test_angle_normalization():
