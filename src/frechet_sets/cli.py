@@ -1,10 +1,11 @@
 """Command-line front end: run named experiments from a JSON config.
 
 The config names one experiment (median, circle, regression, ulln,
-fixtures), the replication seeds, the horizon, the slack schedule, and
-per-experiment parameters. Results are written as one JSON document and
-one long-format CSV per experiment, plus a manifest with content hashes;
-identical configs produce byte-identical outputs.
+fixtures), the replication seeds, per-experiment parameters and, where
+the experiment's runner reads them, the horizon and the slack schedule.
+Results are written as one JSON document and one long-format CSV per
+experiment, plus a manifest with content hashes; identical configs
+produce byte-identical outputs.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
 """
@@ -47,15 +48,6 @@ MAX_GRID_POINTS = 2**20
 #: its grid lies in [0, 1], so no cost term exceeds 1.
 MAX_POWER_ALPHA = 100
 
-_TOP_LEVEL_KEYS = {
-    "experiment",
-    "seeds",
-    "n_max",
-    "schedule",
-    "params",
-    "out_dir",
-}
-
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
@@ -76,11 +68,17 @@ def _is_seed(v) -> bool:
 
 @dataclass(frozen=True)
 class Param:
-    """One experiment parameter: its default and the values it accepts."""
+    """One config field or experiment param: its default, the values it accepts.
+
+    A ``None`` default makes the field required. ``fill(value, report)``,
+    if given, returns the accepted value completed, or raises
+    ``ValueError`` with the message to report.
+    """
 
     default: object
-    rule: str  # completes "'params.<name>' must be ..."
+    rule: str  # completes "'<name>' must be ..."
     ok: Callable[[object], bool]
+    fill: "Callable[[object, ValidationReport], object] | None" = None
 
 
 def _int(default: int, lo: int = 1, hi: "int | None" = None) -> Param:
@@ -95,26 +93,59 @@ def _real(default: float, strict: bool = False, hi: float = math.inf) -> Param:
     return Param(default, rule, lambda v: _is_real(v) and (v > 0 if strict else v >= 0) and v <= hi)
 
 
+def _fill_schedule(value: dict, report: ValidationReport) -> dict:
+    """The schedule with its missing keys defaulted, as ``EpsilonSchedule`` accepts it."""
+    default = _SCHEDULE.default
+    report.warnings.extend(f"unknown schedule key {k!r} ignored" for k in value if k not in default)
+    report.defaulted.extend(f"schedule.{k}" for k in sorted(default.keys() - value.keys()))
+    filled = {k: value.get(k, v) for k, v in default.items()}
+    if not (_is_number(filled["c"]) and _is_number(filled["exponent"])):
+        raise ValueError("schedule c and exponent must be numbers in float range")
+    filled["c"], filled["exponent"] = float(filled["c"]), float(filled["exponent"])
+    EpsilonSchedule(**filled)  # raises its own message
+    return filled
+
+
+_SCHEDULE = Param(
+    {"kind": "constant", "c": 0.0, "exponent": 0.0},
+    "an object",
+    lambda v: isinstance(v, dict),
+    _fill_schedule,
+)
+
+#: Top-level fields every runner reads; an experiment's ``fields`` add to them.
+FIELDS = {
+    "seeds": Param(
+        None,
+        "a nonempty list of distinct nonnegative integers below 2**64",
+        lambda v: isinstance(v, list) and all(map(_is_seed, v)) and 0 < len(set(v)) == len(v),
+    ),
+    "out_dir": Param("results", "a string", lambda v: isinstance(v, str)),
+}
+
+
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment id: default horizon, params, cross-field checks, runner.
+    """One experiment id: the fields and params its runner reads, checks, runner.
 
-    ``run(params, schedule, n_max, seed)`` looks its ``lln_lab`` runner up
-    at call time, so a runner rebound on the module is the one called.
-    ``checks`` pairs ``ok(params, n_max)`` with its message; they run once
-    ``n_max`` and every param are valid on their own.
+    ``fields`` are the top-level fields the runner reads beside ``FIELDS``
+    (a key in both replaces the ``FIELDS`` entry). ``run(config, seed)``
+    takes the defaults-filled config and looks its ``lln_lab`` runner up at
+    call time, so a runner rebound on the module is the one called.
+    ``checks`` pairs ``ok(config)`` with its message; they run once every
+    field and param is valid on its own.
     """
 
-    n_max: int
+    fields: dict[str, Param]
     params: dict[str, Param]
-    run: Callable[..., "lln_lab.ExperimentResult"]
+    run: Callable[[dict, int], "lln_lab.ExperimentResult"]
     checks: tuple = ()
 
 
-def _draws(count: Callable[[dict, int], int], what: str) -> tuple:
+def _draws(count: Callable[[dict], int], what: str) -> tuple:
     """A ``checks`` row bounding the generator outputs of one replication."""
     return (
-        lambda p, n_max: count(p, n_max) <= MAX_DRAWS,
+        lambda c: count(c) <= MAX_DRAWS,
         f"{what} must be <= {MAX_DRAWS} generator outputs",
     )
 
@@ -128,47 +159,56 @@ def _run_ulln(p: dict, seed: int) -> lln_lab.ExperimentResult:
 
 EXPERIMENTS = {
     "median": Experiment(
-        4096,
+        {"n_max": _int(4096, lo=2), "schedule": _SCHEDULE},
         # the d_hausdorff block against the full 3**s box grid holds
         # 9**s * s float64 values: 25.5 MB at s = 6, 268 MB at s = 7
         {"dimension": _int(1, hi=6)},
-        lambda p, schedule, n_max, seed: lln_lab.run_median_experiment(
-            p["dimension"], schedule, n_max, seed
+        lambda c, seed: lln_lab.run_median_experiment(
+            c["params"]["dimension"], EpsilonSchedule(**c["schedule"]), c["n_max"], seed
         ),
-        checks=(_draws(lambda p, n: n * p["dimension"], "'n_max' x 'params.dimension'"),),
+        checks=(
+            _draws(lambda c: c["n_max"] * c["params"]["dimension"], "'n_max' x 'params.dimension'"),
+        ),
     ),
     "circle": Experiment(
-        4096,
+        {"n_max": _int(4096, lo=2)},
         {
             "grid_size": _int(360, hi=MAX_GRID_POINTS),
             "alpha": _real(2.0, strict=True, hi=MAX_POWER_ALPHA),
         },
-        lambda p, schedule, n_max, seed: lln_lab.run_circle_experiment(
-            p["grid_size"], n_max, seed, alpha=p["alpha"]
+        lambda c, seed: lln_lab.run_circle_experiment(
+            c["params"]["grid_size"], c["n_max"], seed, alpha=c["params"]["alpha"]
         ),
-        checks=(_draws(lambda p, n: n, "'n_max'"),),
+        checks=(_draws(lambda c: c["n_max"], "'n_max'"),),
     ),
     "regression": Experiment(
-        10000,
+        {"n_max": _int(10000, lo=2)},
         {
             "dimension": _int(1, hi=7),  # symmetric_lambda_min stops at 8 x 8
             "noise": _real(0.5, hi=lln_lab.MAX_REGRESSION_SCALE),
             "beta_extent": _real(2.0, hi=lln_lab.MAX_REGRESSION_SCALE),
             "beta_points": _int(9),
         },
-        lambda p, schedule, n_max, seed: lln_lab.run_regression_certificate(
-            p["dimension"], n_max, seed, **{k: v for k, v in p.items() if k != "dimension"}
+        lambda c, seed: lln_lab.run_regression_certificate(
+            c["params"]["dimension"],
+            c["n_max"],
+            seed,
+            **{k: v for k, v in c["params"].items() if k != "dimension"},
         ),
         checks=(
             (
-                lambda p, n_max: p["beta_points"] ** (p["dimension"] + 1) <= MAX_BETA_GRID,
+                lambda c: c["params"]["beta_points"] ** (c["params"]["dimension"] + 1)
+                <= MAX_BETA_GRID,
                 f"'params.beta_points' ** (dimension + 1) must be <= {MAX_BETA_GRID}",
             ),
-            _draws(lambda p, n: n * (p["dimension"] + 1), "'n_max' x ('params.dimension' + 1)"),
+            _draws(
+                lambda c: c["n_max"] * (c["params"]["dimension"] + 1),
+                "'n_max' x ('params.dimension' + 1)",
+            ),
         ),
     ),
     "ulln": Experiment(
-        10000,
+        {},
         {
             "grid_points": _int(21, hi=MAX_GRID_POINTS),
             "alpha": _real(2.0, strict=True),
@@ -180,23 +220,21 @@ EXPERIMENTS = {
                 and all(_is_int(n) and n >= 1 for n in v),
             ),
         },
-        lambda p, schedule, n_max, seed: _run_ulln(p, seed),
-        checks=(_draws(lambda p, n: max(p["n_list"]), "'params.n_list' entries"),),
+        lambda c, seed: _run_ulln(c["params"], seed),
+        checks=(_draws(lambda c: max(c["params"]["n_list"]), "'params.n_list' entries"),),
     ),
     "fixtures": Experiment(
-        100,
+        {"seeds": replace(FIELDS["seeds"], default=[0])},  # it draws nothing
         {
             "horizon": _int(100),
             # eventually_bounded holds about 2 * (grid_max + 1)**2 floats
             "grid_max": _int(100, hi=4095),
             "diameter_cap": _real(50.0),
         },
-        lambda p, schedule, n_max, seed: replace(
-            lln_lab.run_fixture_diagnostics(**p), seed=seed
-        ),
+        lambda c, seed: replace(lln_lab.run_fixture_diagnostics(**c["params"]), seed=seed),
         checks=(
             (
-                lambda p, n_max: p["horizon"] <= p["grid_max"],
+                lambda c: c["params"]["horizon"] <= c["params"]["grid_max"],
                 "'params.horizon' must be <= 'params.grid_max'",
             ),
         ),
@@ -221,111 +259,72 @@ class ValidationReport:
         return not self.issues
 
 
+def _fill(table: dict, given: dict, prefix: str, report: ValidationReport) -> "dict | None":
+    """``given`` checked against ``table`` with defaults filled in; None if a value fails."""
+    filled = {}
+    for key, param in table.items():
+        name = prefix + key
+        if key not in given:
+            if param.default is None:
+                report.issues.append(f"missing required field {name!r}")
+            else:
+                filled[key] = param.default
+                report.defaulted.append(name)
+        elif not param.ok(given[key]):
+            report.issues.append(f"'{name}' must be {param.rule}")
+        elif param.fill is None:
+            filled[key] = given[key]
+        else:
+            try:
+                filled[key] = param.fill(given[key], report)
+            except ValueError as exc:
+                report.issues.append(str(exc))
+    return filled if len(filled) == len(table) else None
+
+
 def validate_config(raw: dict) -> tuple[dict, ValidationReport]:
     """Check a raw config dict; return the defaults-filled echo and a report.
 
-    Unknown keys are warnings, never errors. Every field the validator
-    fills in is listed under ``defaulted`` and written back into the echo,
-    so an emitted config is self-describing.
+    The echo holds the experiment, ``params`` and the fields its runner
+    reads. Any other key is a warning, never an error, and is left out.
+    At the top level a null counts as a missing key; inside ``params`` it
+    fails its rule. Every field the validator fills in is listed under
+    ``defaulted`` and written into the echo, so an emitted config is
+    self-describing.
     """
     report = ValidationReport()
     if not isinstance(raw, dict):
         report.issues.append("config must be a JSON object")
         return {}, report
-    echo = copy.deepcopy(raw)
-
-    for key in raw:
-        if key not in _TOP_LEVEL_KEYS:
-            report.warnings.append(f"unknown key {key!r} ignored")
-
     experiment = raw.get("experiment")
     if experiment is None:
         report.issues.append("missing required field 'experiment'")
-        return echo, report
+        return {}, report
     if experiment not in EXPERIMENT_IDS:
         report.issues.append(
             f"unknown experiment {experiment!r}; valid ids: {', '.join(EXPERIMENT_IDS)}"
         )
-        return echo, report
+        return {}, report
     spec = EXPERIMENTS[experiment]
-
-    seeds = raw.get("seeds")
-    if seeds is None:
-        if experiment == "fixtures":
-            echo["seeds"] = [0]
-            report.defaulted.append("seeds")
-        else:
-            report.issues.append("missing required field 'seeds'")
-    elif not isinstance(seeds, list) or not seeds or not all(map(_is_seed, seeds)):
-        report.issues.append(
-            "'seeds' must be a nonempty list of nonnegative integers below 2**64"
-        )
-    final_seeds = echo.get("seeds")
-    if (
-        isinstance(final_seeds, list)
-        and all(isinstance(s, int) for s in final_seeds)
-        and len(set(final_seeds)) != len(final_seeds)
-    ):
-        report.issues.append("'seeds' must not repeat")
-
-    n_max = raw.get("n_max")
-    n_max_ok = n_max is None or (_is_int(n_max) and n_max >= 2)
-    if n_max is None:
-        echo["n_max"] = spec.n_max
-        report.defaulted.append("n_max")
-    elif not n_max_ok:
-        report.issues.append("'n_max' must be an integer >= 2")
-
-    schedule = raw.get("schedule")
-    if schedule is None:
-        echo["schedule"] = {"kind": "constant", "c": 0.0, "exponent": 0.0}
-        report.defaulted.append("schedule")
-    elif not isinstance(schedule, dict):
-        report.issues.append("'schedule' must be an object")
-    else:
-        filled = {"kind": "constant", "c": 0.0, "exponent": 0.0}
-        for key in schedule:
-            if key not in filled:
-                report.warnings.append(f"unknown schedule key {key!r} ignored")
-        report.defaulted.extend(
-            f"schedule.{k}" for k in sorted(filled.keys() - schedule.keys())
-        )
-        filled.update((k, v) for k, v in schedule.items() if k in filled)
-        if not (_is_number(filled["c"]) and _is_number(filled["exponent"])):
-            report.issues.append("schedule c and exponent must be numbers in float range")
-        else:
-            filled["c"], filled["exponent"] = float(filled["c"]), float(filled["exponent"])
-            try:
-                EpsilonSchedule(**filled)
-            except ValueError as exc:
-                report.issues.append(str(exc))
-        echo["schedule"] = filled
-
+    fields = {**FIELDS, **spec.fields}
     params = raw.get("params", {})
     if not isinstance(params, dict):
         report.issues.append("'params' must be an object")
         params = {}
-    for key in params:
-        if key not in spec.params:
-            report.warnings.append(
-                f"unknown param {key!r} for experiment {experiment!r} ignored"
-            )
-    filled_params = {
-        key: params[key] if key in params else copy.deepcopy(rule.default)
-        for key, rule in spec.params.items()
-    }
-    for key in sorted(filled_params.keys() - params.keys()):
-        report.defaulted.append(f"params.{key}")
-    bad = [key for key, rule in spec.params.items() if not rule.ok(filled_params[key])]
-    report.issues.extend(f"'params.{key}' must be {spec.params[key].rule}" for key in bad)
-    if not bad and n_max_ok:
-        report.issues.extend(msg for ok, msg in spec.checks if not ok(filled_params, echo["n_max"]))
-    echo["params"] = filled_params
-
-    if "out_dir" not in raw:
-        echo["out_dir"] = "results"
-        report.defaulted.append("out_dir")
-
+    report.warnings.extend(
+        f"unknown key {k!r} ignored" for k in raw if k not in {"experiment", "params", *fields}
+    )
+    report.warnings.extend(
+        f"unknown param {k!r} for experiment {experiment!r} ignored"
+        for k in params
+        if k not in spec.params
+    )
+    top = _fill(fields, {k: v for k, v in raw.items() if v is not None}, "", report)
+    filled_params = _fill(spec.params, params, "params.", report)
+    if top is None or filled_params is None:
+        return {}, report
+    echo = copy.deepcopy({"experiment": experiment, **top, "params": filled_params})
+    report.issues.extend(msg for ok, msg in spec.checks if not ok(echo))
     return echo, report
 
 
@@ -340,12 +339,6 @@ def load_config(path: str) -> dict:
 
 
 # -- experiment dispatch -------------------------------------------------------
-
-
-def _run_one_seed(echo: dict, seed: int) -> lln_lab.ExperimentResult:
-    schedule = EpsilonSchedule(**echo["schedule"])
-    spec = EXPERIMENTS[echo["experiment"]]
-    return spec.run(echo["params"], schedule, echo["n_max"], seed)
 
 
 def _sha256(path: Path) -> str:
@@ -388,13 +381,14 @@ def run(
 
     try:
         seeds = echo["seeds"]
+        spec = EXPERIMENTS[echo["experiment"]]
         if jobs == 1 or len(seeds) == 1:
-            results = [_run_one_seed(echo, seed) for seed in seeds]
+            results = [spec.run(echo, seed) for seed in seeds]
         else:
             import concurrent.futures  # imported only here: it costs every serial run's startup
 
             with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda s: _run_one_seed(echo, s), seeds))
+                results = list(pool.map(lambda s: spec.run(echo, s), seeds))
 
         out = Path(echo["out_dir"])
         out.mkdir(parents=True, exist_ok=True)

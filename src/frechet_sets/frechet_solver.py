@@ -339,33 +339,30 @@ def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float
     """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
-    xs = np.array(sample, dtype=float)  # the one copy: the caller's array is never sorted
+    xs = np.array(sample, dtype=float)  # the one copy: the caller's array is never modified
     xs.sort()
     n = xs.size
     if n == 0:
         raise ValueError("sample must be nonempty")
     if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):  # NaN sorts last
         raise ValueError("sample values must be finite")
+    median = float(xs[(n - 1) // 2]), float(xs[n // 2])  # one element twice at odd n
     if eps == 0.0:
-        if n % 2 == 1:
-            mid = xs[(n - 1) // 2]
-            return float(mid), float(mid)
-        return float(xs[n // 2 - 1]), float(xs[n // 2])
+        return median
 
     eps = float(eps)
     top = max(-float(xs[0]), float(xs[-1]))  # max |y_i|
-    if n * (3 * top + eps) <= 2.0**_SOLVE_LIMIT_EXP:  # Python floats: inf, no warning
-        lo, hi = _slack_interval(xs, eps)
-    else:
+    k = 0
+    if n * (3 * top + eps) > 2.0**_SOLVE_LIMIT_EXP:  # Python floats: inf, no warning
         # n * 4 * max(top, eps) < 2**(k + _SOLVE_LIMIT_EXP)
         k = n.bit_length() + 2 + math.frexp(max(top, eps))[1] - _SOLVE_LIMIT_EXP
-        lo, hi = _slack_interval(np.ldexp(xs, -k), math.ldexp(eps, -k))
-        try:
-            lo, hi = math.ldexp(lo, k), math.ldexp(hi, k)
-        except OverflowError:
-            raise ValueError("eps-argmin endpoint beyond the float range") from None
+    lo, hi = _slack_interval(np.ldexp(xs, -k, out=xs), math.ldexp(eps, -k))
+    try:
+        lo, hi = math.ldexp(lo, k), math.ldexp(hi, k)
+    except OverflowError:
+        raise ValueError("eps-argmin endpoint beyond the float range") from None
     # the interval always contains the eps = 0 median interval
-    return float(min(lo, xs[(n - 1) // 2])), float(max(hi, xs[n // 2]))
+    return min(lo, median[0]), max(hi, median[1])
 
 
 def _slack_interval(xs: np.ndarray, eps: float) -> tuple[float, float]:
@@ -377,10 +374,9 @@ def _slack_interval(xs: np.ndarray, eps: float) -> tuple[float, float]:
     # samples every step is exact and the prefix is unchanged)
     prefix = np.zeros(n + 1)
     np.cumsum(xs, out=prefix[1:])
-    before, after = prefix[:-1], prefix[1:]
-    addend = after - before
-    errors = (before - (after - addend)) + (xs - addend)
-    after += np.cumsum(errors)
+    errors = xs.copy()
+    _two_sum(prefix[:-1], errors, *np.empty((2, n)))
+    prefix[1:] += np.cumsum(errors)
     total = prefix[-1]
     j = np.arange(n)
     # G at each knot: sum of |y_i - xs[j]| from the compensated prefix

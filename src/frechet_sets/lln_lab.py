@@ -657,9 +657,12 @@ def run_regression_certificate(
         gram = gram_sum / n
         v = xy_cum[n - 1] / n
         a_plus_n = max(0.0, symmetric_lambda_min(gram))
-        a_minus_n = 2.0 * float(np.linalg.norm(v))
+        # the norm and beta . v in a fixed order, so the bytes do not depend
+        # on which BLAS kernel a dot product would take
+        a_minus_n = 2.0 * math.sqrt(math.fsum(t * t for t in v.tolist()))
+        beta_v = sum((betas[:, i] * v[i] for i in range(1, p)), betas[:, 0] * v[0])
         quad = np.einsum("bi,ij,bj->b", betas, gram, betas)
-        objective = quad - 2.0 * betas @ v
+        objective = quad - 2.0 * beta_v
         bound = a_plus_n * beta_norms**2 - a_minus_n * beta_norms
         min_slack = float((objective - bound).min())
         records.append(

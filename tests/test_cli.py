@@ -12,6 +12,7 @@ import pytest
 from frechet_sets import cli as cli_module
 from frechet_sets.cli import (
     EXPERIMENT_IDS,
+    EXPERIMENTS,
     MAX_GRID_POINTS,
     MAX_POWER_ALPHA,
     run,
@@ -226,6 +227,13 @@ def test_validate_rejects_malformed_seeds(bad_seeds):
             "params.alpha",
             id="circle-alpha-650",
         ),
+        # out_dir has a rule of its own: these passed validation and then
+        # exited 3 with a TypeError from the path join
+        pytest.param("median", {"out_dir": 5}, "'out_dir' must be", id="median-out_dir-5"),
+        pytest.param("circle", {"out_dir": [1]}, "'out_dir'", id="circle-out_dir-[1]"),
+        pytest.param("regression", {"out_dir": {}}, "'out_dir'", id="regression-out_dir-{}"),
+        pytest.param("ulln", {"out_dir": 5}, "'out_dir'", id="ulln-out_dir-5"),
+        pytest.param("fixtures", {"out_dir": {}}, "'out_dir'", id="fixtures-out_dir-{}"),
     ],
 )
 def test_validate_only_rejects_out_of_range_config(
@@ -234,6 +242,32 @@ def test_validate_only_rejects_out_of_range_config(
     path, _ = write_config(tmp_path, experiment=experiment, **overrides)
     assert run(str(path), validate_only=True) == 2
     assert field in capsys.readouterr().err
+
+
+def test_null_out_dir_takes_the_default(tmp_path, monkeypatch):
+    # at the top level a null counts as a missing key
+    monkeypatch.chdir(tmp_path)
+    path, _ = write_config(tmp_path, out_dir=None)
+    assert run(str(path)) == 0
+    manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
+    assert manifest["config"]["out_dir"] == "results"
+    assert (tmp_path / "results" / "median.json").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment,key,value",
+    [("circle", "schedule", {"c": -1}), ("ulln", "n_max", 1), ("fixtures", "n_max", 1)],
+)
+def test_a_field_the_runner_does_not_read_is_ignored(tmp_path, capsys, experiment, key, value):
+    # a value that would fail its rule where it is read only warns here
+    path, config = write_config(tmp_path, experiment=experiment, params={}, **{key: value})
+    assert run(str(path), validate_only=True) == 0
+    assert f"unknown key {key!r} ignored" in capsys.readouterr().err
+    echo, report = validate_config(config)
+    assert report.ok
+    declared = EXPERIMENTS[experiment].fields
+    assert set(echo) == {"experiment", "seeds", "out_dir", "params", *declared}
+    assert key not in echo
 
 
 def test_draw_bound_admits_its_limit():

@@ -701,6 +701,22 @@ def test_regression_early_singular_gram_reports_zero():
     assert first["a_plus_n"] == 0.0  # rank-1 Gram from one sample
 
 
+def test_regression_cross_moment_norm_is_the_fsum_of_the_drawn_sample():
+    # the bundled config's seeds and horizon: a BLAS norm rounded 23 of these
+    # 184 values differently. The cross moment is summed row by row in draw
+    # order, as the runner's cumsum does, and its norm through math.fsum.
+    for seed in range(4):
+        result = run_regression_certificate(1, 10_000, seed, noise=0.5)
+        x, y = SamplingDistribution.regression(1, noise=0.5).draw(SplitMix64(seed), 10_000)
+        checkpoints = {record["n"]: record["a_minus_n"] for record in result.records}
+        moment = [0.0, 0.0]
+        for n, (row, response) in enumerate(zip(x.tolist(), y.tolist()), start=1):
+            moment = [m + xi * response for m, xi in zip(moment, row)]
+            if n in checkpoints:
+                v = [m / n for m in moment]
+                assert checkpoints[n] == 2.0 * math.sqrt(math.fsum(t * t for t in v)), (seed, n)
+
+
 def test_regression_rejects_an_empty_coefficient_grid():
     with pytest.raises(ValueError, match="beta_points must be >= 1"):
         run_regression_certificate(1, 50, 0, beta_points=0)
