@@ -27,7 +27,7 @@ import numpy as np
 from .frechet_solver import EpsilonSchedule, FiniteDistribution
 from .cost_model import power_cost
 from .metric_core import Point, euclidean_space, line_grid
-from . import lln_lab
+from . import lln_lab, result_files
 
 #: Upper bound on the regression coefficient grid, beta_points**(dimension+1).
 MAX_BETA_GRID = 10**6
@@ -404,9 +404,7 @@ def run(
                 csv_path.name: _sha256(csv_path),
             },
         }
-        with open(out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        result_files.write_json(manifest, out / "manifest.json")
     except Exception as exc:  # runtime failure after a valid config
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

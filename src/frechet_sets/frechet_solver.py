@@ -371,22 +371,34 @@ def _slack_interval(xs: np.ndarray, eps: float) -> tuple[float, float]:
     # compensated prefix sums: np.cumsum adds in order, so TwoSum of each
     # step against the prefix before it gives that step's rounding error
     # exactly, and the running sum of those errors is added back (for 0/1
-    # samples every step is exact and the prefix is unchanged)
+    # samples every step is exact and the prefix is unchanged); besides the
+    # prefix, at most three n-long rows are live, computed into with out=
     prefix = np.zeros(n + 1)
     np.cumsum(xs, out=prefix[1:])
     errors = xs.copy()
-    _two_sum(prefix[:-1], errors, *np.empty((2, n)))
-    prefix[1:] += np.cumsum(errors)
+    g_knots, work = np.empty((2, n))
+    _two_sum(prefix[:-1], errors, g_knots, work)
+    prefix[1:] += np.cumsum(errors, out=g_knots)
+    del errors  # freed before the counts take its place
+    sums = prefix[1:]
     total = prefix[-1]
-    j = np.arange(n)
-    # G at each knot: sum of |y_i - xs[j]| from the compensated prefix
-    g_knots = ((j + 1) * xs - prefix[1:]) + ((total - prefix[1:]) - (n - 1 - j) * xs)
+    # G at each knot, the sum of |y_i - xs[j]|, is
+    # ((j + 1) * xs - sums) + ((total - sums) - (n - 1 - j) * xs); the counts
+    # are integer-valued floats, exact below 2**53
+    count = np.arange(1.0, n + 1.0)  # j + 1
+    np.multiply(count, xs, out=g_knots)
+    g_knots -= sums
+    np.subtract(n, count, out=count)  # n - 1 - j
+    count *= xs
+    np.subtract(total, sums, out=work)
+    work -= count
+    g_knots += work
     g_min = float(g_knots.min())
     threshold = g_min + n * eps
 
     # the median knots always bound the crossing segments: rounding in
     # g_knots must not move an end past them, where a slope would be 0
-    inside = g_knots <= threshold
+    inside = np.less_equal(g_knots, threshold, out=work.view(bool)[:n])
     lo_idx = min(int(np.argmax(inside)), (n - 1) // 2)
     hi_idx = max(int(n - 1 - np.argmax(inside[::-1])), n // 2)
     # descent rate of G just left of knot lo_idx, ascent rate just right of hi_idx

@@ -22,14 +22,13 @@ as they are, as byte-identical JSON and long-format CSV.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import result_files
 from .cost_model import CostFunction, power_cost
 from .frechet_solver import (
     EpsilonSchedule,
@@ -249,23 +248,12 @@ def write_results_json(results: Sequence[ExperimentResult], path: str) -> None:
         "experiment": ordered[0].experiment if ordered else None,
         "results": [result_to_jsonable(r) for r in ordered],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    result_files.write_json(doc, path)
 
 
 def write_results_csv(results: Sequence[ExperimentResult], path: str) -> None:
     """Long-format rows (experiment, seed, n, metric, value) for all records."""
-    ordered = sorted(results, key=lambda r: r.seed)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment", "seed", "n", "metric", "value"])
-        for result in ordered:
-            for record in result.records:
-                n = record["n"]
-                for key in sorted(record):
-                    if key != "n":
-                        writer.writerow([result.experiment, result.seed, n, key, record[key]])
+    result_files.write_csv(sorted(results, key=lambda r: r.seed), path)
 
 
 # -- product-median experiment -------------------------------------------------
