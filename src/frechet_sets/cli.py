@@ -351,7 +351,6 @@ def run(
     config_path: str,
     out_dir: "str | None" = None,
     seed_override: "int | None" = None,
-    jobs: int = 1,
     validate_only: bool = False,
 ) -> int:
     """Execute the configured experiment; returns the process exit code."""
@@ -363,8 +362,6 @@ def run(
     echo, report = validate_config(raw)
     if seed_override is not None and not _is_seed(seed_override):
         report.issues.append("--seed-override must be an integer in [0, 2**64)")
-    if jobs < 1:
-        report.issues.append("--jobs must be an integer >= 1")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not report.ok:
@@ -380,16 +377,8 @@ def run(
         echo["out_dir"] = out_dir
 
     try:
-        seeds = echo["seeds"]
         spec = EXPERIMENTS[echo["experiment"]]
-        if jobs == 1 or len(seeds) == 1:
-            results = [spec.run(echo, seed) for seed in seeds]
-        else:
-            import concurrent.futures  # imported only here: it costs every serial run's startup
-
-            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda s: spec.run(echo, s), seeds))
-
+        results = [spec.run(echo, seed) for seed in echo["seeds"]]
         out = Path(echo["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         experiment = echo["experiment"]
@@ -427,8 +416,10 @@ def main(argv: "list[str] | None" = None) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
+        choices=(1,),
         default=1,
-        help="seed-level parallelism, >= 1 (default: 1)",
+        help="accepted for the benchmark harness, which passes --jobs 1; "
+        "seeds always run one after another",
     )
     parser.add_argument(
         "--validate-only",
@@ -441,7 +432,6 @@ def main(argv: "list[str] | None" = None) -> None:
             args.config,
             out_dir=args.out,
             seed_override=args.seed_override,
-            jobs=args.jobs,
             validate_only=args.validate_only,
         )
     )

@@ -9,10 +9,9 @@ each support point, weighs it by count_k and divides by n. One kernel,
 halves whose products with the weights are exact, and the exact terms of
 all grid values are summed at once by a checked cascade of TwoSum steps,
 with exact rational sums for the columns the check cannot certify. The
-result is correctly rounded wherever no product of a weight half and a
-row half underflows, so it does not depend on the order of the support
-points or of the draws, or on the platform, and the counts of every
-requested prefix come from one pass over the sample. The module also
+result is correctly rounded, so it does not depend on the order of the
+support points or of the draws, or on the platform, and the counts of
+every requested prefix come from one pass over the sample. The module also
 provides the exact epsilon-argmin interval of the 1-D absolute-loss
 objective over the whole real line, and the Cartesian composition of
 per-axis mean sets into a product grid.
@@ -130,20 +129,23 @@ def population_objective(
     """Weighted cost sum of a finite-support distribution on a grid.
 
     The value at each grid point q is the sum over k of w_k * r_k(q),
-    correctly rounded wherever no product of a weight half and a row half
-    underflows. Each weight is split exactly into two halves of at most
-    26 significant bits, w_k = hi_k + lo_k, and ``_exact_sums`` sums the
-    halves against the cost rows stacked twice. A zero half (both halves
-    of a zero weight, the low half of a dyadic one) adds no term, so a
-    support point of weight 0 adds nothing, even where its cost row is
-    not finite.
+    correctly rounded. Each weight is split exactly into two halves of at
+    most 26 significant bits, w_k = hi_k + lo_k, and ``_exact_sums`` sums
+    the halves against the cost rows stacked twice. A product of two
+    halves is exact unless below 2**-1022: columns where one may be are
+    summed by ``_rational_sum``. A zero half (of a zero weight, or the low
+    half of a dyadic one) adds no term, even on a row that is not finite.
     """
     rows = np.vstack([cost.row(y, grid) for y in dist.support])
     weights = _split_rows(dist.weights[:, None]).ravel()  # hi_0..hi_K-1, lo_0..lo_K-1
     terms = np.flatnonzero(weights)
-    rows = rows[terms % len(rows)]
-    work = np.empty((4, len(grid)))
-    return Objective(grid, _exact_sums(weights[terms], rows, _split_rows(rows), work))
+    weights, rows = weights[terms], rows[terms % len(rows)]
+    halves = _split_rows(rows)
+    sums = _exact_sums(weights, rows, halves, np.empty((4, len(grid))))
+    smallest = np.where(halves != 0.0, np.abs(halves), np.inf).min(axis=0) * weights.min()
+    for j in np.flatnonzero(smallest <= 2.0**-1022):
+        sums[j] = _rational_sum(weights, rows[:, j])
+    return Objective(grid, sums)
 
 
 #: Sample lengths must stay below this bound: a count below 2**27 times a
@@ -256,19 +258,18 @@ def _two_sum(s: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 
 def _exact_sums(weights: np.ndarray, rows: np.ndarray, halves, work) -> np.ndarray:
-    """Column sums of ``weights[:, None] * rows``, correctly rounded
-    wherever no product of a weight and a row half underflows (the weights
-    of a population objective are the halves of its law's weights).
+    """Column sums of ``weights[:, None] * rows``, correctly rounded.
 
     Each weight must have at most 27 significant bits, so that its
     products with the 26-bit ``halves`` of ``rows`` are exact (or beyond
-    the float range): counts below ``MAX_SAMPLE_LEN`` and the halves of a
-    split weight qualify. TwoSum down the terms gives s and errors e_j with
-    S = s + sum(e) exactly, and TwoSum down the errors gives c and errors
-    f_j. Where every f_j is 0 and s + c is finite, c == sum(e) exactly, so
-    fl(s + c) is S correctly rounded. ``_rational_sum`` sums the columns
-    this check cannot certify. An exact zero sum is +0.0. ``work`` is four
-    rows of scratch.
+    the float range) unless they underflow: a count below
+    ``MAX_SAMPLE_LEN`` never does, and ``population_objective`` re-sums
+    the columns where a weight half's may. TwoSum down the terms gives s
+    and errors e_j with S = s + sum(e) exactly, and TwoSum down the errors
+    gives c and errors f_j. Where every f_j is 0 and s + c is finite,
+    c == sum(e) exactly, so fl(s + c) is S correctly rounded.
+    ``_rational_sum`` sums the columns this check cannot certify. An exact
+    zero sum is +0.0. ``work`` is four rows of scratch.
     """
     per_half = np.tile(weights, 2).astype(float)
     s, c, x, a = work
@@ -413,17 +414,13 @@ def grid_restrict_interval(axis: CandidateGrid, lo: float, hi: float) -> PointSe
     return PointSet(axis, np.flatnonzero((coords >= lo) & (coords <= hi)))
 
 
-def product_mean_set(
-    per_axis_sets: Sequence[PointSet], product: CandidateGrid, alpha: float = 1.0
-) -> PointSet:
+def product_mean_set(per_axis_sets: Sequence[PointSet], product: CandidateGrid) -> PointSet:
     """Cartesian product of per-axis mean sets, re-indexed into a product grid.
 
-    Valid for power exponents alpha >= 1, where the product-space mean set
-    factors into the per-axis mean sets; the composition itself is pure
-    index arithmetic over the row-major product layout.
+    It is the product-space mean set for power costs with exponent
+    alpha >= 1, where that set factors into the per-axis mean sets. The
+    composition is pure index arithmetic over the row-major product layout.
     """
-    if not alpha >= 1.0:
-        raise ValueError("product composition requires alpha >= 1")
     if product.axes is None:
         raise GridMismatchError("target grid was not built as a product grid")
     if len(per_axis_sets) != len(product.axes):

@@ -425,7 +425,7 @@ def run_median_experiment(
             axis_sets = [
                 grid_restrict_interval(axes[k], *intervals[k]) for k in range(s)
             ]
-            mean_set = product_mean_set(axis_sets, box_grid, alpha=1.0)
+            mean_set = product_mean_set(axis_sets, box_grid)
             distances = set_distances[intervals] = (
                 d_subset(mean_set, target_grid_set),
                 d_hausdorff(mean_set, target_grid_set),
@@ -662,7 +662,7 @@ def run_regression_certificate(
             }
         )
 
-    a_plus_pop = symmetric_lambda_min(np.eye(p))
+    a_plus_pop = 1.0  # lambda_min of the identity Gram
     a_minus_pop = 2.0 * math.sqrt(p)
     final = records[-1]
     summary = {

@@ -207,7 +207,7 @@ def test_c05_product_composition_against_brute_force():
             multiset = np.repeat(values, counts)
             lo, hi = median_interval_1d(multiset)
             axis_sets.append(grid_restrict_interval(axis, lo, hi))
-        composed = product_mean_set(axis_sets, prod, alpha=1.0)
+        composed = product_mean_set(axis_sets, prod)
         ok &= composed == brute
     report("C5 product mean sets equal brute-force product-grid argmin", ok, "100 draws")
 

@@ -3,18 +3,16 @@
 import hashlib
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
+import shutil
 
 import pytest
 
-from frechet_sets import cli as cli_module
 from frechet_sets.cli import (
     EXPERIMENT_IDS,
     EXPERIMENTS,
     MAX_GRID_POINTS,
     MAX_POWER_ALPHA,
+    main,
     run,
     validate_config,
 )
@@ -394,37 +392,32 @@ def test_run_is_deterministic_across_invocations(tmp_path):
         ).read_bytes()
 
 
-def test_run_parallel_jobs_matches_serial(tmp_path):
-    path_a, _ = write_config(tmp_path, name="a.json", out_dir=str(tmp_path / "oa"))
-    path_b, _ = write_config(tmp_path, name="b.json", out_dir=str(tmp_path / "ob"))
-    assert run(str(path_a), jobs=1) == 0
-    assert run(str(path_b), jobs=4) == 0
-    assert (tmp_path / "oa" / "median.csv").read_bytes() == (
-        tmp_path / "ob" / "median.csv"
-    ).read_bytes()
-
-
-def test_importing_the_cli_loads_no_thread_pool():
-    # run imports concurrent.futures only for jobs > 1, so a serial run does
-    # not pay for that import at startup; a fresh interpreter shows it
-    src = Path(cli_module.__file__).resolve().parent.parent
-    code = "import sys, frechet_sets.cli; print('concurrent.futures' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
-
-
 @pytest.mark.parametrize("validate_only", [True, False])
-# the ids keep the names these cases had when the job count had a second source
-@pytest.mark.parametrize("jobs", [0, -3], ids=["0-None---jobs", "-3-None---jobs"])
+# the ids keep the names the 0 and -3 cases had when the job count had a second source
+@pytest.mark.parametrize("jobs", ["0", "-3", "2"], ids=["0-None---jobs", "-3-None---jobs", "2"])
 def test_job_count_below_one_exits_2(tmp_path, capsys, validate_only, jobs):
-    # a bad command-line value, like a bad config, exits 2 before any output
+    # seeds run one after another, so --jobs accepts only 1: any other
+    # value exits 2 through argparse, naming the flag, before any output
     path, _ = write_config(tmp_path)
-    assert run(str(path), jobs=jobs, validate_only=validate_only) == 2
-    assert "--jobs must be an integer >= 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exited:
+        main(["--config", str(path), "--jobs", jobs] + ["--validate-only"] * validate_only)
+    assert exited.value.code == 2
+    assert "argument --jobs: invalid choice" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_jobs_one_writes_the_bytes_of_the_default(tmp_path):
+    path, _ = write_config(tmp_path)
+    written = []
+    for flags in ([], ["--jobs", "1"]):
+        with pytest.raises(SystemExit) as exited:
+            main(["--config", str(path), *flags])
+        assert exited.value.code == 0
+        out = tmp_path / "out"
+        written.append({f.name: f.read_bytes() for f in out.iterdir()})
+        shutil.rmtree(out)
+    assert written[0] == written[1]
+    assert sorted(written[0]) == ["manifest.json", "median.csv", "median.json"]
 
 
 def test_all_example_configs_validate():

@@ -101,11 +101,8 @@ def _population_cases(draw):
     masses = draw(st.lists(st.integers(0, 1000), min_size=k, max_size=k).filter(any))
     weights = np.array(masses) / sum(masses)
     scale = 10.0 ** draw(st.integers(-3, 9))
-    # 0 or at least 2**-64 of the scale: no product of a weight half and a
-    # row half underflows, which is where the kernel is correctly rounded
-    coord = st.floats(-1.0, 1.0, allow_nan=False).map(
-        lambda v: v * scale if abs(v) >= 2.0**-64 else 0.0
-    )
+    # down to the subnormal range, where products of weight and row halves underflow
+    coord = st.floats(-1.0, 1.0, allow_nan=False).map(lambda v: v * scale)
     g = draw(st.integers(1, 20))
     grid = line_grid(euclidean_space(1), draw(st.lists(coord, min_size=g, max_size=g, unique=True)))
     kind = draw(st.sampled_from(["power", "h", "table"]))
@@ -132,6 +129,15 @@ def _table_law(weights, rows):
 _MAX = sys.float_info.max
 
 
+def _subnormal_h_law():
+    """Weights 1/3 on three points, each with the h-cost row (0, 2**-1024, 2**-1023)."""
+    tiny = 2.0**-1074
+    support = tuple(Point.vector(v) for v in (0.0, tiny, -tiny))
+    grid = line_grid(euclidean_space(1), [0.0, 2.0**-1023, 2.0**-1022])
+    cost = h_cost(NondecreasingFn((0.0, 1.0), (0.5, 2.0), 1.0), ORIGIN)
+    return FiniteDistribution(support, np.full(3, 1 / 3)), cost, grid
+
+
 @settings(max_examples=300, deadline=None)
 @given(_population_cases())
 # rows at the float maximum, whose high halves round up to 2**1024: the
@@ -142,6 +148,11 @@ _MAX = sys.float_info.max
 # an inf row: it adds nothing at weight 0, and raises at a positive weight
 @example(_table_law([0.0, 1.0], [[math.inf, -math.inf], [1.0, 0.1]]))
 @example(_table_law([0.5, 0.5], [[math.inf, 1.0], [1.0, 0.1]]))
+# subnormal rows, where products of weight halves and row halves underflow:
+# the oracle gives 0x0.4000000000000p-1022 at the h law's second grid point,
+# and 2**-1074, not 0, for three table rows of 2**-1074
+@example(_subnormal_h_law())
+@example(_table_law([1 / 3, 1 / 3, 1 / 3], [[2.0**-1074, 2.0**-1040]] * 3))
 def test_population_objective_matches_fraction_oracle(case):
     # sum over the support points of positive weight of w_k * r_k(q),
     # rounded once, for weights such as 1/3; it raises where that sum is
@@ -680,7 +691,7 @@ def test_product_mean_set_full_rectangle():
     ax = line_grid(euclidean_space(1), [0.0, 0.5, 1.0])
     ay = line_grid(euclidean_space(1), [0.0, 0.5, 1.0])
     prod = product_grid([ax, ay])
-    full = product_mean_set([PointSet.full(ax), PointSet.full(ay)], prod, alpha=2.0)
+    full = product_mean_set([PointSet.full(ax), PointSet.full(ay)], prod)
     assert full == PointSet.full(prod)
     segment = product_mean_set([PointSet(ax, [1]), PointSet.full(ay)], prod)
     assert segment.points() == (
@@ -697,8 +708,6 @@ def test_product_mean_set_validation():
     prod = product_grid([ax, ay])
     with pytest.raises(GridMismatchError):
         product_mean_set([PointSet.full(ax), PointSet.full(other)], prod)
-    with pytest.raises(ValueError):
-        product_mean_set([PointSet.full(ax), PointSet.full(ay)], prod, alpha=0.5)
     plain = line_grid(euclidean_space(1), [0.0, 1.0])
     with pytest.raises(GridMismatchError):
         product_mean_set([PointSet.full(ax)], plain)
@@ -739,7 +748,7 @@ def test_product_composition_matches_brute_force_2d():
             eps_argmin(population_objective(d, power_cost(1.0, anchor1), axis), 0.0)
             for d, axis in ((dist_x, ax), (dist_y, ay))
         ]
-        composed = product_mean_set(per_axis, prod, alpha=1.0)
+        composed = product_mean_set(per_axis, prod)
         assert composed == brute
 
 

@@ -410,7 +410,7 @@ def uncached_median_oracle(s, schedule, n_max, seed):
     for n in make_n_grid(n_max):
         intervals = [median_interval_1d(bits[k, :n], eps[n - 1]) for k in range(s)]
         axis_sets = [grid_restrict_interval(axes[k], *intervals[k]) for k in range(s)]
-        mean_set = product_mean_set(axis_sets, box_grid, alpha=1.0)
+        mean_set = product_mean_set(axis_sets, box_grid)
         d_sub_box = _box_d_subset(intervals, target_box)
         record = {
             "n": n,

@@ -24,7 +24,6 @@ from frechet_sets.frechet_solver import (
     Objective,
     eps_argmin,
     median_interval_1d,
-    product_mean_set,
 )
 from frechet_sets.lln_lab import markov_bound, run_regression_certificate
 from frechet_sets.metric_core import (
@@ -540,6 +539,29 @@ def test_fixture_uniform_deviation_profiles():
     assert tail.sup_deviation_trajectory[-1] == pytest.approx(1.0 / 50.0)
 
 
+@pytest.mark.parametrize("horizon,grid_max", [(50, 60), (500, 500), (64, 4095)])
+def test_fixture_approachability_reads_only_the_finest_probe(monkeypatch, horizon, grid_max):
+    # the flag is the last entry of the whole ladder's trajectory, found
+    # with one eps-argmin at a positive eps: the ladder's finest
+    probes = []
+    argmin = set_limits.eps_argmin
+
+    def counting(obj, eps):
+        probes.append(eps)
+        return argmin(obj, eps)
+
+    monkeypatch.setattr(set_limits, "eps_argmin", counting)
+    for name in FIXTURE_NAMES:
+        fixture = counterexample_fixture(name, horizon=horizon, grid_max=grid_max)
+        limit, ladder = fixture.limit_objective, fixture.approachability_eps
+        last = approachable_minimizers_check(limit, ladder)[-1]
+        probes.clear()
+        diag = diagnose_fixture(fixture)
+        assert diag.approachable_minimizers == (last[1] == 0.0), name
+        assert diag.approachable_minimizers == (name != "reciprocal-tail"), name
+        assert [e for e in probes if e > 0] == [ladder[-1]], name
+
+
 def test_fixture_rejects_unknown_name_and_bad_horizon():
     with pytest.raises(ValueError):
         counterexample_fixture("nope")
@@ -638,8 +660,9 @@ def test_trajectories_cost_one_hausdorff_block_per_set(monkeypatch):
     used = Counter(shapes)
     shapes.clear()
     eventually_bounded(seq, 50.0)
-    approachable_minimizers_check(fixture.limit_objective, fixture.approachability_eps)
-    _d_subset_trajectory(seq.sets, eps_argmin(fixture.limit_objective, 0.0))
+    limit_argmin = eps_argmin(fixture.limit_objective, 0.0)
+    d_subset(eps_argmin(fixture.limit_objective, fixture.approachability_eps[-1]), limit_argmin)
+    _d_subset_trajectory(seq.sets, limit_argmin)
     assert used == Counter(shapes)
 
 
@@ -799,7 +822,6 @@ def _nan_cases():
     line = line_grid(euclidean_space(1), [0.0, 1.0])
     obj = Objective(grid, np.arange(5.0))
     seq = SetSequence(grid, (PointSet(grid, [0]), PointSet(grid, [0, 1])))
-    axes = [line_grid(euclidean_space(1), [0.0, 0.5, 1.0]) for _ in range(2)]
     return {
         "eps_argmin": (lambda: eps_argmin(obj, _NAN), "eps must be nonnegative"),
         "median_interval_1d": (
@@ -838,12 +860,6 @@ def _nan_cases():
         "construct_h_sample": (
             lambda: construct_h([0.0, _NAN, 2.0]),
             "sample values must be finite",
-        ),
-        "product_mean_set_alpha": (
-            lambda: product_mean_set(
-                [PointSet.full(a) for a in axes], product_grid(axes), alpha=_NAN
-            ),
-            "product composition requires alpha >= 1",
         ),
         "check_lemma_inequalities_b": (
             lambda: check_lemma_inequalities(NondecreasingFn.identity(), 1.0, 2.0, b=_NAN),
