@@ -32,13 +32,14 @@ from . import lln_lab, result_files
 #: Upper bound on the regression coefficient grid, beta_points**(dimension+1).
 MAX_BETA_GRID = 10**6
 
-#: Upper bound on the generator outputs one replication draws (each runner
-#: draws its whole sample at once, so this also bounds its memory).
+#: Upper bound on the generator outputs one replication draws. Peaks per output
+#: (tracemalloc): circle and ulln hold the whole sample, 8.3 B; regression 26-32 B;
+#: the median streams, 3.8 B at s = 3 and slack 0 (15 B with a decaying slack).
 MAX_DRAWS = 2**24
 
-#: Upper bound on a circle or line grid. A run holds one float per point for
-#: each n-grid checkpoint, plus about 100 B per point of working arrays: about
-#: 550 B per point for a circle run at MAX_DRAWS (56 checkpoints), 115 B for ulln.
+#: Upper bound on a circle or line grid. A run holds one objective at a time:
+#: tracemalloc measured 114-132 B per point beside the sample (circle, G = 2**16
+#: and n_max = 2**20: 15.9 MB; G = 2**18 and n_max = 2**16: 34.6 MB).
 MAX_GRID_POINTS = 2**20
 
 #: Upper bound on the circle's cost exponent. Its largest cost term is

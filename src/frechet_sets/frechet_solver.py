@@ -91,7 +91,7 @@ MAX_SCHEDULE_C = 1e100
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """The slack sequence eps_n: constant, or c * n**(-exponent)."""
+    """The slack sequence eps_n = c * n**(-exponent); exponent 0 if constant."""
 
     kind: str
     c: float = 0.0
@@ -108,6 +108,8 @@ class EpsilonSchedule:
             raise ValueError("schedule exponent must be finite")
         if self.exponent < 0:
             raise ValueError("schedule exponent must be >= 0")
+        if self.kind == "constant" and self.exponent != 0:
+            raise ValueError("schedule exponent must be 0 for kind 'constant'")
 
     @staticmethod
     def constant(c: float) -> "EpsilonSchedule":
@@ -118,8 +120,7 @@ class EpsilonSchedule:
         return EpsilonSchedule("power-decay", c=c, exponent=exponent)
 
     def values(self, ns: np.ndarray) -> np.ndarray:
-        if self.kind == "constant":
-            return np.full(len(ns), self.c)
+        # a constant schedule has exponent 0, and n ** -0.0 is exactly 1.0
         return self.c * np.asarray(ns, dtype=float) ** (-self.exponent)
 
 

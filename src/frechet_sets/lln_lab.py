@@ -88,8 +88,10 @@ class SplitMix64:
     memory once, not once per mixing round; the stream does not depend on
     the chunking. Derived draws read the top bits of an output: a fair bit
     is the top bit (``bits_block``); a finite-law index and the regression
-    noise read the top 53 bits m, the uniform float u = m * 2**-53, which
-    ``SamplingDistribution.draw`` derives from the block itself.
+    noise read the top 53 bits m, the uniform float u = m * 2**-53. Draw
+    budgets: one output per finite-law draw (``SamplingDistribution.draw``),
+    s fair bits per median sample (``run_median_experiment``), s signs then
+    one noise output per regression sample (``_regression_sample``).
     """
 
     __slots__ = ("state",)
@@ -127,10 +129,8 @@ class SplitMix64:
 
 @dataclass(frozen=True, eq=False)
 class SamplingDistribution:
-    """A named sampling law with a documented per-draw budget of generator
-    outputs: finite laws use one output per draw and yield support indices,
-    bernoulli-product uses one per coordinate, regression uses one per
-    design coordinate plus one for the noise term.
+    """The sampler of a finite law: one generator output per draw, which
+    yields a support index.
 
     A finite law with cumulative weights cum_0 <= ... <= cum_{K-1} draws
     index min(#{k : cum_k <= u}, K - 1) for the uniform float
@@ -146,61 +146,27 @@ class SamplingDistribution:
     which overtakes the cut tests near K = 40 (between 32 and 48 in three
     runs). Every law the runners draw from has K = 2."""
 
-    kind: str
-    law: "FiniteDistribution | None" = None
-    dimension: int = 1
-    noise: float = 0.5
+    law: FiniteDistribution
 
-    @staticmethod
-    def finite(law: FiniteDistribution) -> "SamplingDistribution":
-        return SamplingDistribution("finite-support", law=law)
-
-    @staticmethod
-    def bernoulli_product(dimension: int) -> "SamplingDistribution":
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        return SamplingDistribution("bernoulli-product", dimension=dimension)
-
-    @staticmethod
-    def regression(dimension: int, noise: float = 0.5) -> "SamplingDistribution":
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        if not 0 <= noise <= MAX_REGRESSION_SCALE:
-            raise ValueError(f"noise level must be nonnegative and <= {MAX_REGRESSION_SCALE:g}")
-        return SamplingDistribution("regression", dimension=dimension, noise=noise)
-
-    def draw(self, rng: SplitMix64, n: int):
-        """Draw n i.i.d. samples, consuming the documented output budget."""
+    def draw(self, rng: SplitMix64, n: int) -> np.ndarray:
+        """Draw n i.i.d. support indices, one generator output each."""
         if n < 1:
             raise ValueError("n must be positive")
-        if self.kind == "finite-support":
-            block = rng.next_block(n)
-            block >>= np.uint64(11)  # m, the top 53 bits
-            # cum * 2**53 is exact and so is its ceil; uint64 cut points
-            # keep every comparison in integers under numpy 1.x too
-            cuts = np.ceil(np.cumsum(self.law.weights)[:-1] * 2.0**53).astype(np.uint64)
-            flags = np.empty(min(n, _CHUNK), dtype=bool)
-            counts = np.empty(min(n, _CHUNK), dtype=np.intp)
-            for start in range(0, n, _CHUNK):
-                chunk = block[start : start + _CHUNK]
-                acc = counts[: chunk.size]
-                acc.fill(0)
-                for cut in cuts:
-                    acc += np.greater_equal(chunk, cut, out=flags[: chunk.size])
-                chunk.view(np.intp)[:] = acc  # the slice's m are read: overwrite them
-            return block.view(np.intp)
-        if self.kind == "bernoulli-product":
-            bits = rng.bits_block(n * self.dimension)
-            return bits.reshape(n, self.dimension)
-        # regression: per sample, dimension design outputs then one noise output
-        p = self.dimension + 1
-        block = rng.next_block(n * p).reshape(n, p)
-        signs = 2.0 * (block[:, : self.dimension] >> np.uint64(63)).astype(float) - 1.0
-        u = (block[:, self.dimension] >> np.uint64(11)).astype(np.float64) * _FLOAT_SCALE
-        x = np.column_stack([np.ones(n), signs])
-        beta_true = np.ones(p)
-        y = x @ beta_true + self.noise * (2.0 * u - 1.0)
-        return x, y
+        block = rng.next_block(n)
+        block >>= np.uint64(11)  # m, the top 53 bits
+        # cum * 2**53 is exact and so is its ceil; uint64 cut points
+        # keep every comparison in integers under numpy 1.x too
+        cuts = np.ceil(np.cumsum(self.law.weights)[:-1] * 2.0**53).astype(np.uint64)
+        flags = np.empty(min(n, _CHUNK), dtype=bool)
+        counts = np.empty(min(n, _CHUNK), dtype=np.intp)
+        for start in range(0, n, _CHUNK):
+            chunk = block[start : start + _CHUNK]
+            acc = counts[: chunk.size]
+            acc.fill(0)
+            for cut in cuts:
+                acc += np.greater_equal(chunk, cut, out=flags[: chunk.size])
+            chunk.view(np.intp)[:] = acc  # the slice's m are read: overwrite them
+        return block.view(np.intp)
 
 
 @dataclass
@@ -343,24 +309,23 @@ def run_median_experiment(
     full interval solves and set distances are recorded on the n-grid.
     Every n-grid record solves its own axis intervals, but the grid mean
     set and its ``d_sub``/``d_haus`` to the box grid depend on the sample
-    only through the tuple of axis intervals ``((lo_0, hi_0), ...)``, so
-    they are computed once per distinct tuple and reused for every later
-    record with an equal key. Keys that compare equal (0.0 and -0.0) give
-    the same grid sets, since restriction only compares values.
+    only through the restricted axis sets, so they are computed once per
+    distinct tuple of them; a cache keyed by the interval tuple
+    ``((lo_0, hi_0), ...)`` skips the restriction itself. Interval keys
+    that compare equal (0.0 and -0.0) give the same grid sets.
     """
     if n_max > MAX_MEDIAN_N:
         raise ValueError(f"n_max must be <= {MAX_MEDIAN_N}: the walks are int32")
+    if s < 1:
+        raise ValueError("dimension must be positive")
     rng = SplitMix64(seed)
-    law = SamplingDistribution.bernoulli_product(s)
     grid_ns = make_n_grid(n_max)
-    # checkpoints strictly below n_max, so every beyond-window is nonempty
-    checkpoints = []
-    k = 1
-    while k < n_max:
-        checkpoints.append(k)
-        k *= 2
+    # the powers of two strictly below n_max, so every beyond-window is nonempty
+    checkpoints = [n for n in grid_ns if n < n_max and not n & (n - 1)]
 
     axis_bits = np.empty((s, n_max), dtype=np.int8)
+    # int32: int64 walks read median-walk peak RSS 0.2 MB higher and wall_s
+    # 0.235-0.252 s against 0.215-0.246 s (4 pairs, shared 2-core x86-64)
     walk_block = np.empty((s, min(n_max, _CHUNK)), dtype=np.int32)
     ones = np.zeros((s, 1), dtype=np.int32)  # ones per axis before the block
     counts = {"zero_return": 0, "interior_occurrence": 0}
@@ -370,7 +335,8 @@ def run_median_experiment(
     for start in range(0, n_max, _CHUNK):
         stop = min(start + _CHUNK, n_max)
         bits = axis_bits[:, start:stop]
-        bits[...] = law.draw(rng, stop - start).T
+        # s fair bits per sample, in sample order: output i * s + k is axis k
+        bits[...] = rng.bits_block((stop - start) * s).reshape(stop - start, s).T
         n_row = np.arange(start + 1, stop + 1, dtype=np.int32)
         walks = walk_block[:, : stop - start]
         np.cumsum(bits, axis=1, dtype=np.int32, out=walks)
@@ -415,21 +381,26 @@ def run_median_experiment(
     target_grid_set = PointSet.full(box_grid)
     target_box = [(0.0, 1.0)] * s
 
-    set_distances: dict[tuple, tuple[float, float]] = {}
+    by_intervals: dict[tuple, tuple[float, float]] = {}
+    by_axis_sets: dict[tuple, tuple[float, float]] = {}
     for record in records:
         n = record["n"]
         eps_n = record["eps"]
         intervals = tuple(median_interval_1d(axis_bits[k, :n], eps_n) for k in range(s))
-        distances = set_distances.get(intervals)
+        distances = by_intervals.get(intervals)
         if distances is None:
             axis_sets = [
                 grid_restrict_interval(axes[k], *intervals[k]) for k in range(s)
             ]
-            mean_set = product_mean_set(axis_sets, box_grid)
-            distances = set_distances[intervals] = (
-                d_subset(mean_set, target_grid_set),
-                d_hausdorff(mean_set, target_grid_set),
-            )
+            restricted = tuple(a.indices.tobytes() for a in axis_sets)
+            distances = by_axis_sets.get(restricted)
+            if distances is None:
+                mean_set = product_mean_set(axis_sets, box_grid)
+                distances = by_axis_sets[restricted] = (
+                    d_subset(mean_set, target_grid_set),
+                    d_hausdorff(mean_set, target_grid_set),
+                )
+            by_intervals[intervals] = distances
         d_sub_box = _box_d_subset(intervals, target_box)
         record["d_sub"], record["d_haus"] = distances
         record["d_sub_box"] = d_sub_box
@@ -514,7 +485,7 @@ def run_circle_experiment(
     population = population_objective(dist, cost, grid)
     population_set = eps_argmin(population, 0.0)
 
-    sample = SamplingDistribution.finite(dist).draw(SplitMix64(seed), n_max)
+    sample = SamplingDistribution(dist).draw(SplitMix64(seed), n_max)
     records = []
     grid_ns = make_n_grid(n_max)
     objectives = empirical_objective(dist.support, sample, cost, grid, ns=grid_ns)
@@ -600,6 +571,26 @@ def symmetric_lambda_min(matrix: np.ndarray) -> float:
     return float(np.diag(a).min())
 
 
+def _regression_sample(
+    rng: SplitMix64, s: int, n: int, noise: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """n samples of s + 1 outputs each, s signs U_k then one noise float u:
+    design rows (1, U_1..U_s) and responses sum(row) + noise * (2u - 1)."""
+    if s < 1:
+        raise ValueError("dimension must be positive")
+    if not 0 <= noise <= MAX_REGRESSION_SCALE:
+        raise ValueError(f"noise level must be nonnegative and <= {MAX_REGRESSION_SCALE:g}")
+    if n < 1:
+        raise ValueError("n must be positive")
+    p = s + 1
+    block = rng.next_block(n * p).reshape(n, p)
+    signs = 2.0 * (block[:, :s] >> np.uint64(63)).astype(float) - 1.0
+    u = (block[:, s] >> np.uint64(11)).astype(np.float64) * _FLOAT_SCALE
+    x = np.column_stack([np.ones(n), signs])
+    y = x @ np.ones(p) + noise * (2.0 * u - 1.0)
+    return x, y
+
+
 def run_regression_certificate(
     s: int,
     n_max: int,
@@ -622,9 +613,7 @@ def run_regression_certificate(
         raise ValueError(f"beta_extent must be nonnegative and <= {MAX_REGRESSION_SCALE:g}")
     if not beta_points >= 1:
         raise ValueError("beta_points must be >= 1")
-    dist = SamplingDistribution.regression(s, noise=noise)
-    rng = SplitMix64(seed)
-    x, y = dist.draw(rng, n_max)
+    x, y = _regression_sample(SplitMix64(seed), s, n_max, noise)
     p = s + 1
     # design entries are +-1, so every Gram entry is an integer and summing
     # the rows checkpoint by checkpoint is exact; xy_cum keeps the row order
@@ -708,7 +697,7 @@ def run_ulln_single(
     if not n_list or n_list[0] < 1:
         raise ValueError("n_list must hold positive sample sizes")
     population = population_objective(dist, cost, grid)
-    sample = SamplingDistribution.finite(dist).draw(SplitMix64(seed), n_list[-1])
+    sample = SamplingDistribution(dist).draw(SplitMix64(seed), n_list[-1])
     records = []
     objectives = empirical_objective(dist.support, sample, cost, grid, ns=n_list)
     for n, emp in zip(n_list, objectives):

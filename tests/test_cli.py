@@ -325,6 +325,39 @@ def test_validate_rejects_negative_exponent():
     assert any("schedule exponent must be >= 0" in issue for issue in report.issues)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param('[{"experiment": "median"}]', "config must be a JSON object", id="array"),
+        pytest.param('{"seeds": [0]}', "missing required field 'experiment'", id="no-experiment"),
+        pytest.param(
+            '{"experiment": "median", "seeds": [0], "params": [1]}',
+            "'params' must be an object",
+            id="params-list",
+        ),
+        pytest.param(
+            '{"experiment": "median", "seeds": [0], "schedule": {"c": 1' + "0" * 400 + "}}",
+            "schedule c and exponent must be numbers in float range",
+            id="schedule-c-10**400",
+        ),
+        pytest.param(
+            '{"experiment": "median", "seeds": [0], '
+            '"schedule": {"kind": "constant", "c": 0.05, "exponent": 0.25}}',
+            "schedule exponent must be 0 for kind 'constant'",
+            id="constant-schedule-exponent",
+        ),
+    ],
+)
+def test_malformed_config_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, text, message):
+    # the default out_dir is relative, so the run happens in an empty directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(text)
+    for validate_only in (True, False):
+        assert run("cfg.json", validate_only=validate_only) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_validate_unknown_experiment_names_valid_ids():
     echo, report = validate_config({"experiment": "mystery", "seeds": [0]})
     assert not report.ok

@@ -762,7 +762,7 @@ def test_empirical_values_tighten_with_sample_size():
     dist = FiniteDistribution.uniform(support)
     cost = power_cost(2.0, ORIGIN)
     pop = population_objective(dist, cost, grid)
-    sampler = SamplingDistribution.finite(dist)
+    sampler = SamplingDistribution(dist)
     improved = 0
     for seed in range(50):
         rng = SplitMix64(seed)
@@ -795,6 +795,26 @@ def test_epsilon_schedule():
             EpsilonSchedule.power_decay(c, 0.25)
     with pytest.raises(ValueError, match="exponent must be finite"):
         EpsilonSchedule.power_decay(1.0, math.inf)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.05, 1e100])
+def test_constant_schedule_values_are_c_bit_for_bit(c):
+    # one formula for both kinds, c * n**-exponent: a constant schedule has
+    # exponent 0 and n**-0.0 is exactly 1.0, so every eps_n is c itself. The
+    # median runner passes int32 n up to MAX_MEDIAN_N
+    powers = 2 ** np.arange(12, 31)
+    ns = np.concatenate([np.arange(1, 4097), powers - 1, powers, powers + 1])
+    for dtype in (np.int32, np.int64):
+        values = EpsilonSchedule.constant(c).values(ns.astype(dtype))
+        expected = np.full(len(ns), c)
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected.tolist()]
+
+
+def test_constant_schedule_rejects_an_exponent():
+    # an ignored exponent would still be echoed into the result config
+    with pytest.raises(ValueError, match="schedule exponent must be 0 for kind 'constant'"):
+        EpsilonSchedule("constant", c=0.05, exponent=0.25)
+    assert EpsilonSchedule("constant", c=0.05, exponent=0.0) == EpsilonSchedule.constant(0.05)
 
 
 def test_objective_validation():

@@ -27,6 +27,7 @@ from frechet_sets.lln_lab import (
     _box_events,
     MAX_REGRESSION_SCALE,
     SamplingDistribution,
+    _regression_sample,
     SplitMix64,
     make_n_grid,
     markov_bound,
@@ -138,22 +139,42 @@ def test_rng_derived_draws():
     assert SplitMix64(7).bits_block(100).tolist() == scalar_bits
 
 
-def test_sampling_draw_budgets():
-    # each law consumes its documented number of outputs per sample
-    base = SplitMix64(11)
-    SamplingDistribution.bernoulli_product(3).draw(base, 10)
-    stepped = SplitMix64(11)
-    stepped.next_block(30)
-    assert base.state == stepped.state
+class _CountedRng(SplitMix64):
+    """The pinned generator, counting the outputs its instances draw."""
 
+    drawn = 0
+
+    def next_block(self, count):
+        _CountedRng.drawn += count
+        return super().next_block(count)
+
+
+def test_sampling_draw_budgets(monkeypatch):
+    # each law consumes its documented number of outputs per sample: s fair
+    # bits per median sample (output i * s + k is axis k of sample i) ...
+    monkeypatch.setattr(lln_lab, "SplitMix64", _CountedRng)
+    _CountedRng.drawn = 0
+    s, n_max = 3, _CHUNK + 5
+    result = run_median_experiment(s, EpsilonSchedule.constant(0.0), n_max, seed=11)
+    assert _CountedRng.drawn == s * n_max
+    bits = SplitMix64(11).bits_block(s * n_max).reshape(n_max, s)
+    walks = 2 * np.cumsum(bits, axis=0) - np.arange(1, n_max + 1)[:, None]
+    for record in result.records:
+        assert [record[f"walk{k}"] for k in range(s)] == walks[record["n"] - 1].tolist()
+
+    # ... s signs and one noise output per regression sample ...
+    _CountedRng.drawn = 0
+    run_regression_certificate(2, 7, seed=13, beta_points=2)
+    assert _CountedRng.drawn == 21
     base = SplitMix64(13)
-    SamplingDistribution.regression(2).draw(base, 7)
+    _regression_sample(base, 2, 7, 0.5)
     stepped = SplitMix64(13)
     stepped.next_block(21)
     assert base.state == stepped.state
 
+    # ... and one output per draw of a finite law
     base = SplitMix64(17)
-    SamplingDistribution.finite(ANTIPODAL).draw(base, 9)
+    SamplingDistribution(ANTIPODAL).draw(base, 9)
     stepped = SplitMix64(17)
     stepped.next_block(9)
     assert base.state == stepped.state
@@ -161,20 +182,20 @@ def test_sampling_draw_budgets():
 
 def test_sampling_values():
     rng = SplitMix64(3)
-    indices = SamplingDistribution.finite(ANTIPODAL).draw(rng, 200)
+    indices = SamplingDistribution(ANTIPODAL).draw(rng, 200)
     assert indices.dtype == np.intp and set(indices.tolist()) == {0, 1}
     # index k is drawn exactly when the float lies in k's cumulative slot
     u = uniform_floats(SplitMix64(3), 200)
     assert np.array_equal(indices, (u >= 0.5).astype(np.intp))
 
-    mass = SamplingDistribution.finite(FiniteDistribution((Point.vector(2.0),), [1.0]))
+    mass = SamplingDistribution(FiniteDistribution((Point.vector(2.0),), [1.0]))
     assert np.array_equal(mass.draw(SplitMix64(5), 5), np.zeros(5, dtype=np.intp))
 
-    bits = SamplingDistribution.bernoulli_product(1).draw(SplitMix64(9), 1000)
+    bits = SplitMix64(9).bits_block(1000)
     p = bits.mean()
     assert 0.0 <= p <= 1.0 and 0.3 < p < 0.7
 
-    x, y = SamplingDistribution.regression(1, noise=0.0).draw(SplitMix64(1), 50)
+    x, y = _regression_sample(SplitMix64(1), 1, 50, 0.0)
     assert set(np.unique(x[:, 0])) == {1.0}
     assert set(np.unique(x[:, 1])) == {-1.0, 1.0}
     assert np.allclose(y, x.sum(axis=1))
@@ -206,7 +227,7 @@ def _finite_laws(draw):
 def test_finite_draw_matches_searchsorted_oracle(law, n, seed):
     # the integer cut tests against a binary search of the drawn floats
     rng = SplitMix64(seed)
-    indices = SamplingDistribution.finite(law).draw(rng, n)
+    indices = SamplingDistribution(law).draw(rng, n)
     stepped = SplitMix64(seed)
     u = uniform_floats(stepped, n)
     k = len(law.weights)
@@ -223,14 +244,14 @@ def test_finite_draw_cut_points_are_exact():
         u = float(uniform_floats(SplitMix64(seed), 1)[0])
         for w0, index in ((u, 1), (np.nextafter(u, 2.0), 0)):
             law = FiniteDistribution((0, 1), [w0, 1.0 - w0])
-            assert SamplingDistribution.finite(law).draw(SplitMix64(seed), 1).tolist() == [index]
+            assert SamplingDistribution(law).draw(SplitMix64(seed), 1).tolist() == [index]
 
 
 def test_finite_draw_memory_is_one_array():
     # the indices are written into the generator block: 8 B per draw plus
     # chunk scratch, where a float array and a separate index array took 16
     n = 2**20
-    law = SamplingDistribution.finite(ANTIPODAL)
+    law = SamplingDistribution(ANTIPODAL)
     tracemalloc.start()
     try:
         indices = law.draw(SplitMix64(0), n)
@@ -321,7 +342,7 @@ def median_walk_oracle(s, schedule, n_max, seed):
     """The median runner's walk fields in the (n, s) formulation: each
     per-axis membership test is evaluated on its own, then required of
     every axis row by row."""
-    bits = SamplingDistribution.bernoulli_product(s).draw(SplitMix64(seed), n_max)
+    bits = SplitMix64(seed).bits_block(n_max * s).reshape(n_max, s)
     n_col = np.arange(1, n_max + 1, dtype=np.int64)[:, None]
     walks = 2 * np.cumsum(bits, axis=0) - n_col
     eps = schedule.values(np.arange(1, n_max + 1))
@@ -396,7 +417,7 @@ def uncached_median_oracle(s, schedule, n_max, seed):
     records: each one restricts its own axis sets, composes its own mean
     set and measures both distances, and each beyond-checkpoint flag scans
     its own window."""
-    bits = SamplingDistribution.bernoulli_product(s).draw(SplitMix64(seed), n_max).T
+    bits = SplitMix64(seed).bits_block(n_max * s).reshape(n_max, s).T
     n_row = np.arange(1, n_max + 1)
     walks = 2 * np.cumsum(bits, axis=1) - n_row
     eps = schedule.values(n_row)
@@ -518,7 +539,7 @@ def test_median_blocks_match_the_whole_array_oracle(s, schedule, n_max, seed):
 )
 def test_median_occurrence_indices_truncate_past_the_bound(s, schedule, n_max):
     result = run_median_experiment(s, schedule, n_max, seed=3)
-    bits = SamplingDistribution.bernoulli_product(s).draw(SplitMix64(3), n_max).T
+    bits = SplitMix64(3).bits_block(n_max * s).reshape(n_max, s).T
     n_row = np.arange(1, n_max + 1)
     walks = 2 * np.cumsum(bits, axis=1) - n_row
     interior = _box_events(walks, n_row * schedule.values(n_row))[4]
@@ -530,16 +551,21 @@ def test_median_occurrence_indices_truncate_past_the_bound(s, schedule, n_max):
 
 
 @pytest.mark.parametrize(
-    "s, schedule, n_max, shared",
+    "s, schedule, n_max, one_to_one",
     [
-        # at slack 0 each axis interval is {0}, {1} or [0, 1]: keys repeat
+        # at slack 0 each axis interval is {0}, {1} or [0, 1]: keys repeat,
+        # and each interval tuple restricts to its own axis sets
         (3, EpsilonSchedule.constant(0.0), 4096, True),
-        # a decaying slack gives every record its own intervals
+        # a decaying slack gives nearly every record its own intervals, but
+        # they restrict to few distinct axis sets
         (2, EpsilonSchedule.power_decay(1.0, 0.25), 1000, False),
+        (6, EpsilonSchedule.power_decay(1.0, 0.25), 1000, False),
     ],
 )
-def test_median_set_distances_once_per_interval_tuple(monkeypatch, s, schedule, n_max, shared):
-    calls = {"product_mean_set": 0, "d_hausdorff": 0}
+def test_median_set_distances_once_per_interval_tuple(monkeypatch, s, schedule, n_max, one_to_one):
+    # the restriction runs once per distinct interval tuple, the mean set and
+    # its distances once per distinct tuple of restricted axis sets
+    calls = {"grid_restrict_interval": 0, "product_mean_set": 0, "d_hausdorff": 0}
     for name in calls:
         original = getattr(lln_lab, name)
 
@@ -549,12 +575,21 @@ def test_median_set_distances_once_per_interval_tuple(monkeypatch, s, schedule, 
 
         monkeypatch.setattr(lln_lab, name, counted)
     result = run_median_experiment(s, schedule, n_max, seed=0)
-    keys = {
+    intervals = {
         tuple((record[f"lo{k}"], record[f"hi{k}"]) for k in range(s))
         for record in result.records
     }
-    assert calls == {"product_mean_set": len(keys), "d_hausdorff": len(keys)}
-    assert (len(keys) < len(result.records)) == shared
+    restricted = {
+        tuple(tuple(x for x in MEDIAN_AXIS_COORDS if lo <= x <= hi) for lo, hi in key)
+        for key in intervals
+    }
+    assert calls == {
+        "grid_restrict_interval": s * len(intervals),
+        "product_mean_set": len(restricted),
+        "d_hausdorff": len(restricted),
+    }
+    assert len(restricted) < len(result.records)
+    assert (len(restricted) == len(intervals)) == one_to_one
 
 
 def test_median_walk_memory_has_no_per_sample_matrix_temporaries():
@@ -722,7 +757,7 @@ def test_regression_cross_moment_norm_is_the_fsum_of_the_drawn_sample():
     # order, as the runner's cumsum does, and its norm through math.fsum.
     for seed in range(4):
         result = run_regression_certificate(1, 10_000, seed, noise=0.5)
-        x, y = SamplingDistribution.regression(1, noise=0.5).draw(SplitMix64(seed), 10_000)
+        x, y = _regression_sample(SplitMix64(seed), 1, 10_000, 0.5)
         checkpoints = {record["n"]: record["a_minus_n"] for record in result.records}
         moment = [0.0, 0.0]
         for n, (row, response) in enumerate(zip(x.tolist(), y.tolist()), start=1):
@@ -742,9 +777,15 @@ def test_regression_rejects_a_dimension_below_one(dimension):
     # -1 used to fail with an IndexError inside the draw, 0 to run an
     # intercept-only certificate
     with pytest.raises(ValueError, match="dimension must be positive"):
-        SamplingDistribution.regression(dimension)
+        _regression_sample(SplitMix64(0), dimension, 50, 0.5)
     with pytest.raises(ValueError, match="dimension must be positive"):
         run_regression_certificate(dimension, 50, 0)
+
+
+@pytest.mark.parametrize("dimension", [-1, 0])
+def test_median_rejects_a_dimension_below_one(dimension):
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        run_median_experiment(dimension, EpsilonSchedule.constant(0.0), 64, seed=0)
 
 
 def test_uniform_law_rejects_empty_support():
@@ -755,7 +796,7 @@ def test_uniform_law_rejects_empty_support():
 def test_regression_gram_checkpoints_match_cumulative_outer_products():
     for s in range(1, 8):
         result = run_regression_certificate(s, 300, seed=s, beta_points=2)
-        x, _ = SamplingDistribution.regression(s).draw(SplitMix64(s), 300)
+        x, _ = _regression_sample(SplitMix64(s), s, 300, 0.5)
         gram_cum = np.cumsum(np.einsum("ni,nj->nij", x, x), axis=0)
         for record in result.records:
             n = record["n"]
@@ -777,7 +818,7 @@ def test_regression_memory_does_not_hold_per_sample_gram_matrices():
 def test_regression_gram_form_equals_mean_cost():
     # the quadratic-form objective is the algebraic rewriting of the mean of
     # (y - b.x)**2 - y**2; the two agree to rounding
-    x, y = SamplingDistribution.regression(1, noise=0.5).draw(SplitMix64(3), 500)
+    x, y = _regression_sample(SplitMix64(3), 1, 500, 0.5)
     gram = x.T @ x / 500
     v = x.T @ y / 500
     rng = np.random.default_rng(0)

@@ -393,12 +393,12 @@ def test_inner_estimate_on_a_median_run():
     # mean sets of a fair-bit sample on the endpoint-midpoint grid: the
     # inner estimate over a long run stays strictly inside the outer one
     from frechet_sets.frechet_solver import grid_restrict_interval, median_interval_1d
-    from frechet_sets.lln_lab import SamplingDistribution, SplitMix64
+    from frechet_sets.lln_lab import SplitMix64
 
     # seed 7 gives a walk whose tail revisits zero and changes sign, so the
     # tail sets alternate between the two corners and the full interval
     grid = line_grid(euclidean_space(1), [0.0, 0.5, 1.0])
-    bits = SamplingDistribution.bernoulli_product(1).draw(SplitMix64(7), 400)[:, 0]
+    bits = SplitMix64(7).bits_block(400)
     sets = []
     for n in range(1, 401):
         lo, hi = median_interval_1d(bits[:n].astype(float))
