@@ -228,7 +228,9 @@ EXPERIMENTS = {
         {"seeds": replace(FIELDS["seeds"], default=[0])},  # it draws nothing
         {
             "horizon": _int(100),
-            # eventually_bounded holds about 2 * (grid_max + 1)**2 floats
+            # the fixture objectives bind: horizon x (grid_max + 1) floats, 134 MB
+            # at the cap, where counterexample_fixture peaks at 136 MB (tracemalloc;
+            # 203 MB for reciprocal-tail, whose argmin sets hold 67 MB)
             "grid_max": _int(100, hi=4095),
             "diameter_cap": _real(50.0),
         },

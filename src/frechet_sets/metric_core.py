@@ -381,7 +381,11 @@ class PointSet:
     __slots__ = ("grid", "indices")
 
     def __init__(self, grid: CandidateGrid, indices: "np.ndarray | Sequence[int]") -> None:
-        idx = np.sort(np.asarray(indices, dtype=np.intp))
+        raw = np.asarray(indices)
+        # a float would be truncated and a boolean mask read as the indices 0 and 1
+        if raw.size and raw.dtype.kind not in "iu":
+            raise ValueError("point set indices must be integers")
+        idx = np.sort(np.asarray(raw, dtype=np.intp))
         if idx.size and (idx[0] < 0 or idx[-1] >= len(grid)):
             raise ValueError(f"indices out of range for grid of size {len(grid)}")
         keep = np.ones(idx.size, dtype=bool)  # drop repeats of the left neighbour

@@ -25,7 +25,9 @@ inner limit is the intersection of the tol-enlargements of the tail sets:
 one profile seeds the candidates, and each further tail set only filters
 the survivors with ``nearest``. A d_subset trajectory against one fixed
 target T is a gather per set from one profile q -> dist(q, T), built from
-one grid row per member of T. Tail diameters take each tail set's new
+one grid row per member of T. Tail diameters are walked from the back:
+on the line kinds a union's diameter is the distance between its two
+ends, so only those are kept; the other kinds take each tail set's new
 points against the union so far, as one block.
 """
 
@@ -185,21 +187,44 @@ def eventually_bounded(seq: SetSequence, cap: float = math.inf) -> BoundednessRe
     The witness is the smallest tail start index whose union stays within
     the cap. On a finite grid with cap = inf this is always true; a finite
     cap makes the check meaningful on integer-line truncations.
+
+    The tails are walked from the back. On a line kind the diameter of a
+    union is the distance between its smallest and largest value, since
+    the kernel is nondecreasing in |x - y| and float subtraction rounds
+    monotonically; so only those two ends are kept, and a tail set that
+    moves one of them costs a 1 x 1 block. The other kinds take a block of
+    each tail set's new points against the union so far.
     """
     if not cap >= 0:
         raise ValueError("cap must be nonnegative")
     grid = seq.grid
-    in_union = np.zeros(len(grid), dtype=bool)
     diam = 0.0
     diam_from: list[float] = []
-    # walk tails from the back: each tail's diameter is the previous one or
-    # a distance from a newly added point to the union so far
-    for s in reversed(seq.sets):
-        new = s.indices[~in_union[s.indices]]
-        if new.size:
-            in_union[new] = True
-            diam = max(diam, float(grid.distance_matrix(new, np.flatnonzero(in_union)).max()))
-        diam_from.append(diam)
+    if grid.space.on_line:
+        line = grid.coords.reshape(-1)
+        lo = hi = -1  # grid indices of the union's smallest and largest value
+        for s in reversed(seq.sets):
+            if len(s):
+                values = line[s.indices]
+                low, high = s.indices[values.argmin()], s.indices[values.argmax()]
+                moved = False
+                if lo < 0 or line[low] < line[lo]:
+                    lo, moved = low, True
+                if hi < 0 or line[high] > line[hi]:
+                    hi, moved = high, True
+                if moved:
+                    diam = float(grid.distance_matrix([lo], [hi])[0, 0])
+            diam_from.append(diam)
+    else:
+        in_union = np.zeros(len(grid), dtype=bool)
+        # each tail's diameter is the previous one or a distance from a
+        # newly added point to the union so far
+        for s in reversed(seq.sets):
+            new = s.indices[~in_union[s.indices]]
+            if new.size:
+                in_union[new] = True
+                diam = max(diam, float(grid.distance_matrix(new, np.flatnonzero(in_union)).max()))
+            diam_from.append(diam)
     diam_from.reverse()
     for start, diam in enumerate(diam_from):
         if diam <= cap:

@@ -261,6 +261,37 @@ def test_point_sets_on_different_grids_never_mix():
         a.indices[0] = 3
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [1.7, 2.2],  # used to truncate to {1, 2}
+        np.array([True, False, True]),  # used to read as the indices {0, 1}
+        [True, False],
+        np.array([1.0, 2.0]),  # integral floats too
+        np.array([1, 2], dtype=object),
+    ],
+)
+def test_point_set_rejects_non_integer_indices(bad):
+    grid = integer_grid(n0_unit_space(), 4)
+    with pytest.raises(ValueError, match="point set indices must be integers"):
+        PointSet(grid, bad)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64, np.intp])
+def test_point_set_takes_every_integer_dtype(dtype):
+    grid = integer_grid(n0_unit_space(), 4)
+    assert PointSet(grid, np.array([3, 1, 3], dtype=dtype)).indices.tolist() == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "empty", [(), [], np.array([]), np.array([], dtype=bool), np.zeros((0,), dtype=object)]
+)
+def test_empty_input_of_any_dtype_is_the_empty_set(empty):
+    grid = integer_grid(n0_unit_space(), 4)
+    ps = PointSet(grid, empty)
+    assert ps == PointSet.empty(grid) and ps.indices.dtype == np.intp
+
+
 def test_n0_space_distances():
     unit, lin = n0_unit_space(), n0_line_space()
     assert unit.distance(Point.index(3), Point.index(9)) == 1.0

@@ -362,6 +362,21 @@ def test_tail_diameters_match_brute_force_unions():
             assert report.tail_diameters == brute
 
 
+def test_line_tail_diameters_build_no_block():
+    # a block of the full grid's new points against the union would hold
+    # 4096 x 4096 floats (134 MB); the two ends of the union take one cell
+    grid = line_integer_grid(4096)
+    seq = SetSequence(grid, (PointSet(grid, [3, 9]), PointSet(grid, [5]), PointSet.full(grid)))
+    tracemalloc.start()
+    try:
+        report = eventually_bounded(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.tail_diameters == (4095.0, 4095.0, 4095.0)
+    assert peak < 1_000_000
+
+
 def test_singleton_distance_memory_is_independent_of_grid_size():
     grid = circle_grid(circle_space(), 5000)
     a, b = PointSet(grid, [0]), PointSet(grid, [2500])
@@ -560,6 +575,34 @@ def test_fixture_approachability_reads_only_the_finest_probe(monkeypatch, horizo
         assert diag.approachable_minimizers == (last[1] == 0.0), name
         assert diag.approachable_minimizers == (name != "reciprocal-tail"), name
         assert [e for e in probes if e > 0] == [ladder[-1]], name
+
+
+@pytest.mark.parametrize("horizon,grid_max", [(1, 1), (7, 7), (50, 80), (500, 500)])
+def test_fixture_objectives_and_argmins_follow_their_closed_forms(horizon, grid_max):
+    points = range(grid_max + 1)
+    for name in FIXTURE_NAMES:
+        fixture = counterexample_fixture(name, horizon=horizon, grid_max=grid_max)
+        objectives, argmins = fixture.objective_sequence, fixture.argmin_sequence.sets
+        assert len(objectives) == len(argmins) == horizon
+        if name == "reciprocal-tail":
+            limit = [1.0 / i if i else 0.0 for i in points]
+        else:
+            limit = [0.0 if i == 0 else 1.0 for i in points]
+        assert fixture.limit_objective.values.tolist() == limit
+        for n, (obj, argmin) in enumerate(zip(objectives, argmins), start=1):
+            if name == "reciprocal-tail":
+                # f_n = f below n and 0 from n on: minimal at 0 and the far tail
+                values = [limit[i] if i < n else 0.0 for i in points]
+                minimizers = [0, *range(n, grid_max + 1)]
+            else:  # f_n = 1 - indicator({0, n})
+                values = [0.0 if i in (0, n) else 1.0 for i in points]
+                minimizers = [0, n]
+            assert _hex(obj.values) == _hex(values), (name, n)
+            assert argmin.indices.tolist() == minimizers, (name, n)
+            assert argmin == eps_argmin(obj, 0.0), (name, n)
+            assert not obj.values.flags.writeable
+            with pytest.raises(ValueError):
+                obj.values[0] = 5.0
 
 
 def test_fixture_rejects_unknown_name_and_bad_horizon():
@@ -793,6 +836,50 @@ def test_set_distances_match_the_block_oracle(data):
     seq = SetSequence(grid, tuple(sets))
     inner = inner_limit_estimate(seq, tail_start, tol)
     assert np.array_equal(inner.indices, _block_inner(seq, tail_start, tol))
+
+
+# float coordinates of mixed scale, and near +-1e308, where a difference
+# between two coordinates can overflow to a +inf distance
+_LINE_COORDS = st.one_of(
+    st.integers(-20, 20).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(1e307, 1.7e308),
+    st.floats(-1.7e308, -1e307),
+)
+
+
+@st.composite
+def _line_kind_grid(draw):
+    # every kind where ``MetricSpace.on_line`` holds, each without a
+    # transform and with the two sqrt transforms; coordinates unsorted
+    transform = draw(st.sampled_from(_TRANSFORMS))
+    size = draw(st.integers(1, 10))
+    make = draw(st.sampled_from([euclidean_space, product_l1_space, n0_unit_space, n0_line_space]))
+    if make in (n0_unit_space, n0_line_space):
+        values = draw(st.lists(st.integers(0, 60), min_size=size, max_size=size, unique=True))
+        return CandidateGrid(MetricSpace(make().kind, transform=transform), values)
+    values = draw(st.lists(_LINE_COORDS, min_size=size, max_size=size, unique=True))
+    return line_grid(make(1, transform), values)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_line_tail_diameters_match_the_brute_force_union(data):
+    grid = data.draw(_line_kind_grid())
+    assert grid.space.on_line
+    # sizes start at 0, so empty sets appear, also at the back
+    raw = data.draw(st.lists(_indices(grid, max_size=6), min_size=1, max_size=8))
+    sets = tuple(PointSet(grid, s) for s in raw)
+    brute = [
+        diameter(grid, PointSet(grid, np.concatenate([s.indices for s in sets[k:]])))
+        for k in range(len(sets))
+    ]
+    cap = data.draw(st.sampled_from(brute + [0.0, math.inf]))
+    report = eventually_bounded(SetSequence(grid, sets), cap)
+    assert _hex(report.tail_diameters) == _hex(brute)
+    within = [k for k, d in enumerate(brute) if d <= cap]
+    assert report.witness == (within[0] if within else None)
+    assert report.bounded == bool(within)
 
 
 def test_sequence_space_embedding_counterexample():
