@@ -32,9 +32,9 @@ from .cost_model import (
     CostFunction,
     InequalityReport,
     IntegratedH,
-    MissingCostError,
     NondecreasingFn,
     NonInvertibleError,
+    TableCost,
     UndefinedDoublingError,
     check_lemma_inequalities,
     construct_h,

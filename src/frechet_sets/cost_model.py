@@ -1,14 +1,15 @@
 """Cost functions for generalized Frechet objectives.
 
-A cost is either an anchored profile or a table. An anchored profile f
-with anchor point o gives c(y, q) = f(d(y, q)) - f(d(y, o)); the two
-profiles built here are
+The paper's three costs take two shapes. An anchored profile f with anchor
+point o gives c(y, q) = f(d(y, q)) - f(d(y, o)) (``CostFunction``); the
+two profiles built here are
 
 * the power f(x) = x**alpha (``power_cost``),
 * the exact integral H of a piecewise-linear nondecreasing function h
   (``h_cost``).
 
-A table cost looks c up by (data index, grid index) (``table_cost``).
+A general cost is a dense table with one row per data index y and one
+column per grid point (``TableCost``, built by ``table_cost``).
 
 The module also provides the numeric doubling-constant estimate for h,
 the three-inequality consistency check tying H, h, and the doubling
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,10 +36,6 @@ class NonInvertibleError(ValueError):
 
 class UndefinedDoublingError(ValueError):
     """h vanishes on the probed range, so h(2x)/h(x) is undefined."""
-
-
-class MissingCostError(LookupError):
-    """A tabulated cost has no entry for the queried (data, grid) pair."""
 
 
 @dataclass(frozen=True)
@@ -165,40 +162,54 @@ class IntegratedH:
 
 @dataclass(frozen=True, eq=False)
 class CostFunction:
-    """A cost c(y, q): an anchored profile or a table.
+    """An anchored profile cost c(y, q) = f(d(y, q)) - f(d(y, o)).
 
-    With a ``profile`` f, a float-or-array map on distances, the cost is
-    c(y, q) = f(d(y, q)) - f(d(y, o)) for the ``anchor`` o, so c(y, o) = 0
-    exactly. Without one, c(y, q) is ``table[(y, j)]`` for the index j of
-    q in ``table_grid``.
+    ``profile`` is f, a float-or-array map on distances, and ``anchor`` is
+    o, so c(y, o) = 0 exactly.
     """
 
     profile: "Callable[[np.ndarray | float], np.ndarray | float] | None" = None
     anchor: "Point | None" = None
-    table: "Mapping[tuple[int, int], float] | None" = None
-    table_grid: "CandidateGrid | None" = None
 
     def __post_init__(self) -> None:
-        if self.profile is not None:
-            if self.anchor is None:
-                raise ValueError("profile cost needs an anchor point")
-        elif self.table is None or self.table_grid is None:
-            raise ValueError("table cost needs a table and its grid")
-
-    def row(self, y, grid: CandidateGrid) -> np.ndarray:
-        """Cost of y against every point of ``grid``, as one vector."""
         if self.profile is None:
-            if grid is not self.table_grid:
-                raise ValueError("table cost rows are only defined on the table grid")
-            try:
-                return np.array([self.table[(y, j)] for j in range(len(grid))], dtype=float)
-            except KeyError as missing:
-                _, j = missing.args[0]
-                raise MissingCostError(f"no cost entry for data {y!r}, grid index {j}") from None
+            raise ValueError("profile cost needs a profile")
+        if self.anchor is None:
+            raise ValueError("profile cost needs an anchor point")
+
+    def row(self, y: Point, grid: CandidateGrid) -> np.ndarray:
+        """Cost of y against every point of ``grid``, as one vector."""
         # f(d(y, o)) stays one scalar profile call, so an array pow cannot
         # move the anchor term's bits
         f = self.profile
         return f(grid.distances_from(y)) - f(grid.space.distance(y, self.anchor))
+
+
+@dataclass(frozen=True, eq=False)
+class TableCost:
+    """A general cost c(y, q) = rows[y, j] for the data index y and the index
+    j of q in ``grid``: a read-only float array of one row per data index
+    (at least one) and one column per grid point."""
+
+    rows: np.ndarray
+    grid: CandidateGrid
+
+    def __post_init__(self) -> None:
+        rows = np.array(self.rows, dtype=float)
+        if rows.ndim != 2 or not len(rows) or rows.shape[1] != len(self.grid):
+            raise ValueError(
+                f"table cost needs K >= 1 rows of {len(self.grid)} entries, got shape {rows.shape}"
+            )
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    def row(self, y: int, grid: CandidateGrid) -> np.ndarray:
+        """Cost of data index y against every point of ``grid``: ``rows[y]``."""
+        if grid is not self.grid:
+            raise ValueError("table cost rows are only defined on the table grid")
+        if not isinstance(y, (int, np.integer)) or not 0 <= y < len(self.rows):
+            raise ValueError(f"data {y!r} is not a row index of a {len(self.rows)}-row table")
+        return self.rows[y]
 
 
 def power_cost(alpha: float, anchor: Point) -> CostFunction:
@@ -208,17 +219,14 @@ def power_cost(alpha: float, anchor: Point) -> CostFunction:
     return CostFunction(functools.partial(_stable_pow, alpha=alpha), anchor)
 
 
-def h_cost(h: "NondecreasingFn | IntegratedH", anchor: Point) -> CostFunction:
+def h_cost(h: NondecreasingFn, anchor: Point) -> CostFunction:
     """c(y, q) = H(d(y, q)) - H(d(y, o)) for H the exact integral of h."""
-    integral = h if isinstance(h, IntegratedH) else IntegratedH(h)
-    return CostFunction(integral, anchor)
+    return CostFunction(IntegratedH(h), anchor)
 
 
-def table_cost(
-    entries: Mapping[tuple[int, int], float], grid: CandidateGrid
-) -> CostFunction:
-    """c(y, q) = entries[(y, j)] for the index j of q in ``grid``."""
-    return CostFunction(table=dict(entries), table_grid=grid)
+def table_cost(rows: "np.ndarray | Sequence[Sequence[float]]", grid: CandidateGrid) -> TableCost:
+    """c(y, q) = rows[y][j] for the index j of q in ``grid``."""
+    return TableCost(rows, grid)
 
 
 # -- doubling constant and inequality suite ----------------------------------
@@ -333,30 +341,18 @@ def check_lemma_inequalities(
 
 
 @dataclass(frozen=True, eq=False)
-class StepCdf:
-    """Right-continuous empirical distribution function of a sample."""
-
-    sorted_values: np.ndarray
-
-    def __call__(self, t: "np.ndarray | float") -> "np.ndarray | float":
-        out = np.searchsorted(self.sorted_values, t, side="right") / len(
-            self.sorted_values
-        )
-        return float(out) if np.isscalar(t) else out
-
-
-@dataclass(frozen=True, eq=False)
 class ConstructHTrace:
     """Full trace of the concave-h construction.
 
-    ``z`` is the threshold sequence on the sample's tail, ``x`` the
-    breakpoints of the result, ``a`` the slopes between them, and
-    ``h_tilde_at_x`` the auxiliary integrand primitive at the breakpoints.
-    The result interpolates (x_n, n) linearly and extends with the last
-    slope, so it is strictly increasing, concave, and h(x_n) = n exactly.
+    ``z`` is the threshold sequence on the sample's tail, which ends at
+    the first threshold at or beyond the sample maximum, where the
+    empirical tail is empty; ``x`` the breakpoints of the result, ``a`` the
+    slopes between them, and ``h_tilde_at_x`` the auxiliary integrand
+    primitive at the breakpoints. The result interpolates (x_n, n)
+    linearly and extends with the last slope, so it is strictly
+    increasing, concave, and h(x_n) = n exactly.
     """
 
-    empirical_cdf: StepCdf
     z: tuple[float, ...]
     x: tuple[float, ...]
     a: tuple[float, ...]
@@ -388,10 +384,8 @@ def construct_h(
         raise ValueError("sample values must be finite")
     if bounded_hint is not None and not bounded_hint > 0:
         raise ValueError("bounded_hint must be positive")
-    cdf = StepCdf(xs)
     if bounded_hint is not None or xs[0] == xs[-1]:
         return ConstructHTrace(
-            empirical_cdf=cdf,
             z=(0.0,),
             x=(0.0,),
             a=(1.0,),
@@ -407,11 +401,9 @@ def construct_h(
         threshold = float(xs[k - 1]) if k > 0 else 0.0
         nxt = max(z[-1] + 1.0, threshold)
         z.append(nxt)
-        if 1.0 - cdf(nxt) <= 0.0:
+        if nxt >= xs[-1]:  # the empirical tail beyond nxt is empty; n <= m + 1
             break
         n += 1
-        if len(z) > m + 10:  # cannot happen: thresholds reach max(sample) by n = m+1
-            raise RuntimeError("threshold sequence failed to terminate")
 
     knots, cum = _integrate_h_tilde(np.asarray(z), xs)
 
@@ -437,7 +429,6 @@ def construct_h(
     )
     h_tilde_at_x = tuple(float(np.interp(v, knots, cum)) for v in x_seq)
     return ConstructHTrace(
-        empirical_cdf=cdf,
         z=tuple(z),
         x=tuple(x_seq),
         a=tuple(a_seq),
@@ -459,23 +450,20 @@ def _integrate_h_tilde(z: np.ndarray, xs: np.ndarray) -> "tuple[np.ndarray, np.n
     cuts = np.unique(np.concatenate([[0.0], z, xs[(xs > 0) & (xs < upper)], [upper]]))
     cuts = cuts[cuts <= upper]
     weights = 1.0 / (np.diff(z) * (np.arange(1, z.size) ** 2))
-    cum = np.zeros(cuts.size)
-    for i in range(cuts.size - 1):
-        left, right = cuts[i], cuts[i + 1]
-        seg = np.searchsorted(z, left, side="right") - 1
-        g_val = weights[seg] if 0 <= seg < weights.size else 0.0
-        survival = 1.0 - np.searchsorted(xs, left, side="right") / m
-        cum[i + 1] = cum[i] + g_val / survival * (right - left)
+    left = cuts[:-1]
+    # z[0] = 0 <= left < max(sample) <= z[-1], so every left end lies in a
+    # weighted segment, and in the nonempty empirical tail
+    g = weights[np.searchsorted(z, left, side="right") - 1]
+    survival = 1.0 - np.searchsorted(xs, left, side="right") / m
+    # np.cumsum adds in order, one segment integral after another
+    cum = np.concatenate([[0.0], np.cumsum(g / survival * np.diff(cuts))])
     return cuts, cum
 
 
 def _first_crossing(knots: np.ndarray, cum: np.ndarray, level: float) -> float:
-    """Smallest x with the piecewise-linear primitive >= level."""
+    """Smallest x with the piecewise-linear primitive >= level, for
+    cum[0] = 0 < level <= cum[-1]."""
     j = int(np.searchsorted(cum, level, side="left"))
-    if j == 0:
-        return float(knots[0])
-    if j >= cum.size:
-        return math.inf
     rise = cum[j] - cum[j - 1]
     frac = (level - cum[j - 1]) / rise if rise > 0 else 1.0
     return float(knots[j - 1] + frac * (knots[j] - knots[j - 1]))

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cost_model import CostFunction
+from .cost_model import CostFunction, TableCost
 from .metric_core import CandidateGrid, GridMismatchError, PointSet
 
 #: Absolute tolerance added to the epsilon-argmin threshold so that grid
@@ -125,7 +125,7 @@ class EpsilonSchedule:
 
 
 def population_objective(
-    dist: FiniteDistribution, cost: CostFunction, grid: CandidateGrid
+    dist: FiniteDistribution, cost: "CostFunction | TableCost", grid: CandidateGrid
 ) -> Objective:
     """Weighted cost sum of a finite-support distribution on a grid.
 
@@ -179,7 +179,7 @@ def _split_rows(rows: np.ndarray) -> np.ndarray:
 def empirical_objective(
     support: Sequence,
     sample: "np.ndarray | Sequence[int]",
-    cost: CostFunction,
+    cost: "CostFunction | TableCost",
     grid: CandidateGrid,
     ns: "Sequence[int] | None" = None,
 ) -> "Objective | Iterator[Objective]":

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import result_files
-from .cost_model import CostFunction, power_cost
+from .cost_model import CostFunction, TableCost, power_cost
 from .frechet_solver import (
     EpsilonSchedule,
     FiniteDistribution,
@@ -687,7 +687,7 @@ def run_regression_certificate(
 
 def run_ulln_single(
     dist: FiniteDistribution,
-    cost: CostFunction,
+    cost: "CostFunction | TableCost",
     grid: CandidateGrid,
     n_list: Sequence[int],
     seed: int,

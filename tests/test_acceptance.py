@@ -439,3 +439,41 @@ def test_c11_golden_outputs_hold_with_simd_dispatch_off(tmp_path):
         result["enabled"] == [] and result["digests"] == expected,
         f"disabled {' '.join(features) or 'nothing'}; still enabled {result['enabled']}",
     )
+
+
+#: Runs the bundled regression config in a fresh interpreter and prints the
+#: SHA-256 of each output, keyed as in ``GOLDEN_OTHER_BUNDLED_SHA256``.
+_REGRESSION_SCRIPT = """
+import hashlib, json, pathlib, sys
+from frechet_sets.cli import run
+
+config, out = sys.argv[1], pathlib.Path(sys.argv[2])
+assert run(config, str(out)) == 0
+names = ("regression.csv", "regression.json")
+print(json.dumps({name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}))
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_c11_regression_golden_outputs_hold_on_other_blas_kernels(tmp_path, coretype):
+    # the regression pins must not depend on which kernel OpenBLAS picks for
+    # this CPU: rerun the config with another one forced. A numpy built
+    # without OpenBLAS ignores the variable, and the pins hold as they are
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_VERBOSE="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    config = str(CONFIG_DIR / "regression.json")
+    proc = subprocess.run(
+        [sys.executable, "-c", _REGRESSION_SCRIPT, config, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    digests = json.loads(proc.stdout.splitlines()[-1])
+    pins = GOLDEN_OTHER_BUNDLED_SHA256.items()
+    expected = {name: d for (config, name), d in pins if config == "regression"}
+    # OpenBLAS prints the kernel it chose ("Core: ...") on stderr
+    cores = [line for line in proc.stderr.splitlines() if line.startswith("Core:")]
+    report(
+        f"C11 determinism: pinned regression outputs under OPENBLAS_CORETYPE={coretype}",
+        digests == expected,
+        "; ".join(cores) or "no OpenBLAS kernel reported",
+    )

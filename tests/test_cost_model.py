@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from frechet_sets.cost_model import (
     CostFunction,
     IntegratedH,
-    MissingCostError,
     NondecreasingFn,
     NonInvertibleError,
+    TableCost,
     UndefinedDoublingError,
+    _integrate_h_tilde,
     check_lemma_inequalities,
     construct_h,
     estimate_doubling_constant,
@@ -148,11 +151,50 @@ def test_power_and_integrated_costs_agree_for_squares():
 def test_table_cost_lookup_and_errors():
     space = euclidean_space(1)
     grid = line_grid(space, [0.0, 1.0])
-    cost = table_cost({(0, 0): 1.5, (0, 1): -2.0}, grid)
+    cost = table_cost([[1.5, -2.0]], grid)
     assert cost.row(0, grid)[1] == -2.0
     assert np.array_equal(cost.row(0, grid), np.array([1.5, -2.0]))
-    with pytest.raises(MissingCostError):
+    with pytest.raises(ValueError, match="not a row index of a 1-row table"):
         cost.row(1, grid)
+
+
+def test_table_cost_rows_are_read_only_and_checked_once():
+    grid = line_grid(euclidean_space(1), [0.0, 1.0, 2.0])
+    source = np.arange(6.0).reshape(2, 3)
+    cost = table_cost(source, grid)
+    source[0, 0] = 9.0  # the table holds its own copy
+    assert cost.row(0, grid)[0] == 0.0
+    assert isinstance(cost, TableCost) and not cost.rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cost.row(1, grid)[0] = 1.0
+    assert np.array_equal(cost.row(np.int64(1), grid), [3.0, 4.0, 5.0])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.0, 2.0]], [[1.0, 2.0, 3.0, 4.0]], np.empty((0, 3)), [1.0, 2.0, 3.0], np.zeros((1, 1, 3))],
+    ids=["narrow", "wide", "no-rows", "1-D", "3-D"],
+)
+def test_table_cost_rejects_a_table_of_the_wrong_shape(rows):
+    grid = line_grid(euclidean_space(1), [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match=r"table cost needs K >= 1 rows of 3 entries"):
+        table_cost(rows, grid)
+
+
+@pytest.mark.parametrize("y", [-1, 2, 0.0, 1.5, "0", None, Point.vector(0.0)])
+def test_table_cost_rejects_a_datum_that_is_not_a_row_index(y):
+    grid = line_grid(euclidean_space(1), [0.0, 1.0])
+    cost = table_cost([[1.0, 2.0], [3.0, 4.0]], grid)
+    with pytest.raises(ValueError, match="is not a row index of a 2-row table"):
+        cost.row(y, grid)
+
+
+def test_table_cost_rows_are_only_defined_on_the_table_grid():
+    grid = line_grid(euclidean_space(1), [0.0, 1.0])
+    same_points = line_grid(euclidean_space(1), [0.0, 1.0])
+    cost = table_cost([[1.0, 2.0]], grid)
+    with pytest.raises(ValueError, match="table cost rows are only defined on the table grid"):
+        cost.row(0, same_points)
 
 
 @pytest.mark.parametrize("transform", [None, MetricTransform.power(0.5)], ids=["plain", "sqrt"])
@@ -167,9 +209,8 @@ def test_cost_row_matches_scalar_evaluate(kind, transform):
         return gap if transform is None else math.sqrt(gap)
 
     if kind == "table":
-        rng = np.random.default_rng(5)
-        entries = {(y, j): float(rng.normal()) for y in range(3) for j in range(11)}
-        cost = table_cost(entries, grid)
+        rows = np.random.default_rng(5).normal(size=(3, 11))
+        cost = table_cost(rows, grid)
         data = range(3)
     else:
         if kind == "h":
@@ -179,7 +220,7 @@ def test_cost_row_matches_scalar_evaluate(kind, transform):
         data = [Point.vector(v) for v in (-3.1, -0.4, 0.0, 0.7, 1.25, 4.0)]
     for y in data:
         if kind == "table":
-            expected = [entries[(y, j)] for j in range(len(grid))]
+            expected = rows[y]
         else:
             f = cost.profile
             expected = [f(d(y, q)) - f(d(y, anchor)) for q in grid]
@@ -199,7 +240,7 @@ def test_cost_row_matches_scalar_evaluate(kind, transform):
         lambda: h_cost(NondecreasingFn.identity(), None),
         lambda: CostFunction(profile=abs),
         lambda: CostFunction(),
-        lambda: CostFunction(table={}),
+        lambda: table_cost([[1.0, 2.0]], line_grid(euclidean_space(1), [0.0, 1.0, 2.0])),
     ],
 )
 def test_cost_factories_reject_bad_input(build):
@@ -339,3 +380,54 @@ def test_construct_h_rejects_bad_input():
         construct_h([0.0, math.inf, 2.0])
     with pytest.raises(ValueError):
         construct_h([1.0], bounded_hint=0.0)
+
+
+def _integrate_h_tilde_per_cut(z, xs):
+    """The primitive of g / (1 - F) one cut at a time, as the oracle of the
+    array form: the left end's segment weight over the left end's survival,
+    times the cut's width, added to the running total."""
+    upper = xs[-1]
+    m = xs.size
+    cuts = np.unique(np.concatenate([[0.0], z, xs[(xs > 0) & (xs < upper)], [upper]]))
+    cuts = cuts[cuts <= upper]
+    weights = 1.0 / (np.diff(z) * (np.arange(1, z.size) ** 2))
+    cum = np.zeros(cuts.size)
+    for i in range(cuts.size - 1):
+        left, right = cuts[i], cuts[i + 1]
+        seg = np.searchsorted(z, left, side="right") - 1
+        g_val = weights[seg] if 0 <= seg < weights.size else 0.0
+        survival = 1.0 - np.searchsorted(xs, left, side="right") / m
+        cum[i + 1] = cum[i] + g_val / survival * (right - left)
+    return cuts, cum
+
+
+# nonnegative samples with ties and zeros (drawn from a small pool beside
+# fresh values) and heavy tails (magnitudes up to 1e12)
+_h_samples = st.lists(
+    st.floats(0.0, 10.0, allow_nan=False),
+    min_size=1,
+    max_size=5,
+).flatmap(
+    lambda pool: st.lists(
+        st.one_of(
+            st.sampled_from(pool),
+            st.just(0.0),
+            st.floats(0.0, 1e3, allow_nan=False),
+            st.integers(0, 12).map(lambda k: 10.0**k),
+        ),
+        min_size=2,
+        max_size=60,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample=_h_samples)
+def test_integrate_h_tilde_matches_the_per_cut_loop(sample):
+    xs = np.sort(np.asarray(sample, dtype=float))
+    assume(xs[0] != xs[-1])  # construct_h returns the identity and never integrates
+    z = np.asarray(construct_h(sample).z)
+    cuts, cum = _integrate_h_tilde(z, xs)
+    want_cuts, want_cum = _integrate_h_tilde_per_cut(z, xs)
+    assert [v.hex() for v in cuts.tolist()] == [v.hex() for v in want_cuts.tolist()]
+    assert [v.hex() for v in cum.tolist()] == [v.hex() for v in want_cum.tolist()]

@@ -108,7 +108,7 @@ def _population_cases(draw):
     kind = draw(st.sampled_from(["power", "h", "table"]))
     if kind == "table":
         support = tuple(range(k))
-        cost = table_cost({(i, j): draw(coord) for i in range(k) for j in range(g)}, grid)
+        cost = table_cost([[draw(coord) for _ in range(g)] for _ in range(k)], grid)
     else:
         support = tuple(Point.vector(draw(coord)) for _ in range(k))
         anchor = Point.vector(draw(coord))
@@ -122,7 +122,7 @@ def _population_cases(draw):
 def _table_law(weights, rows):
     """A law on data indices 0..K-1 whose cost row k is ``rows[k]``."""
     grid = line_grid(euclidean_space(1), np.arange(len(rows[0]), dtype=float))
-    cost = table_cost({(k, j): v for k, row in enumerate(rows) for j, v in enumerate(row)}, grid)
+    cost = table_cost(rows, grid)
     return FiniteDistribution(tuple(range(len(rows))), np.array(weights)), cost, grid
 
 
@@ -218,8 +218,8 @@ def _count_cases(draw):
         # tie and cancel across support points, beside fresh values and zeros
         pool = st.sampled_from(draw(st.lists(_magnitudes(), min_size=1, max_size=4)))
         entry = st.one_of(pool, pool.map(lambda v: -v), _magnitudes(), st.just(0.0))
-        entries = {(i, j): draw(entry) for i in range(k) for j in range(g)}
-        support, cost = tuple(range(k)), table_cost(entries, grid)
+        rows = [[draw(entry) for _ in range(g)] for _ in range(k)]
+        support, cost = tuple(range(k)), table_cost(rows, grid)
     else:
         coord = st.floats(-100.0, 100.0, allow_nan=False)
         grid = line_grid(
@@ -302,8 +302,8 @@ def test_objectives_at_the_float_edges_match_fraction_oracle(rows, data):
         expected = None
     for order in (list(range(k)), data.draw(st.permutations(range(k)))):
         # support point order[i] carries row i
-        entries = {(order[i], j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
-        args = (tuple(range(k)), np.array([order[i] for i in sample]), table_cost(entries, grid))
+        table = [rows[order.index(i)] for i in range(k)]
+        args = (tuple(range(k)), np.array([order[i] for i in sample]), table_cost(table, grid))
         if expected is None:
             with pytest.raises(ValueError, match="objective values must be finite"):
                 empirical_objective(*args, grid)
@@ -325,7 +325,7 @@ def test_empirical_objective_rejects_samples_beyond_exact_counts():
 def test_empirical_objective_rejects_a_sum_beyond_the_float_range(sample):
     # a product count * half overflows, or finite terms sum past the range
     grid = line_grid(euclidean_space(1), [0.0])
-    cost = table_cost({(0, 0): 1e308, (1, 0): 1e308}, grid)
+    cost = table_cost([[1e308], [1e308]], grid)
     with pytest.raises(ValueError, match="objective values must be finite"):
         empirical_objective((0, 1), np.array(sample), cost, grid)
 
@@ -369,7 +369,7 @@ def test_checked_sum_falls_back_to_fsum(monkeypatch, rows, sample, fallbacks):
     # exact rational fallback runs on exactly ``fallbacks`` columns, the
     # ones the TwoSum check cannot certify
     grid = line_grid(euclidean_space(1), np.arange(len(rows[0]), dtype=float))
-    cost = table_cost({(k, j): v for k, row in enumerate(rows) for j, v in enumerate(row)}, grid)
+    cost = table_cost(rows, grid)
     per_draw = [[rows[k][j] for k in sample] for j in range(len(grid))]
     rational_sum, summed = frechet_solver._rational_sum, []
 
@@ -406,10 +406,8 @@ def _prefix_case(kind: str):
     grid = line_grid(space, np.linspace(-3.0, 5.0, 17))
     rng = np.random.default_rng(53)
     if kind == "table":
-        entries = {
-            (i, j): float(v) for i in range(6) for j, v in enumerate(rng.normal(0, 1e3, 17))
-        }
-        return tuple(range(6)), rng.integers(0, 6, 60), table_cost(entries, grid), grid
+        rows = [rng.normal(0, 1e3, 17) for _ in range(6)]
+        return tuple(range(6)), rng.integers(0, 6, 60), table_cost(rows, grid), grid
     # mixed scales plus repeated support indices, so the rounding of a
     # per-draw sum matters and rows are shared between draws
     values = np.concatenate([rng.uniform(-4.0, 6.0, 40), 1e6 * rng.uniform(-1, 1, 5)])

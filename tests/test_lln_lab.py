@@ -412,11 +412,29 @@ def test_median_walk_matches_per_axis_oracle(s, n_max, c, exponent, seed):
     assert {key: result.summary[key] for key in summary} == summary
 
 
+def axis_factored_distances(axis_sets):
+    """``d_subset`` and ``d_hausdorff`` from the product of ``axis_sets``
+    (nonempty subsets of the axis grids) to the full box grid, by axis.
+    The mean set lies in the box grid, so ``d_sub`` is 0. Under the L1
+    metric the distance of a box point to the product set is the sum of its
+    per-axis distances to the axis sets, and the farthest box point takes
+    the farthest coordinate on each axis independently: ``d_haus`` is the
+    sum over axes k of max over x in {0, 1/2, 1} of min over a in A_k of
+    |x - a|."""
+    d_haus = 0.0
+    for axis_set in axis_sets:
+        values = axis_set.grid.coords[axis_set.indices, 0]
+        d_haus += max(min(abs(x - a) for a in values) for x in MEDIAN_AXIS_COORDS)
+    return 0.0, float(d_haus)
+
+
 def uncached_median_oracle(s, schedule, n_max, seed):
     """The median runner's records and summary with nothing shared between
-    records: each one restricts its own axis sets, composes its own mean
-    set and measures both distances, and each beyond-checkpoint flag scans
-    its own window."""
+    records: each one restricts its own axis sets and measures both
+    distances by axis (``axis_factored_distances``, which
+    ``test_axis_factored_distances_match_the_product_set_distances`` ties to
+    the set distances on the product grid), and each beyond-checkpoint flag
+    scans its own window."""
     bits = SplitMix64(seed).bits_block(n_max * s).reshape(n_max, s).T
     n_row = np.arange(1, n_max + 1)
     walks = 2 * np.cumsum(bits, axis=1) - n_row
@@ -424,20 +442,18 @@ def uncached_median_oracle(s, schedule, n_max, seed):
     sim_zero, corner_zero, corner_one, unit_box, interior = _box_events(walks, n_row * eps)
     sim_zero_counts = np.cumsum(sim_zero)
     axes = [line_grid(euclidean_space(1), MEDIAN_AXIS_COORDS) for _ in range(s)]
-    box_grid = product_grid(axes)
-    target = PointSet.full(box_grid)
     target_box = [(0.0, 1.0)] * s
     records = []
     for n in make_n_grid(n_max):
         intervals = [median_interval_1d(bits[k, :n], eps[n - 1]) for k in range(s)]
         axis_sets = [grid_restrict_interval(axes[k], *intervals[k]) for k in range(s)]
-        mean_set = product_mean_set(axis_sets, box_grid)
+        d_sub, d_haus = axis_factored_distances(axis_sets)
         d_sub_box = _box_d_subset(intervals, target_box)
         record = {
             "n": n,
             "eps": float(eps[n - 1]),
-            "d_sub": d_subset(mean_set, target),
-            "d_haus": d_hausdorff(mean_set, target),
+            "d_sub": d_sub,
+            "d_haus": d_haus,
             "d_sub_box": d_sub_box,
             "d_haus_box": max(d_sub_box, _box_d_subset(target_box, intervals)),
             "unit_box_subset": int(unit_box[n - 1]),
@@ -487,6 +503,41 @@ _ORACLE_SCHEDULES = (
     EpsilonSchedule.constant(0.05),
     EpsilonSchedule.power_decay(1.0, 0.25),
 )
+
+
+def _assert_axis_factored_distances_match(positions):
+    # every coordinate and distance is a multiple of 1/2 far below 2**53,
+    # so both sides are exact and agree bit for bit
+    axes = [line_grid(euclidean_space(1), MEDIAN_AXIS_COORDS) for _ in positions]
+    box_grid = product_grid(axes)
+    axis_sets = [PointSet(axis, list(p)) for axis, p in zip(axes, positions)]
+    mean_set = product_mean_set(axis_sets, box_grid)
+    target = PointSet.full(box_grid)
+    expected = (d_subset(mean_set, target), d_hausdorff(mean_set, target))
+    assert [v.hex() for v in axis_factored_distances(axis_sets)] == [v.hex() for v in expected]
+
+
+_AXIS_SUBSETS = st.sets(st.sampled_from(range(len(MEDIAN_AXIS_COORDS))), min_size=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    positions=st.integers(1, 4).flatmap(
+        lambda s: st.lists(_AXIS_SUBSETS, min_size=s, max_size=s)
+    )
+)
+def test_axis_factored_distances_match_the_product_set_distances(positions):
+    _assert_axis_factored_distances_match(positions)
+
+
+def test_axis_factored_distances_match_the_product_set_distances_at_dimension_6():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        positions = []
+        for _ in range(6):
+            subset = np.flatnonzero(rng.random(3) < 0.5)
+            positions.append(subset if subset.size else [int(rng.integers(3))])
+        _assert_axis_factored_distances_match(positions)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ the three counterexample fixtures."""
 
 import json
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -24,8 +25,18 @@ from frechet_sets.frechet_solver import (
     Objective,
     eps_argmin,
     median_interval_1d,
+    product_mean_set,
 )
-from frechet_sets.lln_lab import markov_bound, run_regression_certificate
+from frechet_sets.lln_lab import (
+    SamplingDistribution,
+    SplitMix64,
+    _regression_sample,
+    make_n_grid,
+    markov_bound,
+    run_regression_certificate,
+    run_ulln_single,
+    symmetric_lambda_min,
+)
 from frechet_sets.metric_core import (
     CandidateGrid,
     GridMismatchError,
@@ -882,6 +893,17 @@ def test_line_tail_diameters_match_the_brute_force_union(data):
     assert report.bounded == bool(within)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_line_diameter_is_the_block_maximum_bit_for_bit(data):
+    # on the line kinds ``diameter`` measures only the set's two ends
+    grid = data.draw(_line_kind_grid())
+    subset = PointSet(grid, data.draw(_indices(grid, max_size=10)))
+    block = grid.distance_matrix(subset.indices, subset.indices)
+    expected = block.max() if len(subset) > 1 else 0.0
+    assert _hex([diameter(grid, subset)]) == _hex([expected])
+
+
 def test_sequence_space_embedding_counterexample():
     # truncation of the orthonormal-sequence phenomenon: pairs {origin, e_n}
     # keep one-sided distance 1 from {origin} while the inner estimate
@@ -1012,6 +1034,213 @@ def test_nan_parameters_are_rejected(name):
     call, message = _nan_cases()[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _triangle_violating_table(n):
+    """An n-point table, n beyond the full-check limit, whose first half is
+    3 apart and every other pair 1 apart: a triple (i, j, k) with i and j in
+    the first half and k in the second breaks the triangle inequality, about
+    one sampled triple in eight."""
+    table = np.ones((n, n))
+    table[: n // 2, : n // 2] = 3.0
+    np.fill_diagonal(table, 0.0)
+    return table
+
+
+def _argument_check_cases():
+    """One row per argument check of the library: its call, its exception
+    type and its message."""
+    grid = line_integer_grid(5)
+    other = line_integer_grid(5)
+    obj = Objective(grid, np.arange(5.0))
+    seq = SetSequence(grid, (PointSet(grid, [0]), PointSet(grid, [0, 1])))
+    axis = line_grid(euclidean_space(1), [0.0, 1.0])
+    law = FiniteDistribution.uniform((Point.vector(0.0), Point.vector(1.0)))
+    euclid = SpaceKind.EUCLIDEAN_L2
+    return {
+        "NondecreasingFn_start": (
+            lambda: NondecreasingFn((1.0,), (0.0,), 1.0),
+            ValueError,
+            "breakpoints must start at 0",
+        ),
+        "NondecreasingFn_lengths": (
+            lambda: NondecreasingFn((0.0, 1.0), (0.0,), 1.0),
+            ValueError,
+            "breakpoints and values must have equal length",
+        ),
+        "NondecreasingFn_decreasing": (
+            lambda: NondecreasingFn((0.0, 1.0), (2.0, 1.0), 1.0),
+            ValueError,
+            "values must be nondecreasing",
+        ),
+        "FiniteDistribution_empty": (
+            lambda: FiniteDistribution((), []),
+            ValueError,
+            "support must be nonempty",
+        ),
+        "FiniteDistribution_weights_length": (
+            lambda: FiniteDistribution((0, 1), [1.0]),
+            ValueError,
+            "weights must match the support length",
+        ),
+        "FiniteDistribution_negative": (
+            lambda: FiniteDistribution((0, 1), [-1.0, 2.0]),
+            ValueError,
+            "weights must be nonnegative",
+        ),
+        "median_interval_1d_empty": (
+            lambda: median_interval_1d([], 0.1),
+            ValueError,
+            "sample must be nonempty",
+        ),
+        "product_mean_set_axes": (
+            lambda: product_mean_set([], product_grid([axis, axis])),
+            GridMismatchError,
+            "one axis set per product axis is required",
+        ),
+        "SamplingDistribution_draw": (
+            lambda: SamplingDistribution(law).draw(SplitMix64(0), 0),
+            ValueError,
+            "n must be positive",
+        ),
+        "make_n_grid": (lambda: make_n_grid(0), ValueError, "n_max must be positive"),
+        "markov_bound_n": (lambda: markov_bound(0, 1.0, 1.0), ValueError, "n must be positive"),
+        "symmetric_lambda_min": (
+            lambda: symmetric_lambda_min(np.zeros((2, 3))),
+            ValueError,
+            "matrix must be square",
+        ),
+        "_regression_sample_n": (
+            lambda: _regression_sample(SplitMix64(0), 1, 0, 0.0),
+            ValueError,
+            "n must be positive",
+        ),
+        "run_ulln_single_n_list": (
+            lambda: run_ulln_single(law, power_cost(2.0, Point.vector(0.0)), axis, [], 0),
+            ValueError,
+            "n_list must hold positive sample sizes",
+        ),
+        "MetricSpace_dimension": (
+            lambda: MetricSpace(euclid, dimension=0),
+            ValueError,
+            "vector spaces need dimension >= 1",
+        ),
+        "MetricSpace_no_table": (
+            lambda: MetricSpace(SpaceKind.DISCRETE_TABLE),
+            ValueError,
+            "discrete-table space needs a distance table",
+        ),
+        "MetricSpace_stray_table": (
+            lambda: MetricSpace(euclid, distance_table=np.zeros((1, 1))),
+            ValueError,
+            "distance_table is only valid for discrete-table spaces",
+        ),
+        "table_space_square": (
+            lambda: table_space(np.zeros((2, 3))),
+            ValueError,
+            "distance table must be square, got shape (2, 3)",
+        ),
+        "table_space_empty": (
+            lambda: table_space(np.zeros((0, 0))),
+            ValueError,
+            "distance table must be nonempty",
+        ),
+        "table_space_finite": (
+            lambda: table_space([[0.0, math.inf], [math.inf, 0.0]]),
+            ValueError,
+            "distance table entries must be finite",
+        ),
+        "table_space_distinct": (
+            lambda: table_space(np.zeros((2, 2))),
+            ValueError,
+            "distance table has zero distance between distinct points",
+        ),
+        "table_space_sampled_triangle": (
+            lambda: table_space(_triangle_violating_table(520)),
+            ValueError,
+            "distance table violates the triangle inequality",
+        ),
+        "CandidateGrid_empty": (
+            lambda: line_grid(euclidean_space(1), []),
+            ValueError,
+            "a candidate grid needs at least one point",
+        ),
+        "diameter_grid": (
+            lambda: diameter(grid, PointSet(other, [0, 1])),
+            GridMismatchError,
+            "subset belongs to a different grid",
+        ),
+        "line_grid_space": (
+            lambda: line_grid(euclidean_space(2), [[0.0, 0.0]]),
+            ValueError,
+            "line_grid needs a 1-dimensional vector space",
+        ),
+        "circle_grid_space": (
+            lambda: circle_grid(euclidean_space(1), 3),
+            ValueError,
+            "circle_grid needs a circle space",
+        ),
+        "circle_grid_count": (
+            lambda: circle_grid(circle_space(), 0),
+            ValueError,
+            "count must be positive",
+        ),
+        "integer_grid_space": (
+            lambda: integer_grid(euclidean_space(1), 3),
+            ValueError,
+            "integer_grid needs a discrete space kind",
+        ),
+        "integer_grid_count": (
+            lambda: integer_grid(table_space(np.zeros((1, 1))), 2),
+            ValueError,
+            "count exceeds the distance table size",
+        ),
+        "product_grid_empty": (
+            lambda: product_grid([]),
+            ValueError,
+            "product_grid needs at least one axis",
+        ),
+        "product_grid_axes": (
+            lambda: product_grid([circle_grid(circle_space(), 3)]),
+            ValueError,
+            "product axes must be 1-dimensional vector grids",
+        ),
+        "SetSequence_grid": (
+            lambda: SetSequence(grid, (PointSet(other, [0]),)),
+            GridMismatchError,
+            "all sets must live on the sequence grid",
+        ),
+        "outer_limit_estimate_tail_start": (
+            lambda: outer_limit_estimate(seq, 2),
+            ValueError,
+            "tail_start must index into the sequence",
+        ),
+        "inner_limit_estimate_tail_start": (
+            lambda: inner_limit_estimate(seq, -1),
+            ValueError,
+            "tail_start must index into the sequence",
+        ),
+        "uniform_on_bounded_check_subset": (
+            lambda: uniform_on_bounded_check([obj], obj, PointSet(other, [0])),
+            GridMismatchError,
+            "subset must live on the objectives' grid",
+        ),
+        "uniform_on_bounded_check_objectives": (
+            lambda: uniform_on_bounded_check(
+                [Objective(other, np.arange(5.0))], obj, PointSet(grid, [0])
+            ),
+            GridMismatchError,
+            "all objectives must share one grid",
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_argument_check_cases()))
+def test_argument_checks_raise_their_error(name):
+    call, error, message = _argument_check_cases()[name]
+    with pytest.raises(error, match=re.escape(message)) as raised:
+        call()
+    assert type(raised.value) is error
 
 
 @pytest.mark.parametrize(
