@@ -41,7 +41,6 @@ from .cost_model import (
     estimate_doubling_constant,
     h_cost,
     power_cost,
-    table_cost,
 )
 from .frechet_solver import (
     ARGMIN_ABS_TOL,

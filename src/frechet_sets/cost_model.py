@@ -9,7 +9,7 @@ two profiles built here are
   (``h_cost``).
 
 A general cost is a dense table with one row per data index y and one
-column per grid point (``TableCost``, built by ``table_cost``).
+column per grid point (``TableCost``).
 
 The module also provides the numeric doubling-constant estimate for h,
 the three-inequality consistency check tying H, h, and the doubling
@@ -168,12 +168,10 @@ class CostFunction:
     o, so c(y, o) = 0 exactly.
     """
 
-    profile: "Callable[[np.ndarray | float], np.ndarray | float] | None" = None
-    anchor: "Point | None" = None
+    profile: "Callable[[np.ndarray | float], np.ndarray | float]"
+    anchor: Point
 
     def __post_init__(self) -> None:
-        if self.profile is None:
-            raise ValueError("profile cost needs a profile")
         if self.anchor is None:
             raise ValueError("profile cost needs an anchor point")
 
@@ -188,8 +186,8 @@ class CostFunction:
 @dataclass(frozen=True, eq=False)
 class TableCost:
     """A general cost c(y, q) = rows[y, j] for the data index y and the index
-    j of q in ``grid``: a read-only float array of one row per data index
-    (at least one) and one column per grid point."""
+    j of q in ``grid``: a read-only float copy of the given rows, one per
+    data index (at least one), each with one entry per grid point."""
 
     rows: np.ndarray
     grid: CandidateGrid
@@ -222,11 +220,6 @@ def power_cost(alpha: float, anchor: Point) -> CostFunction:
 def h_cost(h: NondecreasingFn, anchor: Point) -> CostFunction:
     """c(y, q) = H(d(y, q)) - H(d(y, o)) for H the exact integral of h."""
     return CostFunction(IntegratedH(h), anchor)
-
-
-def table_cost(rows: "np.ndarray | Sequence[Sequence[float]]", grid: CandidateGrid) -> TableCost:
-    """c(y, q) = rows[y][j] for the index j of q in ``grid``."""
-    return TableCost(rows, grid)
 
 
 # -- doubling constant and inequality suite ----------------------------------

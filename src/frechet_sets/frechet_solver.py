@@ -297,13 +297,15 @@ def _exact_sums(weights: np.ndarray, rows: np.ndarray, halves, work) -> np.ndarr
 
 
 def _rational_sum(weights: np.ndarray, column: np.ndarray) -> float:
-    """fl(sum of weights[k] * column[k]): exact, so no partial sum can overflow."""
+    """fl(sum of weights[k] * column[k]): exact, so no partial sum can overflow.
+
+    A sum that rounds to zero is +0.0, whatever its sign."""
     from fractions import Fraction  # imported on first use: it loads decimal
 
     try:
         return float(
             sum(Fraction(c) * Fraction(v) for c, v in zip(weights.tolist(), column.tolist()))
-        )
+        ) + 0.0
     except (OverflowError, ValueError):  # an inf or NaN entry, or a total beyond the range
         raise ValueError("objective values must be finite") from None
 

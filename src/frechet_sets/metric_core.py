@@ -442,21 +442,12 @@ def _require_same_grid(a: PointSet, b: PointSet) -> None:
 
 
 def diameter(grid: CandidateGrid, subset: PointSet) -> float:
-    """Largest pairwise distance within ``subset``; 0 for empty or singleton sets.
-
-    On a line kind the largest distance is the one between the set's
-    smallest and largest value, as in ``CandidateGrid.nearest``: a 1 x 1
-    block. Other kinds reduce the |subset| x |subset| block."""
+    """Largest pairwise distance within ``subset``; 0 for empty or singleton sets."""
     if subset.grid is not grid:
         raise GridMismatchError("subset belongs to a different grid")
     if len(subset) <= 1:
         return 0.0
-    ends = subset.indices
-    if grid.space.on_line:
-        values = grid.coords[ends].reshape(-1)
-        ends = ends[[values.argmin(), values.argmax()]]
-        return float(grid.distance_matrix(ends[:1], ends[1:])[0, 0])
-    return float(grid.distance_matrix(ends, ends).max())
+    return float(grid.distance_matrix(subset.indices, subset.indices).max())
 
 
 # -- space and grid builders -------------------------------------------------

@@ -380,9 +380,9 @@ def test_c11_bundled_median_fixtures_and_regression_golden_outputs(tmp_path):
     )
 
 
-#: Runs every bundled config (e3 at seed 42) in a fresh interpreter and
-#: prints the SHA-256 of each output, with the dispatch features that are
-#: still enabled after NPY_DISABLE_CPU_FEATURES took effect.
+#: Runs the named bundled configs (e3 at seed 42) in a fresh interpreter
+#: and prints the SHA-256 of each output, with the dispatch features named in
+#: NPY_DISABLE_CPU_FEATURES that are still enabled.
 _RERUN_SCRIPT = """
 import hashlib, json, os, pathlib, sys
 try:
@@ -393,15 +393,36 @@ from frechet_sets.cli import run
 
 configs, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
 digests = {}
-for config in ("e1", "e2", "e3", "circle", "ulln", "fixtures", "regression"):
+for config in sys.argv[3:]:
     seed = 42 if config == "e3" else None
     assert run(str(configs / f"{config}.json"), str(out / config), seed_override=seed) == 0
     for path in sorted((out / config).iterdir()):
         if path.name != "manifest.json":
             digests[f"{config}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-disabled = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
 print(json.dumps({"enabled": [f for f in disabled if __cpu_features__[f]], "digests": digests}))
 """
+
+#: Every pinned digest, keyed "config/output" as ``_RERUN_SCRIPT`` prints them.
+_ALL_GOLDEN_SHA256 = {
+    "e3/median.csv": GOLDEN_E3_SEED42_CSV_SHA256,
+    "e3/median.json": GOLDEN_E3_SEED42_JSON_SHA256,
+    **{f"{name.split('.')[0]}/{name}": d for name, d in GOLDEN_BUNDLED_SHA256.items()},
+    **{f"{config}/{name}": d for (config, name), d in GOLDEN_OTHER_BUNDLED_SHA256.items()},
+}
+
+
+def _rerun(tmp_path, configs, **env):
+    """Run ``_RERUN_SCRIPT`` on ``configs`` with ``env`` added to the
+    environment; return its printed report and its stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RERUN_SCRIPT, str(CONFIG_DIR), str(tmp_path), *configs],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
 
 
 def _dispatch_features_beyond_baseline() -> list[str]:
@@ -420,38 +441,13 @@ def test_c11_golden_outputs_hold_with_simd_dispatch_off(tmp_path):
     # the pinned bytes must not depend on which SIMD kernels numpy's ufuncs
     # pick at run time: rerun every bundled config with only the baseline
     features = _dispatch_features_beyond_baseline()
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _RERUN_SCRIPT, str(CONFIG_DIR), str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    result = json.loads(proc.stdout.splitlines()[-1])
-    expected = {
-        "e3/median.csv": GOLDEN_E3_SEED42_CSV_SHA256,
-        "e3/median.json": GOLDEN_E3_SEED42_JSON_SHA256,
-        **{f"{name.split('.')[0]}/{name}": d for name, d in GOLDEN_BUNDLED_SHA256.items()},
-        **{f"{config}/{name}": d for (config, name), d in GOLDEN_OTHER_BUNDLED_SHA256.items()},
-    }
+    configs = ("e1", "e2", "e3", "circle", "ulln", "fixtures", "regression")
+    result, _ = _rerun(tmp_path, configs, NPY_DISABLE_CPU_FEATURES=" ".join(features))
     report(
         "C11 determinism: pinned outputs with SIMD dispatch beyond the baseline off",
-        result["enabled"] == [] and result["digests"] == expected,
+        result["enabled"] == [] and result["digests"] == _ALL_GOLDEN_SHA256,
         f"disabled {' '.join(features) or 'nothing'}; still enabled {result['enabled']}",
     )
-
-
-#: Runs the bundled regression config in a fresh interpreter and prints the
-#: SHA-256 of each output, keyed as in ``GOLDEN_OTHER_BUNDLED_SHA256``.
-_REGRESSION_SCRIPT = """
-import hashlib, json, pathlib, sys
-from frechet_sets.cli import run
-
-config, out = sys.argv[1], pathlib.Path(sys.argv[2])
-assert run(config, str(out)) == 0
-names = ("regression.csv", "regression.json")
-print(json.dumps({name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}))
-"""
 
 
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
@@ -459,21 +455,13 @@ def test_c11_regression_golden_outputs_hold_on_other_blas_kernels(tmp_path, core
     # the regression pins must not depend on which kernel OpenBLAS picks for
     # this CPU: rerun the config with another one forced. A numpy built
     # without OpenBLAS ignores the variable, and the pins hold as they are
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_VERBOSE="2")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    config = str(CONFIG_DIR / "regression.json")
-    proc = subprocess.run(
-        [sys.executable, "-c", _REGRESSION_SCRIPT, config, str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    digests = json.loads(proc.stdout.splitlines()[-1])
-    pins = GOLDEN_OTHER_BUNDLED_SHA256.items()
-    expected = {name: d for (config, name), d in pins if config == "regression"}
+    env = {"OPENBLAS_CORETYPE": coretype, "OPENBLAS_VERBOSE": "2"}
+    result, stderr = _rerun(tmp_path, ["regression"], **env)
+    expected = {k: d for k, d in _ALL_GOLDEN_SHA256.items() if k.startswith("regression/")}
     # OpenBLAS prints the kernel it chose ("Core: ...") on stderr
-    cores = [line for line in proc.stderr.splitlines() if line.startswith("Core:")]
+    cores = [line for line in stderr.splitlines() if line.startswith("Core:")]
     report(
         f"C11 determinism: pinned regression outputs under OPENBLAS_CORETYPE={coretype}",
-        digests == expected,
+        result["digests"] == expected,
         "; ".join(cores) or "no OpenBLAS kernel reported",
     )

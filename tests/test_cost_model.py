@@ -21,7 +21,6 @@ from frechet_sets.cost_model import (
     estimate_doubling_constant,
     h_cost,
     power_cost,
-    table_cost,
 )
 from frechet_sets.frechet_solver import (
     FiniteDistribution,
@@ -151,7 +150,7 @@ def test_power_and_integrated_costs_agree_for_squares():
 def test_table_cost_lookup_and_errors():
     space = euclidean_space(1)
     grid = line_grid(space, [0.0, 1.0])
-    cost = table_cost([[1.5, -2.0]], grid)
+    cost = TableCost([[1.5, -2.0]], grid)
     assert cost.row(0, grid)[1] == -2.0
     assert np.array_equal(cost.row(0, grid), np.array([1.5, -2.0]))
     with pytest.raises(ValueError, match="not a row index of a 1-row table"):
@@ -161,7 +160,7 @@ def test_table_cost_lookup_and_errors():
 def test_table_cost_rows_are_read_only_and_checked_once():
     grid = line_grid(euclidean_space(1), [0.0, 1.0, 2.0])
     source = np.arange(6.0).reshape(2, 3)
-    cost = table_cost(source, grid)
+    cost = TableCost(source, grid)
     source[0, 0] = 9.0  # the table holds its own copy
     assert cost.row(0, grid)[0] == 0.0
     assert isinstance(cost, TableCost) and not cost.rows.flags.writeable
@@ -178,13 +177,13 @@ def test_table_cost_rows_are_read_only_and_checked_once():
 def test_table_cost_rejects_a_table_of_the_wrong_shape(rows):
     grid = line_grid(euclidean_space(1), [0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match=r"table cost needs K >= 1 rows of 3 entries"):
-        table_cost(rows, grid)
+        TableCost(rows, grid)
 
 
 @pytest.mark.parametrize("y", [-1, 2, 0.0, 1.5, "0", None, Point.vector(0.0)])
 def test_table_cost_rejects_a_datum_that_is_not_a_row_index(y):
     grid = line_grid(euclidean_space(1), [0.0, 1.0])
-    cost = table_cost([[1.0, 2.0], [3.0, 4.0]], grid)
+    cost = TableCost([[1.0, 2.0], [3.0, 4.0]], grid)
     with pytest.raises(ValueError, match="is not a row index of a 2-row table"):
         cost.row(y, grid)
 
@@ -192,7 +191,7 @@ def test_table_cost_rejects_a_datum_that_is_not_a_row_index(y):
 def test_table_cost_rows_are_only_defined_on_the_table_grid():
     grid = line_grid(euclidean_space(1), [0.0, 1.0])
     same_points = line_grid(euclidean_space(1), [0.0, 1.0])
-    cost = table_cost([[1.0, 2.0]], grid)
+    cost = TableCost([[1.0, 2.0]], grid)
     with pytest.raises(ValueError, match="table cost rows are only defined on the table grid"):
         cost.row(0, same_points)
 
@@ -210,7 +209,7 @@ def test_cost_row_matches_scalar_evaluate(kind, transform):
 
     if kind == "table":
         rows = np.random.default_rng(5).normal(size=(3, 11))
-        cost = table_cost(rows, grid)
+        cost = TableCost(rows, grid)
         data = range(3)
     else:
         if kind == "h":
@@ -238,14 +237,21 @@ def test_cost_row_matches_scalar_evaluate(kind, transform):
         lambda: power_cost(float("inf"), Point.vector(0.0)),
         lambda: power_cost(2.0, None),
         lambda: h_cost(NondecreasingFn.identity(), None),
-        lambda: CostFunction(profile=abs),
-        lambda: CostFunction(),
-        lambda: table_cost([[1.0, 2.0]], line_grid(euclidean_space(1), [0.0, 1.0, 2.0])),
+        lambda: CostFunction(abs, None),
+        lambda: TableCost(np.empty((0, 2)), line_grid(euclidean_space(1), [0.0, 1.0])),
+        lambda: TableCost([[1.0, 2.0]], line_grid(euclidean_space(1), [0.0, 1.0, 2.0])),
     ],
 )
 def test_cost_factories_reject_bad_input(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_profile_cost_needs_both_fields():
+    with pytest.raises(TypeError):
+        CostFunction()
+    with pytest.raises(TypeError):
+        CostFunction(abs)
 
 
 def test_anchor_independence_of_argmin():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from frechet_sets import frechet_solver
 from frechet_sets.cli import MAX_DRAWS
-from frechet_sets.cost_model import NondecreasingFn, h_cost, power_cost, table_cost
+from frechet_sets.cost_model import NondecreasingFn, TableCost, h_cost, power_cost
 from frechet_sets.frechet_solver import (
     MAX_SAMPLE_LEN,
     MAX_SCHEDULE_C,
@@ -108,7 +108,7 @@ def _population_cases(draw):
     kind = draw(st.sampled_from(["power", "h", "table"]))
     if kind == "table":
         support = tuple(range(k))
-        cost = table_cost([[draw(coord) for _ in range(g)] for _ in range(k)], grid)
+        cost = TableCost([[draw(coord) for _ in range(g)] for _ in range(k)], grid)
     else:
         support = tuple(Point.vector(draw(coord)) for _ in range(k))
         anchor = Point.vector(draw(coord))
@@ -122,7 +122,7 @@ def _population_cases(draw):
 def _table_law(weights, rows):
     """A law on data indices 0..K-1 whose cost row k is ``rows[k]``."""
     grid = line_grid(euclidean_space(1), np.arange(len(rows[0]), dtype=float))
-    cost = table_cost(rows, grid)
+    cost = TableCost(rows, grid)
     return FiniteDistribution(tuple(range(len(rows))), np.array(weights)), cost, grid
 
 
@@ -153,6 +153,8 @@ def _subnormal_h_law():
 # and 2**-1074, not 0, for three table rows of 2**-1074
 @example(_subnormal_h_law())
 @example(_table_law([1 / 3, 1 / 3, 1 / 3], [[2.0**-1074, 2.0**-1040]] * 3))
+# a rational sum that rounds to zero from below: +0.0, as every zero sum
+@example(_table_law([1 / 3, 2 / 3], [[-(2.0**-1074), 1.0], [0.0, 1.0]]))
 def test_population_objective_matches_fraction_oracle(case):
     # sum over the support points of positive weight of w_k * r_k(q),
     # rounded once, for weights such as 1/3; it raises where that sum is
@@ -219,7 +221,7 @@ def _count_cases(draw):
         pool = st.sampled_from(draw(st.lists(_magnitudes(), min_size=1, max_size=4)))
         entry = st.one_of(pool, pool.map(lambda v: -v), _magnitudes(), st.just(0.0))
         rows = [[draw(entry) for _ in range(g)] for _ in range(k)]
-        support, cost = tuple(range(k)), table_cost(rows, grid)
+        support, cost = tuple(range(k)), TableCost(rows, grid)
     else:
         coord = st.floats(-100.0, 100.0, allow_nan=False)
         grid = line_grid(
@@ -303,7 +305,7 @@ def test_objectives_at_the_float_edges_match_fraction_oracle(rows, data):
     for order in (list(range(k)), data.draw(st.permutations(range(k)))):
         # support point order[i] carries row i
         table = [rows[order.index(i)] for i in range(k)]
-        args = (tuple(range(k)), np.array([order[i] for i in sample]), table_cost(table, grid))
+        args = (tuple(range(k)), np.array([order[i] for i in sample]), TableCost(table, grid))
         if expected is None:
             with pytest.raises(ValueError, match="objective values must be finite"):
                 empirical_objective(*args, grid)
@@ -325,7 +327,7 @@ def test_empirical_objective_rejects_samples_beyond_exact_counts():
 def test_empirical_objective_rejects_a_sum_beyond_the_float_range(sample):
     # a product count * half overflows, or finite terms sum past the range
     grid = line_grid(euclidean_space(1), [0.0])
-    cost = table_cost([[1e308], [1e308]], grid)
+    cost = TableCost([[1e308], [1e308]], grid)
     with pytest.raises(ValueError, match="objective values must be finite"):
         empirical_objective((0, 1), np.array(sample), cost, grid)
 
@@ -369,7 +371,7 @@ def test_checked_sum_falls_back_to_fsum(monkeypatch, rows, sample, fallbacks):
     # exact rational fallback runs on exactly ``fallbacks`` columns, the
     # ones the TwoSum check cannot certify
     grid = line_grid(euclidean_space(1), np.arange(len(rows[0]), dtype=float))
-    cost = table_cost(rows, grid)
+    cost = TableCost(rows, grid)
     per_draw = [[rows[k][j] for k in sample] for j in range(len(grid))]
     rational_sum, summed = frechet_solver._rational_sum, []
 
@@ -407,7 +409,7 @@ def _prefix_case(kind: str):
     rng = np.random.default_rng(53)
     if kind == "table":
         rows = [rng.normal(0, 1e3, 17) for _ in range(6)]
-        return tuple(range(6)), rng.integers(0, 6, 60), table_cost(rows, grid), grid
+        return tuple(range(6)), rng.integers(0, 6, 60), TableCost(rows, grid), grid
     # mixed scales plus repeated support indices, so the rounding of a
     # per-draw sum matters and rows are shared between draws
     values = np.concatenate([rng.uniform(-4.0, 6.0, 40), 1e6 * rng.uniform(-1, 1, 5)])

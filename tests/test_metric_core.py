@@ -222,21 +222,6 @@ def test_diameter_examples():
     assert diameter(unit, PointSet(unit, [0, 5, 9])) == 1.0
 
 
-def test_line_diameter_builds_no_block():
-    # the block of a 4096-point set against itself would hold 4096 x 4096
-    # floats (134 MB); its two ends take one cell
-    grid = integer_grid(n0_line_space(), 4096)
-    full = PointSet.full(grid)
-    tracemalloc.start()
-    try:
-        span = diameter(grid, full)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert span == 4095.0
-    assert peak < 1_000_000
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     size=st.integers(1, 12),

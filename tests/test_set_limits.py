@@ -893,17 +893,6 @@ def test_line_tail_diameters_match_the_brute_force_union(data):
     assert report.bounded == bool(within)
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.data())
-def test_line_diameter_is_the_block_maximum_bit_for_bit(data):
-    # on the line kinds ``diameter`` measures only the set's two ends
-    grid = data.draw(_line_kind_grid())
-    subset = PointSet(grid, data.draw(_indices(grid, max_size=10)))
-    block = grid.distance_matrix(subset.indices, subset.indices)
-    expected = block.max() if len(subset) > 1 else 0.0
-    assert _hex([diameter(grid, subset)]) == _hex([expected])
-
-
 def test_sequence_space_embedding_counterexample():
     # truncation of the orthonormal-sequence phenomenon: pairs {origin, e_n}
     # keep one-sided distance 1 from {origin} while the inner estimate
