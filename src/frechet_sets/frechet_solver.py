@@ -77,7 +77,7 @@ class Objective:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (len(self.grid),):
             raise ValueError("values must have one entry per grid point")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("objective values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -319,7 +319,7 @@ def eps_argmin(obj: Objective, eps: float) -> PointSet:
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     threshold = obj.values.min() + eps + ARGMIN_ABS_TOL
-    return PointSet(obj.grid, np.flatnonzero(obj.values <= threshold))
+    return PointSet(obj.grid, (obj.values <= threshold).nonzero()[0])
 
 
 #: n * (3 * max|y_i| + eps) bounds G, its knot sums, the threshold and both

@@ -14,8 +14,9 @@ broadcast shape of its two arguments. The scalar ``MetricSpace.distance``
 is its one-pair case, ``CandidateGrid.distance_matrix`` its all-pairs
 block, and ``CandidateGrid.nearest`` its two-candidate case on the line
 kinds (``MetricSpace.on_line``), whose nearest member of a set is one of
-two sorted neighbours. A grid is its packed array: ``Point`` objects exist
-only where a caller converts at the edge (``grid[i]``, ``grid.index_of``,
+two sorted neighbours; several such queries share one kernel call. A
+grid is its packed array: ``Point`` objects exist only where a caller
+converts at the edge (``grid[i]``, ``grid.index_of``,
 ``MetricSpace.pack``), and grids compute only the distances a caller asks
 for, caching no grid-sized matrix.
 
@@ -175,9 +176,10 @@ class MetricSpace:
             packed = raw.astype(np.int64)
             if packed.size and packed.min() < 0:
                 raise InvalidPointError(f"discrete index must be nonnegative, got {packed.min()}")
-            size = len(self.distance_table) if kind is SpaceKind.DISCRETE_TABLE else math.inf
-            if packed.size and packed.max() >= size:
-                raise InvalidPointError(f"index {packed.max()} outside table of size {size}")
+            if kind is SpaceKind.DISCRETE_TABLE and packed.size:  # the N0 kinds are unbounded
+                size = len(self.distance_table)
+                if packed.max() >= size:
+                    raise InvalidPointError(f"index {packed.max()} outside table of size {size}")
             return packed
         packed = np.array(values, dtype=float)
         row = (self.dimension,) if kind in _VECTOR_KINDS else ()
@@ -347,32 +349,48 @@ class CandidateGrid:
         """dist(q, cols) for each grid index q in ``rows``: the row minima of
         the rows x cols block, and +inf for every row when ``cols`` is empty.
 
-        On a line kind (``MetricSpace.on_line``) the nearest column of a row
-        is one of its two neighbours among the sorted column values, and no
-        block is built: float subtraction rounds monotonically and the
-        transform is nondecreasing, so the kernel on those two candidates
-        has the block's row minimum bit for bit, in O(|rows| + |cols|)
-        memory. Other kinds reduce the block.
+        On a line kind (``MetricSpace.on_line``) this is the one-query case
+        of ``_neighbour_minima`` and no block is built. Other kinds reduce
+        the block.
         """
         rows = np.asarray(rows, dtype=np.intp)
         if not len(cols):
             return np.full(len(rows), math.inf)
         if not self.space.on_line:
             return self.distance_matrix(rows, cols).min(axis=1)
+        return self._neighbour_minima((rows, cols))
+
+    def _neighbour_minima(self, *queries: "tuple[np.ndarray, np.ndarray]") -> np.ndarray:
+        """The row minima of each (rows, cols) block, in query order, on a
+        line kind and for nonempty ``cols``, from one ``distances`` call.
+
+        The nearest column of a row is one of its two neighbours among the
+        sorted column values: float subtraction rounds monotonically and
+        the transform is nondecreasing, so the kernel on those two
+        candidates has the block's row minimum bit for bit, in
+        O(|rows| + |cols|) memory.
+        """
         packed = self.coords
-        line = packed[np.asarray(cols, dtype=np.intp)]
-        line.sort(axis=0)
-        at = packed[rows]
-        # line[right] is the first member >= the row, or the last member;
-        # line[right - 1] the one before it, or (index -1) the last member
-        right = np.searchsorted(line[:-1].reshape(-1), at.reshape(-1))
-        left_right = self.space.distances(at, line[right - _LEFT_RIGHT])
+        at, candidates = [], []
+        for rows, cols in queries:
+            line = packed[np.asarray(cols, dtype=np.intp)]
+            line.sort(axis=0)
+            row_values = packed[np.asarray(rows, dtype=np.intp)]
+            # line[right] is the first member >= the row, or the last member;
+            # line[right - 1] the one before it, or (index -1) the last member
+            right = np.searchsorted(line[:-1].reshape(-1), row_values.reshape(-1))
+            at.append(row_values)
+            candidates.append(line[right - _LEFT_RIGHT])
+        left_right = self.space.distances(np.concatenate(at), np.concatenate(candidates, axis=1))
         return np.minimum(left_right[0], left_right[1])
 
 
 class PointSet:
     """A finite subset of a grid, stored as one read-only, sorted,
     deduplicated ``np.intp`` array of grid indices (``indices``).
+
+    The constructor copies the given indices once and sorts and
+    deduplicates that copy, so the caller's array is never frozen or shared.
 
     Equality requires the *same* grid object; sets over different grids
     never compare equal and may not be mixed in set operations.
@@ -385,12 +403,13 @@ class PointSet:
         # a float would be truncated and a boolean mask read as the indices 0 and 1
         if raw.size and raw.dtype.kind not in "iu":
             raise ValueError("point set indices must be integers")
-        idx = np.sort(np.asarray(raw, dtype=np.intp))
+        idx = raw.astype(np.intp)  # always a copy
+        idx.sort()
         if idx.size and (idx[0] < 0 or idx[-1] >= len(grid)):
             raise ValueError(f"indices out of range for grid of size {len(grid)}")
-        keep = np.ones(idx.size, dtype=bool)  # drop repeats of the left neighbour
-        keep[1:] = idx[1:] != idx[:-1]
-        idx = idx[keep]
+        repeat = idx[1:] == idx[:-1]  # drop repeats of the left neighbour
+        if repeat.any():  # a mask, not an index array of the repeats, which can be most of idx
+            idx = np.concatenate((idx[:1], idx[1:][~repeat]))
         idx.setflags(write=False)
         self.grid = grid
         self.indices = idx

@@ -249,6 +249,10 @@ def test_point_set_matches_frozenset_oracle(size, raw_a, raw_b, probe, outside):
     for bad in (-outside, size - 1 + outside):
         with pytest.raises(ValueError, match="out of range"):
             PointSet(grid, raw_a + [bad])
+    # a caller's writable intp array is copied, never frozen or shared
+    arr = np.array(raw_a, dtype=np.intp)
+    c = PointSet(grid, arr)
+    assert c == a and arr.flags.writeable and not np.shares_memory(arr, c.indices)
 
 
 def test_point_sets_on_different_grids_never_mix():
