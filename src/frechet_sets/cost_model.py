@@ -180,7 +180,8 @@ class CostFunction:
         # f(d(y, o)) stays one scalar profile call, so an array pow cannot
         # move the anchor term's bits
         f = self.profile
-        return f(grid.distances_from(y)) - f(grid.space.distance(y, self.anchor))
+        space = grid.space
+        return f(grid.distances_from(space.pack((y,)))) - f(space.distance(y, self.anchor))
 
 
 @dataclass(frozen=True, eq=False)

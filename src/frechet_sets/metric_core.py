@@ -14,11 +14,13 @@ broadcast shape of its two arguments. The scalar ``MetricSpace.distance``
 is its one-pair case, ``CandidateGrid.distance_matrix`` its all-pairs
 block, and ``CandidateGrid.nearest`` its two-candidate case on the line
 kinds (``MetricSpace.on_line``), whose nearest member of a set is one of
-two sorted neighbours; several such queries share one kernel call. A
-grid is its packed array: ``Point`` objects exist only where a caller
-converts at the edge (``grid[i]``, ``grid.index_of``,
-``MetricSpace.pack``), and grids compute only the distances a caller asks
-for, caching no grid-sized matrix.
+two sorted neighbours; several such queries share one kernel call. Each
+point has one packed value: a row of floats for a vector, an angle in
+[0, 2*pi) for the circle, an int64 index otherwise. A grid is its packed
+array, and ``CandidateGrid.distances_from`` takes one packed point, so
+``Point`` objects exist only where a caller converts at the edge
+(``grid[i]``, ``grid.index_of``, ``MetricSpace.pack``). Grids compute only
+the distances a caller asks for, caching no grid-sized matrix.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -84,8 +86,10 @@ class Point:
 
     @staticmethod
     def angle(theta: float) -> "Point":
-        # normalized representative in [0, 2*pi)
-        return Point(float(theta) % TWO_PI, "angle")
+        # normalized representative in [0, 2*pi): % rounds a tiny negative
+        # theta up to 2*pi itself, the same point as 0
+        theta = float(theta) % TWO_PI
+        return Point(0.0 if theta == TWO_PI else theta, "angle")
 
     @staticmethod
     def index(i: int) -> "Point":
@@ -130,7 +134,7 @@ def _stable_pow(d: "np.ndarray | float", alpha: float) -> "np.ndarray | float":
     if alpha == 2.0:
         return d * d
     if alpha == 0.5:
-        return np.sqrt(d) if isinstance(d, np.ndarray) else math.sqrt(d)
+        return np.sqrt(d)
     return d**alpha
 
 
@@ -138,9 +142,10 @@ def _stable_pow(d: "np.ndarray | float", alpha: float) -> "np.ndarray | float":
 class MetricSpace:
     """A metric space of one of the supported kinds.
 
-    ``dimension`` applies to the vector kinds. ``distance_table`` (square,
-    symmetric, zero diagonal, triangle-checked) applies to the discrete
-    kind. ``transform``, when present, is applied after the base distance.
+    ``dimension`` is set on the vector kinds only; every other kind has
+    dimension 1. ``distance_table`` (square, symmetric, zero diagonal,
+    triangle-checked) applies to the discrete kind. ``transform``, when
+    present, is applied after the base distance.
     """
 
     kind: SpaceKind
@@ -149,8 +154,11 @@ class MetricSpace:
     transform: "MetricTransform | None" = None
 
     def __post_init__(self) -> None:
-        if self.kind in _VECTOR_KINDS and self.dimension < 1:
-            raise ValueError("vector spaces need dimension >= 1")
+        if self.kind in _VECTOR_KINDS:
+            if self.dimension < 1:
+                raise ValueError("vector spaces need dimension >= 1")
+        elif self.dimension != 1:
+            raise ValueError(f"{self.kind.value} spaces have dimension 1, got {self.dimension}")
         if self.kind is SpaceKind.DISCRETE_TABLE:
             if self.distance_table is None:
                 raise ValueError("discrete-table space needs a distance table")
@@ -167,7 +175,7 @@ class MetricSpace:
         """Validate packed point values and return them as a new array of the
         form ``distances`` reads: finite rows of ``dimension`` floats (a flat
         list is one column when ``dimension`` is 1), finite angles in
-        [0, 2*pi], or nonnegative int64 indices inside the table."""
+        [0, 2*pi), or nonnegative int64 indices inside the table."""
         kind = self.kind
         if kind in _INDEX_KINDS:
             raw = np.asarray(values)
@@ -190,8 +198,8 @@ class MetricSpace:
         finite = np.isfinite(packed)
         if not finite.all():
             raise InvalidPointError(f"point coordinates must be finite, got {packed[~finite][0]}")
-        if not row and not np.all((packed >= 0.0) & (packed <= TWO_PI)):
-            raise InvalidPointError("circle angles must lie in [0, 2*pi]")
+        if not row and not np.all((packed >= 0.0) & (packed < TWO_PI)):
+            raise InvalidPointError("circle angles must lie in [0, 2*pi)")
         return packed
 
     def pack(self, points: Sequence[Point]) -> np.ndarray:
@@ -203,12 +211,6 @@ class MetricSpace:
             if p.kind != tag or (tag == "vector" and len(p.value) != self.dimension):
                 raise InvalidPointError(f"expected a {tag} point of {kind.value}, got {p!r}")
         return self.check([p.value for p in points])
-
-    def point(self, value) -> Point:
-        """The ``Point`` of one packed value: the inverse of ``pack``."""
-        if self.kind in _VECTOR_KINDS:
-            return Point.vector(*value)
-        return Point.angle(value) if self.kind is SpaceKind.CIRCLE_ARCLENGTH else Point.index(value)
 
     @property
     def on_line(self) -> bool:
@@ -296,12 +298,12 @@ def _validate_distance_table(table: np.ndarray) -> None:
 class CandidateGrid:
     """An ordered, pairwise-distinct finite set of points of one space, held
     only as ``coords``: the read-only array of checked point values, one row
-    per point. ``axes`` is set by :func:`product_grid` so product structure
-    can be recovered."""
+    per point. ``axes`` is None except on a grid that :func:`product_grid`
+    built, where it holds the axis grids of the row-major layout."""
 
     __slots__ = ("space", "coords", "axes")
 
-    def __init__(self, space: MetricSpace, coords, axes: "tuple | None" = None) -> None:
+    def __init__(self, space: MetricSpace, coords) -> None:
         coords = space.check(coords)
         if not len(coords):
             raise ValueError("a candidate grid needs at least one point")
@@ -314,13 +316,17 @@ class CandidateGrid:
         coords.setflags(write=False)
         self.space = space
         self.coords = coords
-        self.axes = axes
+        self.axes = None
 
     def __len__(self) -> int:
         return len(self.coords)
 
     def __getitem__(self, i: int) -> Point:
-        return self.space.point(self.coords[i])
+        """The ``Point`` of grid point ``i``: the inverse of ``MetricSpace.pack``."""
+        kind, value = self.space.kind, self.coords[i]
+        if kind in _VECTOR_KINDS:
+            return Point.vector(*value)
+        return Point.angle(value) if kind is SpaceKind.CIRCLE_ARCLENGTH else Point.index(value)
 
     def __repr__(self) -> str:
         return f"CandidateGrid({self.space.kind.value}, {len(self)} points)"
@@ -333,9 +339,13 @@ class CandidateGrid:
             raise InvalidPointError(f"{p!r} is not a grid point")
         return int(hits[0])
 
-    def distances_from(self, q: Point) -> np.ndarray:
-        """Distances from ``q`` (any point of the space) to every grid point."""
-        return self.space.distances(self.space.pack((q,)), self.coords)
+    def distances_from(self, q) -> np.ndarray:
+        """Distances from one packed point ``q`` of the space (one row of
+        ``check``'s form, such as ``coords[i : i + 1]``) to every grid point."""
+        q = self.space.check(q)
+        if len(q) != 1:
+            raise InvalidPointError(f"expected one packed point, got {len(q)}")
+        return self.space.distances(q, self.coords)
 
     def distance_matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The |rows| x |cols| block of grid distances, computed on each call."""
@@ -530,4 +540,6 @@ def product_grid(axes: Sequence[CandidateGrid]) -> CandidateGrid:
             raise ValueError("product axes must be 1-dimensional vector grids")
     mesh = np.meshgrid(*(axis.coords[:, 0] for axis in axes), indexing="ij")
     coords = np.stack(mesh, axis=-1).reshape(-1, len(axes))
-    return CandidateGrid(product_l1_space(len(axes)), coords, axes=tuple(axes))
+    grid = CandidateGrid(product_l1_space(len(axes)), coords)
+    grid.axes = tuple(axes)
+    return grid

@@ -112,7 +112,7 @@ def _distance_to_set_per_point(seq_set: PointSet) -> np.ndarray:
     grid = seq_set.grid
     best = np.full(len(grid), math.inf)
     for b in seq_set.indices:
-        np.minimum(best, grid.distances_from(grid[b]), out=best)
+        np.minimum(best, grid.distances_from(grid.coords[b : b + 1]), out=best)
     return best
 
 

@@ -760,6 +760,15 @@ def test_symmetric_lambda_min_examples():
         symmetric_lambda_min(np.eye(9))
 
 
+def test_symmetric_lambda_min_takes_the_rotation_limit_for_a_tiny_pivot():
+    # the (0, 1) pivot 1e-160 against a diagonal gap of 1 gives |theta| > 1e150,
+    # where tan would overflow and the rotation takes its limit 1 / (2 theta)
+    a = np.array([[1.0, 1e-160, 0.5], [1e-160, 0.0, 0.5], [0.5, 0.5, 2.0]])
+    expected = float(np.linalg.eigvalsh(a)[0])
+    assert expected == pytest.approx(-0.13090112262998585, rel=1e-12)
+    assert symmetric_lambda_min(a) == pytest.approx(expected, rel=1e-12)
+
+
 def test_symmetric_lambda_min_random_against_numpy():
     rng = np.random.default_rng(6)
     for _ in range(300):

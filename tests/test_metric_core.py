@@ -19,6 +19,7 @@ from frechet_sets.metric_core import (
     MetricTransform,
     Point,
     PointSet,
+    MetricSpace,
     SpaceKind,
     circle_grid,
     circle_space,
@@ -255,6 +256,13 @@ def test_point_set_matches_frozenset_oracle(size, raw_a, raw_b, probe, outside):
     assert c == a and arr.flags.writeable and not np.shares_memory(arr, c.indices)
 
 
+def test_point_set_is_unequal_to_other_types_and_reprs_its_sizes():
+    grid = integer_grid(n0_unit_space(), 5)
+    s = PointSet(grid, [3, 1])
+    assert s != 0 and not s == 0
+    assert repr(s) == "PointSet(2 of 5)"
+
+
 def test_point_sets_on_different_grids_never_mix():
     grid, other = integer_grid(n0_unit_space(), 4), integer_grid(n0_unit_space(), 4)
     a = PointSet(grid, [1, 2])
@@ -340,6 +348,8 @@ def test_invalid_points_rejected():
         integer_grid(n0_unit_space(), 5).index_of(Point.index(7))
     with pytest.raises(InvalidPointError):
         Point.index(-1)
+    with pytest.raises(InvalidPointError, match="one packed point"):
+        line_grid(euclidean_space(1), [0.0, 1.0]).distances_from([[0.0], [1.0]])
 
 
 def test_pack_rejects_non_finite_coordinates():
@@ -353,7 +363,7 @@ def test_pack_rejects_non_finite_coordinates():
             line_grid(euclidean_space(1), [0.0, bad])
         grid = line_grid(euclidean_space(1), [0.0, 1.0])
         with pytest.raises(InvalidPointError, match="finite"):
-            grid.distances_from(Point.vector(bad))
+            grid.distances_from([[bad]])
     assert plane.pack([Point.vector(0.0, 1.0), Point.vector(2.0, 3.0)]).tolist() == [
         [0.0, 1.0],
         [2.0, 3.0],
@@ -403,7 +413,8 @@ def test_distance_matrix_matches_scalar_path():
             grid.distance_matrix(everything, everything), oracle, rtol=0, atol=ATOL
         )
         for i, p in enumerate(points):
-            np.testing.assert_allclose(grid.distances_from(p), oracle[i], rtol=0, atol=ATOL)
+            row = grid.distances_from(space.pack((p,)))
+            np.testing.assert_allclose(row, oracle[i], rtol=0, atol=ATOL)
         cases = [([4, 0, 4, 9], [2, 7, 1]), ([3], everything), (everything, [5, 6]), ([], [1])]
         for rows, cols in cases:
             expected = oracle[np.ix_(rows, cols)]
@@ -424,6 +435,9 @@ def test_circle_grid_contains_quarter_points():
     assert grid.index_of(Point.angle(math.pi / 2)) == 90
     assert grid.index_of(Point.angle(3 * math.pi / 2)) == 270
     assert len(grid) == 360
+    # angles that % rounds up to 2*pi are the grid point 0
+    assert grid.index_of(Point.angle(-1e-20)) == 0
+    assert grid.index_of(Point.angle(TWO_PI)) == 0
 
 
 def test_product_grid_layout():
@@ -436,6 +450,10 @@ def test_product_grid_layout():
     assert prod[1] == Point.vector(0.0, 0.5)
     assert prod[3] == Point.vector(1.0, 0.0)
     assert prod.axes == (ax, ay)
+    # only product_grid sets axes, so they always describe the layout
+    assert ax.axes is None
+    with pytest.raises(TypeError):
+        CandidateGrid(prod.space, prod.coords, axes=(ay, ax))
 
 
 _AXES = ([0.0, 0.5, 1.0], [2.0, -1.0], [-0.0, 3.0, 4.5, 7.0], [1.0])
@@ -509,13 +527,15 @@ def test_index_of_inverts_item_access(grid, outsider):
         (euclidean_space(2), [0.0, 1.0], "shape"),
         (euclidean_space(1), [[0.0, 1.0]], "shape"),
         (circle_space(), [0.0, float("inf")], "finite"),
-        (circle_space(), [0.0, -0.5], r"\[0, 2\*pi\]"),
-        (circle_space(), [0.0, 7.0], r"\[0, 2\*pi\]"),
+        (circle_space(), [0.0, -0.5], r"\[0, 2\*pi\)"),
+        (circle_space(), [0.0, 7.0], r"\[0, 2\*pi\)"),
         (circle_space(), [[0.0]], "shape"),
         (n0_unit_space(), [0, -1], "nonnegative"),
         (n0_line_space(), [0.0, 1.0], "integer"),
         (n0_line_space(), [[0, 1]], "integer"),
         (table_space(np.array([[0.0, 1.0], [1.0, 0.0]])), [0, 2], "outside table"),
+        # 2*pi is the point 0: one packed value per point
+        (circle_space(), [0.0, TWO_PI], r"\[0, 2\*pi\)"),
     ],
 )
 def test_check_rejects_bad_values(space, values, message):
@@ -531,9 +551,24 @@ def test_check_returns_new_arrays_of_the_packed_form():
     assert checked is not values and np.array_equal(checked, values)
     assert euclidean_space(1).check([0.5, 1.5]).shape == (2, 1)
     assert n0_line_space().check(np.array([3, 0], dtype=np.uint8)).dtype == np.int64
-    # 2*pi itself is a packed angle: Point.angle rounds some tiny negative angles to it
-    assert Point.angle(-1e-20).value == TWO_PI
-    assert circle_space().check([TWO_PI]).tolist() == [TWO_PI]
+    # 2*pi is not a packed angle: Point.angle maps the tiny negative angles
+    # that % rounds up to it onto 0.0
+    assert Point.angle(-1e-20).value == 0.0
+    with pytest.raises(InvalidPointError, match=r"\[0, 2\*pi\)"):
+        circle_space().check([TWO_PI])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [circle_space, lambda: table_space(_TABLE), n0_unit_space, n0_line_space],
+    ids=["circle", "table", "n0-unit", "n0-line"],
+)
+def test_dimension_is_settable_on_the_vector_kinds_only(make):
+    space = make()
+    assert space.dimension == 1
+    for dimension in (0, 2, 7):
+        with pytest.raises(ValueError, match="dimension 1"):
+            MetricSpace(space.kind, dimension, space.distance_table)
 
 
 def test_largest_circle_grid_memory_is_a_few_arrays():

@@ -1,5 +1,6 @@
-"""The README's Python examples run as written and print what they claim, and
-its param table lists every field and param that ``cli.EXPERIMENTS`` declares."""
+"""The README's Python examples run as written and print what they claim, its
+param table lists every field and param that ``cli.EXPERIMENTS`` declares, and
+every test the CI workflow names exists."""
 
 import ast
 import contextlib
@@ -11,7 +12,9 @@ import re
 
 import pytest
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def test_readme_python_blocks_run_and_print_the_quickstart_values():
@@ -56,3 +59,11 @@ def test_readme_param_table_matches_the_declared_params():
         assert default == json.dumps(param.default), key
         rule = re.sub(r"^an? ", "", param.rule)
         assert allowed.startswith(rule), (key, allowed, rule)
+
+
+def test_ci_names_only_tests_that_exist():
+    # a renamed or deleted test would leave a CI step that selects nothing
+    entries = re.findall(r"tests/(\w+\.py)::(\w+)", WORKFLOW.read_text())
+    assert entries
+    for file, name in entries:
+        assert f"def {name}(" in (ROOT / "tests" / file).read_text(), (file, name)

@@ -213,7 +213,7 @@ def _inner_per_point(seq, tail_start, tol):
     for s in seq.sets[tail_start:]:
         profile = np.full(len(grid), math.inf)
         for b in s.indices:
-            profile = np.minimum(profile, grid.distances_from(grid[b]))
+            profile = np.minimum(profile, grid.distances_from(grid.space.pack((grid[b],))))
         worst = np.maximum(worst, profile)
     return np.flatnonzero(worst <= tol)
 
@@ -766,7 +766,7 @@ def _any_grid(draw):
         space = MetricSpace(kind, dimension=dimension, transform=transform)
         return CandidateGrid(space, rows)
     if kind is SpaceKind.CIRCLE_ARCLENGTH:
-        angles = st.floats(0.0, 2 * math.pi)
+        angles = st.floats(0.0, 2 * math.pi, exclude_max=True)
         values = draw(st.lists(angles, min_size=size, max_size=size, unique=True))
         return CandidateGrid(circle_space(transform), values)
     if kind is SpaceKind.DISCRETE_TABLE:
@@ -829,6 +829,18 @@ def test_nearest_is_the_block_row_minimum_bit_for_bit(data):
         expected = np.full(len(rows), math.inf)
     assert got.shape == (len(rows),)
     assert _hex(got) == _hex(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_any_grid(), _line_kind_grid()))
+def test_grid_points_round_trip_through_point_and_packed_row(grid):
+    # one value per point: every grid point's Point finds its own index, and
+    # its packed row gives the grid's own row of distances bit for bit
+    every = np.arange(len(grid))
+    for i in every:
+        assert grid.index_of(grid[i]) == i
+        row = grid.distances_from(grid.coords[i : i + 1])
+        assert _hex(row) == _hex(grid.distance_matrix([i], every)[0])
 
 
 def _block_d_subset(a, b):
@@ -977,7 +989,7 @@ def _nan_cases():
             "sample values must be finite",
         ),
         "MetricSpace.pack": (
-            lambda: line.distances_from(Point.vector(_NAN)),
+            lambda: line.distances_from([[_NAN]]),
             "coordinates must be finite",
         ),
         "power_cost_anchor": (
