@@ -29,12 +29,10 @@ from .cost_model import power_cost
 from .metric_core import Point, euclidean_space, line_grid
 from . import lln_lab, result_files
 
-#: Upper bound on the regression coefficient grid, beta_points**(dimension+1).
-MAX_BETA_GRID = 10**6
-
 #: Upper bound on the generator outputs one replication draws. Peaks per output
-#: (tracemalloc): circle and ulln hold the whole sample, 8.3 B; regression 26-32 B;
-#: the median streams, 3.8 B at s = 3 and slack 0 (15 B with a decaying slack).
+#: (tracemalloc): circle and ulln hold the whole sample, 8.3 B; the median streams,
+#: 3.8 B at s = 3 and slack 0 (15 B with a decaying slack); the regression streams
+#: one block of _CHUNK rows, 0.41 B at s = 7 (6.8 MB).
 MAX_DRAWS = 2**24
 
 #: Upper bound on a circle or line grid. A run holds one objective at a time:
@@ -187,21 +185,11 @@ EXPERIMENTS = {
         {
             "dimension": _int(1, hi=7),  # symmetric_lambda_min stops at 8 x 8
             "noise": _real(0.5, hi=lln_lab.MAX_REGRESSION_SCALE),
-            "beta_extent": _real(2.0, hi=lln_lab.MAX_REGRESSION_SCALE),
-            "beta_points": _int(9),
         },
         lambda c, seed: lln_lab.run_regression_certificate(
-            c["params"]["dimension"],
-            c["n_max"],
-            seed,
-            **{k: v for k, v in c["params"].items() if k != "dimension"},
+            c["params"]["dimension"], c["n_max"], seed, c["params"]["noise"]
         ),
         checks=(
-            (
-                lambda c: c["params"]["beta_points"] ** (c["params"]["dimension"] + 1)
-                <= MAX_BETA_GRID,
-                f"'params.beta_points' ** (dimension + 1) must be <= {MAX_BETA_GRID}",
-            ),
             _draws(
                 lambda c: c["n_max"] * (c["params"]["dimension"] + 1),
                 "'n_max' x ('params.dimension' + 1)",

@@ -61,7 +61,8 @@ GOLDEN_BUNDLED_SHA256 = {
 }
 #: SHA-256 of the outputs of the other bundled configs (e3 is pinned at
 #: seed 42 above), keyed by config name and output file. The regression
-#: pins date from its cross-moment norm becoming an fsum, free of BLAS.
+#: pins date from the removal of its min_slack outputs; every value it
+#: kept has the bits it had since its cross-moment norm became an fsum.
 GOLDEN_OTHER_BUNDLED_SHA256 = {
     ("e1", "median.json"): "44cf7ce1916571c1d8917449c3b74c03d3d16e4664f59caa4b11f69f7cf418a9",
     ("e1", "median.csv"): "9b51e8b86d07cfd31f4d6753efdad3340f816a3f3fad871bf4eeec41e1eb7863",
@@ -69,8 +70,8 @@ GOLDEN_OTHER_BUNDLED_SHA256 = {
     ("e2", "median.csv"): "295b0dab6ca4f09314f4a2c4ce85c7b4f185e40638630a7037002ac606442802",
     ("fixtures", "fixtures.json"): "8bba7bc46c56f3a6f0b3f7379fe16bb15515597b1a8eb8be25ede4166ebb7a22",
     ("fixtures", "fixtures.csv"): "05f34adcfe50711412f2baf770d092dfe0f68256e7288bbd10e4e798a4d1c4f5",
-    ("regression", "regression.json"): "89930069b157759e7a7a78bd5b6de38e7c3098de7196f6e3d1a16f9a59968bc2",
-    ("regression", "regression.csv"): "b10fc638b63205d27dc4cdda7a5503e36e99f01c07c00fc910d446d3cb63389d",
+    ("regression", "regression.json"): "cb8fdaa9ed55f312ee5c273008c041499a968e553611a35fe4916b928da6e7e8",
+    ("regression", "regression.csv"): "8209ff40fdf43fa202aa18399d8fb3c480ca2ee7c4a4464d4b466e7e05c3f589",
 }
 
 
@@ -300,13 +301,11 @@ def test_c10_regression_certificate():
     ok &= summary["a_minus_population"] == pytest.approx(2 * math.sqrt(2), rel=1e-12)
     ok &= summary["final_a_plus_rel_err"] <= 0.05
     ok &= summary["final_a_minus_rel_err"] <= 0.05
-    ok &= summary["min_slack_overall"] >= -1e-9
     report(
         "C10 regression coercivity certificate",
         bool(ok),
         f"rel errs {summary['final_a_plus_rel_err']:.4f}, "
-        f"{summary['final_a_minus_rel_err']:.4f}; "
-        f"min slack {summary['min_slack_overall']:.3g}",
+        f"{summary['final_a_minus_rel_err']:.4f}",
     )
 
 

@@ -16,6 +16,7 @@ from frechet_sets import frechet_solver
 from frechet_sets.cli import MAX_DRAWS
 from frechet_sets.cost_model import NondecreasingFn, TableCost, h_cost, power_cost
 from frechet_sets.frechet_solver import (
+    ARGMIN_ABS_TOL,
     MAX_SAMPLE_LEN,
     MAX_SCHEDULE_C,
     EpsilonSchedule,
@@ -30,6 +31,7 @@ from frechet_sets.frechet_solver import (
 )
 from frechet_sets.lln_lab import SamplingDistribution, SplitMix64
 from frechet_sets.metric_core import (
+    CandidateGrid,
     GridMismatchError,
     Point,
     PointSet,
@@ -38,6 +40,7 @@ from frechet_sets.metric_core import (
     euclidean_space,
     line_grid,
     product_grid,
+    table_space,
 )
 
 ORIGIN = Point.vector(0.0)
@@ -773,6 +776,63 @@ def test_empirical_values_tighten_with_sample_size():
             dev[n] = float(np.abs(emp.values - pop.values).max())
         improved += dev[10_000] < dev[100]
     assert improved >= 45  # at least 90% of seeds
+
+
+@st.composite
+def _sandwich_cases(draw):
+    """A random table metric (L1 distances of distinct points of {0..4}**3, so
+    every objective stays below 150 and its ulps far below ARGMIN_ABS_TOL), a
+    grid of its points, a finite law, a sample drawn from it, and one of the
+    three cost shapes."""
+    cube = st.tuples(*[st.integers(0, 4)] * 3)
+    pts = np.array(draw(st.lists(cube, min_size=1, max_size=12, unique=True)))
+    size = len(pts)
+    space = table_space(np.abs(pts[:, None] - pts[None]).sum(axis=2).astype(float))
+    indices = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
+    grid = CandidateGrid(space, indices)
+    k = draw(st.integers(1, 6))
+    masses = draw(st.lists(st.integers(0, 20), min_size=k, max_size=k).filter(any))
+    kind = draw(st.sampled_from(["power", "h", "table"]))
+    if kind == "table":
+        support = tuple(range(k))
+        entry = st.floats(-10.0, 10.0, allow_nan=False)
+        cost = TableCost(np.array([[draw(entry) for _ in indices] for _ in range(k)]), grid)
+    else:
+        points = st.integers(0, size - 1).map(Point.index)
+        support = tuple(draw(st.lists(points, min_size=k, max_size=k)))
+        anchor = draw(points)
+        if kind == "power":
+            cost = power_cost(draw(st.sampled_from([0.5, 1.0, 2.0])), anchor)
+        else:
+            cost = h_cost(NondecreasingFn((0.0, 1.0), (0.5, 2.0), 1.0), anchor)
+    dist = FiniteDistribution(support, np.array(masses) / sum(masses))
+    sample = SamplingDistribution(dist).draw(
+        SplitMix64(draw(st.integers(0, 2**64 - 1))), draw(st.integers(1, 200))
+    )
+    return dist, sample, cost, grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sandwich_cases(), st.data())
+def test_eps_argmin_sets_sandwich_within_twice_the_sup_deviation(case, data):
+    # the deterministic step behind the outer-limit and one-sided Hausdorff
+    # laws: with delta = max_q |F_n(q) - F(q)|,
+    #   argmin_eps F_n        is inside argmin_{eps + 2 delta} F, and
+    #   argmin_{eps - 2 delta} F  is inside argmin_eps F_n when eps > 2 delta.
+    # Each wider threshold takes ARGMIN_ABS_TOL for the rounding of the
+    # thresholds and of delta, and nothing else. eps is drawn among the gaps
+    # above the minimum, where membership changes.
+    dist, sample, cost, grid = case
+    emp = empirical_objective(dist.support, sample, cost, grid)
+    pop = population_objective(dist, cost, grid)
+    delta = float(np.abs(emp.values - pop.values).max())
+    eps = data.draw(st.sampled_from((emp.values - emp.values.min()).tolist()))
+    widened = eps_argmin(pop, eps + 2 * delta + ARGMIN_ABS_TOL)
+    assert eps_argmin(emp, eps).is_subset_of(widened)
+    eps = 2 * delta + data.draw(st.sampled_from((pop.values - pop.values.min()).tolist()))
+    if eps > 2 * delta:
+        inner = eps_argmin(pop, eps - 2 * delta)
+        assert inner.is_subset_of(eps_argmin(emp, eps + ARGMIN_ABS_TOL))
 
 
 # -- schedules and serialization ---------------------------------------------------
