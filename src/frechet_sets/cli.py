@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import hashlib
 import json
 import math
 import sys
@@ -28,6 +27,17 @@ from .frechet_solver import EpsilonSchedule, FiniteDistribution
 from .cost_model import power_cost
 from .metric_core import Point, euclidean_space, line_grid
 from . import lln_lab, result_files
+
+# The interpreter's builtin SHA-256, as CPython's own `random` takes its builtin
+# SHA-512: importing `hashlib` loads and initializes OpenSSL's libcrypto, about
+# 3.5 MB of a run's peak RSS, to hash two result files. Same digest either way.
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 #: Upper bound on the generator outputs one replication draws. Peaks per output
 #: (tracemalloc): circle and ulln hold the whole sample, 8.3 B; the median streams,
@@ -333,9 +343,7 @@ def load_config(path: str) -> dict:
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
+    return sha256(path.read_bytes()).hexdigest()
 
 
 def run(

@@ -4,6 +4,9 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -366,6 +369,44 @@ def test_run_writes_outputs_and_manifest(tmp_path, capsys):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     doc = json.loads(json_path.read_text())
     assert [r["seed"] for r in doc["results"]] == [0, 1]
+
+
+#: Runs ``cli.main`` on the config ``argv[1]`` in a fresh interpreter and prints
+#: its exit code and the modules that importing and running the program added
+#: beyond what numpy imports itself (numpy 1.x imports numpy.random, and through
+#: `secrets` and `hmac` also hashlib, with numpy).
+_MODULES_ADDED_SCRIPT = """
+import json, sys
+import numpy
+before = set(sys.modules)
+from frechet_sets import cli
+try:
+    cli.main(["--config", sys.argv[1]])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_a_run_loads_no_openssl(tmp_path):
+    # the manifest digests come from the interpreter's builtin SHA-256, so the
+    # program never imports hashlib, whose import loads OpenSSL's libcrypto
+    # (about 3.5 MB of a run's peak RSS); modules present before the program's
+    # import (a site hook's, numpy's own) do not count against it. The digests
+    # themselves are checked in test_run_writes_outputs_and_manifest.
+    path, _ = write_config(tmp_path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_ADDED_SCRIPT, str(path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    assert "frechet_sets.cli" in report["added"]
+    assert not {"_hashlib", "hashlib"} & set(report["added"])
+    assert (tmp_path / "out" / "manifest.json").is_file()
 
 
 def test_run_exit_codes(tmp_path, capsys):

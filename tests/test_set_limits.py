@@ -355,10 +355,28 @@ def test_eventually_bounded_examples():
     assert max(report.tail_diameters) == 1.0
 
 
+def _scalar_distances(grid):
+    """All-pairs grid distances, one scalar ``MetricSpace.distance`` call per
+    pair: no block, ``nearest`` or ``metric_core.diameter`` involved."""
+    points = [grid[i] for i in range(len(grid))]
+    return np.array([[grid.space.distance(p, q) for q in points] for p in points])
+
+
+def _brute_tail_diameters(distances, sets):
+    """The diameter of each tail union ``sets[k:]``: the largest entry of
+    ``distances`` over all pairs of its members, 0 with fewer than two."""
+    tails = []
+    for k in range(len(sets)):
+        union = np.unique(np.concatenate([s.indices for s in sets[k:]]))
+        tails.append(float(distances[np.ix_(union, union)].max()) if union.size > 1 else 0.0)
+    return tuple(tails)
+
+
 def test_tail_diameters_match_brute_force_unions():
     rng = np.random.default_rng(11)
     for make_space in (n0_line_space, n0_unit_space):
         grid = integer_grid(make_space(), 30)
+        distances = _scalar_distances(grid)
         for _ in range(200):
             # sizes start at 0 so empty sets appear in most sequences
             sets = tuple(
@@ -366,11 +384,7 @@ def test_tail_diameters_match_brute_force_unions():
                 for _ in range(rng.integers(1, 10))
             )
             report = eventually_bounded(SetSequence(grid, sets))
-            brute = tuple(
-                diameter(grid, PointSet(grid, [i for s in sets[k:] for i in s]))
-                for k in range(len(sets))
-            )
-            assert report.tail_diameters == brute
+            assert report.tail_diameters == _brute_tail_diameters(distances, sets)
 
 
 def test_line_tail_diameters_build_no_block():
@@ -894,11 +908,8 @@ def test_line_tail_diameters_match_the_brute_force_union(data):
     # sizes start at 0, so empty sets appear, also at the back
     raw = data.draw(st.lists(_indices(grid, max_size=6), min_size=1, max_size=8))
     sets = tuple(PointSet(grid, s) for s in raw)
-    brute = [
-        diameter(grid, PointSet(grid, np.concatenate([s.indices for s in sets[k:]])))
-        for k in range(len(sets))
-    ]
-    cap = data.draw(st.sampled_from(brute + [0.0, math.inf]))
+    brute = _brute_tail_diameters(_scalar_distances(grid), sets)
+    cap = data.draw(st.sampled_from([*brute, 0.0, math.inf]))
     report = eventually_bounded(SetSequence(grid, sets), cap)
     assert _hex(report.tail_diameters) == _hex(brute)
     within = [k for k, d in enumerate(brute) if d <= cap]
