@@ -226,9 +226,10 @@ EXPERIMENTS = {
         {"seeds": replace(FIELDS["seeds"], default=[0])},  # it draws nothing
         {
             "horizon": _int(100),
-            # the fixture objectives bind: horizon x (grid_max + 1) floats, 134 MB
-            # at the cap, where counterexample_fixture peaks at 136 MB (tracemalloc;
-            # 203 MB for reciprocal-tail, whose argmin sets hold 67 MB)
+            # the argmin sets bind: reciprocal-tail's {0} u {n..grid_max} hold
+            # 67 MB at the cap, where counterexample_fixture peaks at 68 MB
+            # (tracemalloc; under 1 MB for an indicator fixture, whose f_n are
+            # built on access)
             "grid_max": _int(100, hi=4095),
             "diameter_cap": _real(50.0),
         },

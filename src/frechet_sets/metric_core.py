@@ -289,8 +289,13 @@ def _validate_distance_table(table: np.ndarray) -> None:
             if np.any(table > table[:, k, None] + table[None, k, :] + _METRIC_ATOL):
                 raise ValueError("distance table violates the triangle inequality")
     else:
-        rng = np.random.default_rng(0)
-        i, j, k = (rng.integers(0, n, _TRIANGLE_SAMPLES) for _ in range(3))
+        # the triples come from the pinned generator, not numpy.random, whose
+        # import loads hashlib and with it OpenSSL; lln_lab imports this
+        # module, so it is imported here, at call time
+        from .lln_lab import SplitMix64
+
+        draws = SplitMix64(0).next_block(3 * _TRIANGLE_SAMPLES) % np.uint64(n)
+        i, j, k = draws.astype(np.intp).reshape(3, _TRIANGLE_SAMPLES)
         if np.any(table[i, j] > table[i, k] + table[k, j] + _METRIC_ATOL):
             raise ValueError("distance table violates the triangle inequality")
 

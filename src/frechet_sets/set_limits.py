@@ -341,29 +341,60 @@ _FIXTURE_VIOLATIONS = {
 class CounterexampleFixture:
     """A minimizer-escape fixture violating exactly one convergence hypothesis.
 
-    Each fixture provides a limit objective whose argmin is {0}, a sequence
-    of objectives whose argmin contains an escaping point x_n = n, and the
-    subset over which uniform convergence should be judged. ``violates``
-    names the single hypothesis the fixture breaks: uniform convergence on
-    bounded sets, eventual boundedness of the minimizer sets, or
-    approachable minimizers of the limit.
+    Each fixture provides a limit objective f whose argmin is {0}, a
+    sequence f_1..f_horizon whose argmins contain an escaping point
+    x_n = n, and the subset over which uniform convergence should be
+    judged. ``violates`` names the single hypothesis the fixture breaks:
+    uniform convergence on bounded sets, eventual boundedness of the
+    minimizer sets, or approachable minimizers of the limit.
+
+    Every f_n is f with one slice Z_n of the grid set to zero (``zeroed``):
+    the point {n}, or the suffix [n, grid_max] when ``zeroes_suffix``. The
+    fixture holds only f and that rule; ``objective_sequence`` builds each
+    f_n when it is read, and ``argmin_sequence`` holds the argmins
+    {0} u Z_n.
     """
 
     name: str
     violates: str
     grid: CandidateGrid
     limit_objective: Objective
-    objective_sequence: tuple[Objective, ...]
+    horizon: int
+    zeroes_suffix: bool
     argmin_sequence: SetSequence
     bounded_subset: PointSet
     approachability_eps: tuple[float, ...]
 
+    def zeroed(self, n: int) -> slice:
+        """Z_n: the grid slice that f_n sets to zero."""
+        return slice(n, None if self.zeroes_suffix else n + 1)
 
-def _zeroed(row: np.ndarray, where) -> np.ndarray:
-    """A copy of ``row`` with 0.0 at ``where``: one fixture objective f_n."""
-    row = row.copy()
-    row[where] = 0.0
-    return row
+    @property
+    def objective_sequence(self) -> "_FixtureObjectives":
+        return _FixtureObjectives(self)
+
+
+class _FixtureObjectives(Sequence[Objective]):
+    """f_1..f_horizon of a fixture, each built when it is read: item n - 1
+    is a new read-only copy of the limit row with Z_n set to zero."""
+
+    __slots__ = ("fixture",)
+
+    def __init__(self, fixture: CounterexampleFixture) -> None:
+        self.fixture = fixture
+
+    def __len__(self) -> int:
+        return self.fixture.horizon
+
+    def __getitem__(self, i):
+        ns = range(1, self.fixture.horizon + 1)[i]  # negative indices, IndexError, slices
+        return tuple(map(self._row, ns)) if isinstance(ns, range) else self._row(ns)
+
+    def _row(self, n: int) -> Objective:
+        limit = self.fixture.limit_objective
+        row = limit.values.copy()
+        row[self.fixture.zeroed(n)] = 0.0
+        return Objective(limit.grid, row)
 
 
 def counterexample_fixture(
@@ -384,6 +415,10 @@ def counterexample_fixture(
     at level n. The limit's eps-argmin keeps a far tail at every eps the
     truncated grid can resolve (eps >= 1/grid_max), so minimizers are not
     approachable; the judgement window is exactly those resolvable eps.
+
+    The argmin of f_n is {0} u Z_n in closed form: f_n is 0 there, and
+    every other value is at least 1/grid_max, far above ``ARGMIN_ABS_TOL``
+    on any grid that fits in memory, so it equals ``eps_argmin(f_n, 0.0)``.
     """
     if name not in _FIXTURE_VIOLATIONS:
         raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
@@ -398,7 +433,7 @@ def counterexample_fixture(
 
     if name in ("unit-indicator", "line-indicator"):
         limit_values = 1.0 - (ns == 0)
-        seq_values = [_zeroed(limit_values, n) for n in range(1, horizon + 1)]
+        argmins = tuple(PointSet(grid, (0, n)) for n in range(1, horizon + 1))
         # deviation judged on the whole grid for the unit metric (bounded
         # there), on a fixed window for the line metric (truncation makes
         # the full grid spuriously bounded)
@@ -408,22 +443,21 @@ def counterexample_fixture(
             subset = PointSet(grid, range(min(horizon // 2, size)))
         eps_probe = tuple(0.5**k for k in range(1, 7))
     else:
-        base = np.where(ns > 0, 1.0 / np.maximum(ns, 1), 0.0)
-        limit_values = base
-        seq_values = [_zeroed(base, slice(n, None)) for n in range(1, horizon + 1)]
+        limit_values = np.where(ns > 0, 1.0 / np.maximum(ns, 1), 0.0)
+        argmins = tuple(
+            PointSet(grid, np.concatenate((ns[:1], ns[n:]))) for n in range(1, horizon + 1)
+        )
         subset = PointSet.full(grid)
         eps_probe = tuple(1.0 / k for k in range(1, grid_max + 1))
 
-    limit_obj = Objective(grid, limit_values)
-    seq_objs = tuple(Objective(grid, v) for v in seq_values)
-    argmins = SetSequence(grid, tuple(eps_argmin(o, 0.0) for o in seq_objs))
     return CounterexampleFixture(
         name=name,
         violates=_FIXTURE_VIOLATIONS[name],
         grid=grid,
-        limit_objective=limit_obj,
-        objective_sequence=seq_objs,
-        argmin_sequence=argmins,
+        limit_objective=Objective(grid, limit_values),
+        horizon=horizon,
+        zeroes_suffix=name == "reciprocal-tail",
+        argmin_sequence=SetSequence(grid, argmins),
         bounded_subset=subset,
         approachability_eps=eps_probe,
     )
@@ -464,12 +498,19 @@ def diagnose_fixture(
     ladder's finest eps. The escape distances are d_subset(argmin f_n,
     argmin f) per n, gathered from one distance profile of argmin f.
     """
-    sup_dev = uniform_on_bounded_check(
-        fixture.objective_sequence, fixture.limit_objective, fixture.bounded_subset
-    )
-    uniform_ok = bool(sup_dev[-1] <= 2.0 / len(fixture.objective_sequence))
-    bounded = eventually_bounded(fixture.argmin_sequence, diameter_cap)
     limit = fixture.limit_objective
+    # f_n - f is -f on Z_n and 0.0 elsewhere, so the sup over the subset of
+    # |f_n - f| is the largest |f| on the points of Z_n in the subset, or
+    # 0.0 where there are none, bit for bit: a point edit reads it at n, a
+    # suffix edit from one suffix maximum; no f_n is built
+    dev = np.zeros(len(fixture.grid))
+    idx = fixture.bounded_subset.indices
+    dev[idx] = np.abs(limit.values[idx])
+    if fixture.zeroes_suffix:
+        dev = np.maximum.accumulate(dev[::-1])[::-1]
+    sup_dev = dev[1 : fixture.horizon + 1]
+    uniform_ok = bool(sup_dev[-1] <= 2.0 / fixture.horizon)
+    bounded = eventually_bounded(fixture.argmin_sequence, diameter_cap)
     limit_argmin = eps_argmin(limit, 0.0)
     finest = eps_argmin(limit, fixture.approachability_eps[-1])
     approach_ok = d_subset(finest, limit_argmin) == 0.0
@@ -481,5 +522,5 @@ def diagnose_fixture(
         eventually_bounded=bounded.bounded,
         approachable_minimizers=approach_ok,
         escape_distances=escape,
-        sup_deviation_trajectory=tuple(float(v) for v in sup_dev),
+        sup_deviation_trajectory=tuple(sup_dev.tolist()),
     )

@@ -1,8 +1,13 @@
 """Metric axioms, transforms, diameters, and candidate grids."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +328,36 @@ def test_large_table_uses_sampled_triangle_check():
                 table[i, j] = table[j, i] = 1.0
     space = table_space(table)
     assert space.distance(Point.index(0), Point.index(1)) == table[0, 1]
+
+
+#: Builds a valid 600-point distance table in a fresh interpreter, above the
+#: full-check limit, and prints the modules that importing the program and
+#: validating the table added beyond what numpy imports itself.
+_TABLE_MODULES_ADDED_SCRIPT = """
+import json, sys
+import numpy as np
+before = set(sys.modules)
+from frechet_sets.metric_core import table_space
+table = np.ones((600, 600))
+np.fill_diagonal(table, 0.0)
+table_space(table)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_sampled_triangle_check_loads_no_openssl():
+    # the sampled triples come from SplitMix64, not numpy.random, whose
+    # import loads secrets, hmac and hashlib, and with it OpenSSL's libcrypto
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TABLE_MODULES_ADDED_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    added = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "frechet_sets.metric_core" in added
+    assert not {"_hashlib", "hashlib"} & added
 
 
 def test_distance_table_validation():

@@ -4,6 +4,7 @@ the three counterexample fixtures."""
 import json
 import math
 import re
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -602,7 +603,7 @@ def test_fixture_approachability_reads_only_the_finest_probe(monkeypatch, horizo
         assert [e for e in probes if e > 0] == [ladder[-1]], name
 
 
-@pytest.mark.parametrize("horizon,grid_max", [(1, 1), (7, 7), (50, 80), (500, 500)])
+@pytest.mark.parametrize("horizon,grid_max", [(1, 1), (7, 7), (50, 80), (500, 500), (64, 4095)])
 def test_fixture_objectives_and_argmins_follow_their_closed_forms(horizon, grid_max):
     points = range(grid_max + 1)
     for name in FIXTURE_NAMES:
@@ -629,6 +630,58 @@ def test_fixture_objectives_and_argmins_follow_their_closed_forms(horizon, grid_
             with pytest.raises(ValueError):
                 obj.values[0] = 5.0
             assert not np.shares_memory(obj.values, fixture.limit_objective.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 600).flatmap(lambda g: st.tuples(st.integers(1, g), st.just(g))),
+    st.sampled_from(FIXTURE_NAMES),
+)
+def test_fixture_edits_match_the_materialized_rows(sizes, name):
+    horizon, grid_max = sizes
+    fixture = counterexample_fixture(name, horizon=horizon, grid_max=grid_max)
+    objectives = fixture.objective_sequence
+    rows = list(objectives)
+    assert len(rows) == horizon
+    # the closed-form argmins {0} u Z_n are the eps-argmins of the built rows
+    assert [s.indices.tolist() for s in fixture.argmin_sequence.sets] == [
+        eps_argmin(f, 0.0).indices.tolist() for f in rows
+    ]
+    # the sup-deviations read from the edit are the check over the built rows
+    check = uniform_on_bounded_check(objectives, fixture.limit_objective, fixture.bounded_subset)
+    assert _hex(diagnose_fixture(fixture).sup_deviation_trajectory) == _hex(check)
+    # a Sequence: negative indices, IndexError past either end, and a fresh
+    # read-only row on every access, sharing no memory with the limit row
+    assert _hex(objectives[-1].values) == _hex(rows[-1].values)
+    assert _hex(objectives[-horizon].values) == _hex(rows[0].values)
+    for past in (horizon, -horizon - 1):
+        with pytest.raises(IndexError):
+            objectives[past]
+    first, again = objectives[0], objectives[0]
+    assert first is not again and not np.shares_memory(first.values, again.values)
+    assert not np.shares_memory(first.values, fixture.limit_objective.values)
+    with pytest.raises(ValueError):
+        first.values[0] = 5.0
+
+
+def test_fixture_memory_holds_only_the_argmin_sets():
+    # f_n is built on access, so a fixture and its diagnosis hold the argmin
+    # sets and a few grid-long arrays, never the horizon x (grid_max + 1)
+    # rows: 134 MB at this size if every f_n were stored
+    size = 4095
+    for name in FIXTURE_NAMES:
+        tracemalloc.start()
+        try:
+            fixture = counterexample_fixture(name, horizon=size, grid_max=size)
+            diagnose_fixture(fixture)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if name == "reciprocal-tail":  # the sets {0} u {n..grid_max} hold 67 MB
+            index_bytes = sum(sys.getsizeof(s.indices) for s in fixture.argmin_sequence.sets)
+            assert index_bytes <= peak < index_bytes + 1_000_000, name
+        else:
+            assert peak < 2_000_000, name
 
 
 def test_fixture_rejects_unknown_name_and_bad_horizon():
