@@ -72,6 +72,7 @@ from .set_limits import (
 )
 from .lln_lab import (
     ExperimentResult,
+    MedianGridMemo,
     SamplingDistribution,
     SplitMix64,
     make_n_grid,

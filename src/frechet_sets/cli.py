@@ -40,9 +40,10 @@ except ImportError:
         from hashlib import sha256
 
 #: Upper bound on the generator outputs one replication draws. Peaks per output
-#: (tracemalloc): circle and ulln hold the whole sample, 8.3 B; the median streams,
-#: 3.8 B at s = 3 and slack 0 (15 B with a decaying slack); the regression streams
-#: one block of _CHUNK rows, 0.41 B at s = 7 (6.8 MB).
+#: (tracemalloc): circle and ulln hold the whole sample, 8.3 B; the median streams
+#: and keeps its bits, 1.4 B at s = 3 and n_max = 2**20 (4.3 MB at slack 0, 4.4 MB
+#: with a decaying slack); the regression streams one block of _CHUNK rows, 0.41 B
+#: at s = 7 (6.8 MB).
 MAX_DRAWS = 2**24
 
 #: Upper bound on a circle or line grid. A run holds one objective at a time:
@@ -138,16 +139,17 @@ class Experiment:
     """One experiment id: the fields and params its runner reads, checks, runner.
 
     ``fields`` are the top-level fields the runner reads beside ``FIELDS``
-    (a key in both replaces the ``FIELDS`` entry). ``run(config, seed)``
-    takes the defaults-filled config and looks its ``lln_lab`` runner up at
-    call time, so a runner rebound on the module is the one called.
+    (a key in both replaces the ``FIELDS`` entry). ``run(config, seeds)``
+    takes the defaults-filled config and returns one result per seed; it
+    looks its ``lln_lab`` runner up at call time, so a runner rebound on the
+    module is the one called.
     ``checks`` pairs ``ok(config)`` with its message; they run once every
     field and param is valid on its own.
     """
 
     fields: dict[str, Param]
     params: dict[str, Param]
-    run: Callable[[dict, int], "lln_lab.ExperimentResult"]
+    run: Callable[[dict, list], "list[lln_lab.ExperimentResult]"]
     checks: tuple = ()
 
 
@@ -157,6 +159,13 @@ def _draws(count: Callable[[dict], int], what: str) -> tuple:
         lambda c: count(c) <= MAX_DRAWS,
         f"{what} must be <= {MAX_DRAWS} generator outputs",
     )
+
+
+def _run_median(c: dict, seeds: list) -> list:
+    s, n_max = c["params"]["dimension"], c["n_max"]
+    schedule = EpsilonSchedule(**c["schedule"])
+    memo = lln_lab.MedianGridMemo(s)  # the grid work, once per run for all seeds
+    return [lln_lab.run_median_experiment(s, schedule, n_max, seed, memo=memo) for seed in seeds]
 
 
 def _run_ulln(p: dict, seed: int) -> lln_lab.ExperimentResult:
@@ -172,9 +181,7 @@ EXPERIMENTS = {
         # the d_hausdorff block against the full 3**s box grid holds
         # 9**s * s float64 values: 25.5 MB at s = 6, 268 MB at s = 7
         {"dimension": _int(1, hi=6)},
-        lambda c, seed: lln_lab.run_median_experiment(
-            c["params"]["dimension"], EpsilonSchedule(**c["schedule"]), c["n_max"], seed
-        ),
+        _run_median,
         checks=(
             _draws(lambda c: c["n_max"] * c["params"]["dimension"], "'n_max' x 'params.dimension'"),
         ),
@@ -185,9 +192,12 @@ EXPERIMENTS = {
             "grid_size": _int(360, hi=MAX_GRID_POINTS),
             "alpha": _real(2.0, strict=True, hi=MAX_POWER_ALPHA),
         },
-        lambda c, seed: lln_lab.run_circle_experiment(
-            c["params"]["grid_size"], c["n_max"], seed, alpha=c["params"]["alpha"]
-        ),
+        lambda c, seeds: [
+            lln_lab.run_circle_experiment(
+                c["params"]["grid_size"], c["n_max"], seed, alpha=c["params"]["alpha"]
+            )
+            for seed in seeds
+        ],
         checks=(_draws(lambda c: c["n_max"], "'n_max'"),),
     ),
     "regression": Experiment(
@@ -196,9 +206,12 @@ EXPERIMENTS = {
             "dimension": _int(1, hi=7),  # symmetric_lambda_min stops at 8 x 8
             "noise": _real(0.5, hi=lln_lab.MAX_REGRESSION_SCALE),
         },
-        lambda c, seed: lln_lab.run_regression_certificate(
-            c["params"]["dimension"], c["n_max"], seed, c["params"]["noise"]
-        ),
+        lambda c, seeds: [
+            lln_lab.run_regression_certificate(
+                c["params"]["dimension"], c["n_max"], seed, c["params"]["noise"]
+            )
+            for seed in seeds
+        ],
         checks=(
             _draws(
                 lambda c: c["n_max"] * (c["params"]["dimension"] + 1),
@@ -219,7 +232,7 @@ EXPERIMENTS = {
                 and all(_is_int(n) and n >= 1 for n in v),
             ),
         },
-        lambda c, seed: _run_ulln(c["params"], seed),
+        lambda c, seeds: [_run_ulln(c["params"], seed) for seed in seeds],
         checks=(_draws(lambda c: max(c["params"]["n_list"]), "'params.n_list' entries"),),
     ),
     "fixtures": Experiment(
@@ -233,7 +246,9 @@ EXPERIMENTS = {
             "grid_max": _int(100, hi=4095),
             "diameter_cap": _real(50.0),
         },
-        lambda c, seed: replace(lln_lab.run_fixture_diagnostics(**c["params"]), seed=seed),
+        lambda c, seeds: [
+            replace(lln_lab.run_fixture_diagnostics(**c["params"]), seed=seed) for seed in seeds
+        ],
         checks=(
             (
                 lambda c: c["params"]["horizon"] <= c["params"]["grid_max"],
@@ -378,7 +393,7 @@ def run(
 
     try:
         spec = EXPERIMENTS[echo["experiment"]]
-        results = [spec.run(echo, seed) for seed in echo["seeds"]]
+        results = spec.run(echo, echo["seeds"])
         out = Path(echo["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         experiment = echo["experiment"]

@@ -339,34 +339,51 @@ def median_interval_1d(sample: Sequence[float], eps: float = 0.0) -> tuple[float
     has finite endpoints containing the eps = 0 interval. Samples whose
     sums could overflow are solved scaled by an exact power of two (the
     eps-argmin scales with the sample and eps), and an endpoint beyond the
-    float range raises ``ValueError``.
+    float range raises ``ValueError``, as do an infinite eps and a sample
+    that is not 1-D.
+
+    A ``bool`` array is solved from its count of ones, with no float copy
+    and no sort: its sorted form is n - k zeros then k ones, and
+    ``_bits_interval`` gives the floats that the sorted path gives on it.
     """
-    if not eps >= 0:
-        raise ValueError("eps must be nonnegative")
-    xs = np.array(sample, dtype=float)  # the one copy: the caller's array is never modified
-    xs.sort()
-    n = xs.size
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be nonnegative and finite")
+    data = np.asarray(sample)
+    if data.ndim != 1:
+        raise ValueError("sample must be one-dimensional")
+    n = data.size
     if n == 0:
         raise ValueError("sample must be nonempty")
-    if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):  # NaN sorts last
-        raise ValueError("sample values must be finite")
-    median = float(xs[(n - 1) // 2]), float(xs[n // 2])  # one element twice at odd n
+    order = (0, (n - 1) // 2, n // 2, n - 1)  # one element twice at odd n
+    bits = data.dtype == bool
+    if bits:
+        zeros = n - int(np.count_nonzero(data))
+        lowest, below, above, highest = (float(i >= zeros) for i in order)
+    else:
+        xs = np.array(data, dtype=float)  # the one copy: the caller's array is never modified
+        xs.sort()
+        lowest, below, above, highest = (float(xs[i]) for i in order)
+        if not (math.isfinite(lowest) and math.isfinite(highest)):  # NaN sorts last
+            raise ValueError("sample values must be finite")
     if eps == 0.0:
-        return median
+        return below, above
 
     eps = float(eps)
-    top = max(-float(xs[0]), float(xs[-1]))  # max |y_i|
+    top = max(-lowest, highest)  # max |y_i|
     k = 0
     if n * (3 * top + eps) > 2.0**_SOLVE_LIMIT_EXP:  # Python floats: inf, no warning
         # n * 4 * max(top, eps) < 2**(k + _SOLVE_LIMIT_EXP)
         k = n.bit_length() + 2 + math.frexp(max(top, eps))[1] - _SOLVE_LIMIT_EXP
-    lo, hi = _slack_interval(np.ldexp(xs, -k, out=xs), math.ldexp(eps, -k))
+    if bits:
+        lo, hi = _bits_interval(n, zeros, math.ldexp(1.0, -k), math.ldexp(eps, -k))
+    else:
+        lo, hi = _slack_interval(np.ldexp(xs, -k, out=xs), math.ldexp(eps, -k))
     try:
         lo, hi = math.ldexp(lo, k), math.ldexp(hi, k)
     except OverflowError:
         raise ValueError("eps-argmin endpoint beyond the float range") from None
     # the interval always contains the eps = 0 median interval
-    return min(lo, median[0]), max(hi, median[1])
+    return min(lo, below), max(hi, above)
 
 
 def _slack_interval(xs: np.ndarray, eps: float) -> tuple[float, float]:
@@ -408,6 +425,27 @@ def _slack_interval(xs: np.ndarray, eps: float) -> tuple[float, float]:
     # descent rate of G just left of knot lo_idx, ascent rate just right of hi_idx
     lo = xs[lo_idx] - (threshold - g_knots[lo_idx]) / (n - 2 * lo_idx)
     hi = xs[hi_idx] + (threshold - g_knots[hi_idx]) / (2 * (hi_idx + 1) - n)
+    return lo, hi
+
+
+def _bits_interval(n: int, zeros: int, one: float, eps: float) -> tuple[float, float]:
+    """``_slack_interval`` of ``zeros`` zeros followed by n - zeros copies of ``one``.
+
+    ``one`` is a power of two, so every prefix sum and knot value of the
+    sorted path is an integer times ``one``, exact below 2**53: G is
+    (n - zeros) * one at each 0 knot and zeros * one at each ``one`` knot,
+    and this evaluates that path's threshold, crossing knots and slopes at
+    these two values, in the same float operations.
+    """
+    x, g = (0.0, one), ((n - zeros) * one, zeros * one)  # at a 0 knot, at a ``one`` knot
+    threshold = min(g) + n * eps  # an absent value's G is n * one, never below the other's 0
+    first = 0 if zeros and g[0] <= threshold else zeros
+    last = n - 1 if zeros < n and g[1] <= threshold else zeros - 1
+    lo_idx = min(first, (n - 1) // 2)
+    hi_idx = max(last, n // 2)
+    lo_at, hi_at = int(lo_idx >= zeros), int(hi_idx >= zeros)
+    lo = x[lo_at] - (threshold - g[lo_at]) / (n - 2 * lo_idx)
+    hi = x[hi_at] + (threshold - g[hi_at]) / (2 * (hi_idx + 1) - n)
     return lo, hi
 
 

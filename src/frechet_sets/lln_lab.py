@@ -270,8 +270,49 @@ def _last_true(flags: np.ndarray) -> int:
     return len(flags) - 1 - back if flags[-1 - back] else -1
 
 
+class MedianGridMemo:
+    """The median runner's grid work in dimension s, shared by a run's seeds.
+
+    Per tuple of axis intervals it keeps ``d_sub``/``d_haus`` of the grid
+    mean set to the 3**s box grid and ``d_sub_box``/``d_haus_box`` to the
+    unit box; the grid pair is also keyed by the restricted axis sets, which
+    many interval tuples share. Keys that compare equal (0.0 and -0.0) give
+    the same values.
+    """
+
+    def __init__(self, s: int) -> None:
+        self.s = s
+        self.axes = [line_grid(euclidean_space(1), MEDIAN_AXIS_COORDS) for _ in range(s)]
+        self.box_grid = product_grid(self.axes)
+        self.target = PointSet.full(self.box_grid)
+        self.by_intervals: dict[tuple, dict] = {}
+        self.by_axis_sets: dict[tuple, tuple[float, float]] = {}
+
+    def distances(self, intervals: tuple) -> dict:
+        found = self.by_intervals.get(intervals)
+        if found is None:
+            axis_sets = [grid_restrict_interval(a, *i) for a, i in zip(self.axes, intervals)]
+            restricted = tuple(a.indices.tobytes() for a in axis_sets)
+            grid_pair = self.by_axis_sets.get(restricted)
+            if grid_pair is None:
+                mean_set = product_mean_set(axis_sets, self.box_grid)
+                grid_pair = self.by_axis_sets[restricted] = (
+                    d_subset(mean_set, self.target),
+                    d_hausdorff(mean_set, self.target),
+                )
+            box = [(0.0, 1.0)] * self.s
+            d_sub_box = _box_d_subset(intervals, box)
+            found = self.by_intervals[intervals] = {
+                "d_sub": grid_pair[0],
+                "d_haus": grid_pair[1],
+                "d_sub_box": d_sub_box,
+                "d_haus_box": max(d_sub_box, _box_d_subset(box, intervals)),
+            }
+        return found
+
+
 def run_median_experiment(
-    s: int, schedule: EpsilonSchedule, n_max: int, seed: int
+    s: int, schedule: EpsilonSchedule, n_max: int, seed: int, memo: MedianGridMemo | None = None
 ) -> ExperimentResult:
     """Sample the fair product-Bernoulli law and track the median-set walk.
 
@@ -283,47 +324,40 @@ def run_median_experiment(
     the mean set exactly when |S_n| <= n * eps_n, and corner or interior
     probe membership are one-sided versions of the same comparison.
 
-    The per-n trajectories are made in one pass over n in blocks of
-    ``_CHUNK`` samples. Each block draws its bits (the stream is the one
-    whole draw, since consecutive blocks of the generator concatenate),
-    writes them into one contiguous int8 row per axis, builds its int32
-    walks from the walk carried out of the block before, and reduces its
-    box events in place: the running simultaneous-zero count, the zero and
-    interior occurrence indices (kept until their count passes
-    ``MAX_STORED_INDICES``; the count goes on), the last n at which each
-    beyond-checkpoint event holds, and the walk, flags, count and eps_n of
-    every n-grid point. So the bits, 1 byte per generator output, are the
-    only n_max-long array; the block scratch is O(s * ``_CHUNK``), and each
-    interval solve adds one sorted float copy of its prefix (8 bytes per
-    sample). The int32 walks are exact because n_max <= ``MAX_MEDIAN_N`` =
-    2**30 - 1, so every partial value of 2 * ones_n - n lies within
-    2 * n_max < 2**31; a larger n_max raises ``ValueError`` before
-    anything is drawn. Every box event is a comparison of one of two
-    cross-axis statistics with the slack n * eps_n: top = max_k S_k and
-    bottom = min_k S_k. This relies on the slack being nonnegative, which
-    ``EpsilonSchedule`` guarantees; for the same reason some corner (0 or
-    1 in every axis set) is always a member, so that event is recorded as
-    the constant it is.
+    One pass over n in blocks of ``_CHUNK`` samples: each block draws its
+    bits (consecutive generator blocks concatenate, so the stream is the
+    one whole draw) into one ``bool`` row per axis, builds its int32 walks
+    from the walk carried out of the block before, and reduces its box
+    events: the running simultaneous-zero count, the zero and interior
+    occurrence indices (kept until their count passes
+    ``MAX_STORED_INDICES``), the last n at which each beyond-checkpoint
+    event holds, and the walk, flags, count and eps_n of every n-grid
+    point. The bits, 1 byte per output, are the only n_max-long array, and
+    an interval solve counts the ones of a bit prefix without copying it.
+    The walks are exact because n_max <= ``MAX_MEDIAN_N``: every partial
+    2 * ones_n - n lies within 2 * n_max < 2**31. Every box event compares
+    max_k S_k or min_k S_k with the slack n * eps_n, which
+    ``EpsilonSchedule`` keeps nonnegative; so some corner (0 or 1 in every
+    axis set) is always a member, and that event is the constant it is.
 
-    Per-n trajectories (every n up to n_max) drive the summary counters;
-    full interval solves and set distances are recorded on the n-grid.
-    Every n-grid record solves its own axis intervals, but the grid mean
-    set and its ``d_sub``/``d_haus`` to the box grid depend on the sample
-    only through the restricted axis sets, so they are computed once per
-    distinct tuple of them; a cache keyed by the interval tuple
-    ``((lo_0, hi_0), ...)`` skips the restriction itself. Interval keys
-    that compare equal (0.0 and -0.0) give the same grid sets.
+    Every n-grid record solves and writes its own axis intervals; its set
+    distances come from ``memo``, a ``MedianGridMemo(s)`` that the caller
+    may share between the seeds of a run (one is built if none is given).
     """
     if n_max > MAX_MEDIAN_N:
         raise ValueError(f"n_max must be <= {MAX_MEDIAN_N}: the walks are int32")
     if s < 1:
         raise ValueError("dimension must be positive")
+    if memo is None:
+        memo = MedianGridMemo(s)
+    elif memo.s != s:
+        raise ValueError("memo is for another dimension")
     rng = SplitMix64(seed)
     grid_ns = make_n_grid(n_max)
     # the powers of two strictly below n_max, so every beyond-window is nonempty
     checkpoints = [n for n in grid_ns if n < n_max and not n & (n - 1)]
 
-    axis_bits = np.empty((s, n_max), dtype=np.int8)
+    axis_bits = np.empty((s, n_max), dtype=bool)
     # int32: int64 walks read median-walk peak RSS 0.2 MB higher and wall_s
     # 0.235-0.252 s against 0.215-0.246 s (4 pairs, shared 2-core x86-64)
     walk_block = np.empty((s, min(n_max, _CHUNK)), dtype=np.int32)
@@ -375,39 +409,12 @@ def run_median_experiment(
                 record[f"walk{k}"] = int(walks[k, i])
             records.append(record)
 
-    axis_space = euclidean_space(1)
-    axes = [line_grid(axis_space, MEDIAN_AXIS_COORDS) for _ in range(s)]
-    box_grid = product_grid(axes)
-    target_grid_set = PointSet.full(box_grid)
-    target_box = [(0.0, 1.0)] * s
-
-    by_intervals: dict[tuple, tuple[float, float]] = {}
-    by_axis_sets: dict[tuple, tuple[float, float]] = {}
     for record in records:
         n = record["n"]
-        eps_n = record["eps"]
-        intervals = tuple(median_interval_1d(axis_bits[k, :n], eps_n) for k in range(s))
-        distances = by_intervals.get(intervals)
-        if distances is None:
-            axis_sets = [
-                grid_restrict_interval(axes[k], *intervals[k]) for k in range(s)
-            ]
-            restricted = tuple(a.indices.tobytes() for a in axis_sets)
-            distances = by_axis_sets.get(restricted)
-            if distances is None:
-                mean_set = product_mean_set(axis_sets, box_grid)
-                distances = by_axis_sets[restricted] = (
-                    d_subset(mean_set, target_grid_set),
-                    d_hausdorff(mean_set, target_grid_set),
-                )
-            by_intervals[intervals] = distances
-        d_sub_box = _box_d_subset(intervals, target_box)
-        record["d_sub"], record["d_haus"] = distances
-        record["d_sub_box"] = d_sub_box
-        record["d_haus_box"] = max(d_sub_box, _box_d_subset(target_box, intervals))
+        intervals = tuple(median_interval_1d(axis_bits[k, :n], record["eps"]) for k in range(s))
+        record.update(memo.distances(intervals))
         for k in range(s):
-            record[f"lo{k}"] = float(intervals[k][0])
-            record[f"hi{k}"] = float(intervals[k][1])
+            record[f"lo{k}"], record[f"hi{k}"] = intervals[k]
 
     summary = {}
     for key in counts:

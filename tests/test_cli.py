@@ -235,6 +235,24 @@ def test_validate_only_rejects_out_of_range_config(
     assert field in capsys.readouterr().err
 
 
+def test_median_run_shares_one_grid_memo_between_its_seeds(tmp_path, monkeypatch):
+    from frechet_sets import lln_lab
+
+    memos = []
+    original = lln_lab.run_median_experiment
+
+    def spy(*args, memo=None, **kwargs):
+        memos.append(memo)
+        return original(*args, memo=memo, **kwargs)
+
+    monkeypatch.setattr(lln_lab, "run_median_experiment", spy)
+    path, _ = write_config(tmp_path, seeds=[0, 1, 2], params={"dimension": 2})
+    assert run(str(path)) == 0
+    assert len(memos) == 3
+    assert isinstance(memos[0], lln_lab.MedianGridMemo)
+    assert all(memo is memos[0] for memo in memos)
+
+
 def test_null_out_dir_takes_the_default(tmp_path, monkeypatch):
     # at the top level a null counts as a missing key
     monkeypatch.chdir(tmp_path)

@@ -658,6 +658,66 @@ def test_median_interval_rejects_non_finite_samples():
                 median_interval_1d(sample, eps)
 
 
+@pytest.mark.parametrize("dtype", [bool, float])
+@pytest.mark.parametrize("shape", [(2, 3), (1, 4), ()], ids=["2x3", "1x4", "scalar"])
+def test_median_interval_rejects_a_sample_that_is_not_one_dimensional(shape, dtype):
+    # the sorted path raised TypeError on these shapes and AxisError on a scalar
+    for eps in (0.0, 0.1):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            median_interval_1d(np.ones(shape, dtype=dtype), eps)
+
+
+def test_median_interval_rejects_an_infinite_eps():
+    # it returned (-inf, inf), not the finite endpoints it documents
+    for sample in ([0.0, 1.0], np.array([True, False])):
+        with pytest.raises(ValueError, match="finite"):
+            median_interval_1d(sample, math.inf)
+
+
+def _solved(sample, eps):
+    """The endpoints as float hex strings, or the message of the ValueError."""
+    try:
+        return tuple(v.hex() for v in median_interval_1d(sample, eps))
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+#: 0, subnormals, tiny, moderate and huge slacks; from 1e308 on, n * eps
+#: passes 2**1020 at every n, so the solve runs on the scaled sample
+_BIT_EPS = (0.0, 5e-324, 2.0**-1030, 1e-200, 1e-17, 0.5, 1e100, 1e300, 1e308, sys.float_info.max)
+
+
+@st.composite
+def _bit_samples(draw):
+    n = draw(st.one_of(st.integers(1, 70), st.integers(1, 2**17 + 1), st.just(2**17 + 1)))
+    ones = draw(
+        st.one_of(
+            st.sampled_from([0, n]),
+            st.integers(-3, 3).map(lambda d: min(max(n // 2 + d, 0), n)),  # near n/2
+            st.integers(0, n),
+        )
+    )
+    eps = draw(st.one_of(st.sampled_from(_BIT_EPS + (n**-0.25,)), st.floats(0.0, 1e308)))
+    return np.roll(np.arange(n) < ones, draw(st.integers(0, n - 1))), eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bit_samples())
+def test_median_interval_bool_path_matches_the_sorted_path(case):
+    # a bool sample is solved from its count of ones; as int8 it takes the
+    # sorted float path, and both give the same bits or the same error
+    bits, eps = case
+    assert _solved(bits, eps) == _solved(bits.astype(np.int8), eps)
+
+
+def test_median_interval_bool_path_on_every_short_sample():
+    for n in range(1, 41):
+        for ones in range(n + 1):
+            bits = np.arange(n) < ones
+            for eps in _BIT_EPS + (n**-0.25,):
+                assert _solved(bits, eps) == _solved(bits.astype(np.int8), eps), (n, ones, eps)
+
+
 def test_median_interval_endpoints_sit_on_threshold():
     rng = np.random.default_rng(23)
     for _ in range(200):

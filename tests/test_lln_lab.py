@@ -26,6 +26,7 @@ from frechet_sets.lln_lab import (
     MAX_MEDIAN_N,
     MAX_STORED_INDICES,
     MEDIAN_AXIS_COORDS,
+    MedianGridMemo,
     _box_d_subset,
     _box_events,
     MAX_REGRESSION_SCALE,
@@ -645,14 +646,57 @@ def test_median_set_distances_once_per_interval_tuple(monkeypatch, s, schedule, 
     assert len(restricted) < len(result.records)
     assert (len(restricted) == len(intervals)) == one_to_one
 
+    # two seeds sharing one memo do the grid work once per distinct tuple
+    # across both runs
+    for name in calls:
+        calls[name] = 0
+    memo = MedianGridMemo(s)
+    results = [run_median_experiment(s, schedule, n_max, seed, memo=memo) for seed in (1, 2)]
+    intervals = {
+        tuple((record[f"lo{k}"], record[f"hi{k}"]) for k in range(s))
+        for result in results
+        for record in result.records
+    }
+    restricted = {
+        tuple(tuple(x for x in MEDIAN_AXIS_COORDS if lo <= x <= hi) for lo, hi in key)
+        for key in intervals
+    }
+    assert calls == {
+        "grid_restrict_interval": s * len(intervals),
+        "product_mean_set": len(restricted),
+        "d_hausdorff": len(restricted),
+    }
+    assert len(memo.by_intervals) == len(intervals)
+
+
+@pytest.mark.parametrize("s", [1, 3, 6])
+@pytest.mark.parametrize(
+    "schedule",
+    [EpsilonSchedule.constant(0.0), EpsilonSchedule.power_decay(1.0, 0.25)],  # slack 0, e3
+    ids=["slack0", "e3"],
+)
+def test_median_shared_memo_changes_no_record(s, schedule):
+    # the memo keys records by their interval tuples, where 0.0 and -0.0
+    # compare equal; each record still solves and writes its own intervals,
+    # so a memo shared by the seeds of a run gives every field's bits
+    memo = MedianGridMemo(s)
+    for seed in (0, 1, 2):
+        shared = run_median_experiment(s, schedule, 2048, seed, memo=memo)
+        alone = run_median_experiment(s, schedule, 2048, seed)
+        assert _hexed(shared.records) == _hexed(alone.records)
+        assert _hexed(shared.summary) == _hexed(alone.summary)
+    with pytest.raises(ValueError, match="another dimension"):
+        run_median_experiment(s + 1, schedule, 16, 0, memo=memo)
+
 
 def test_median_walk_memory_has_no_per_sample_matrix_temporaries():
-    # the peak is the interval solve at n_max: the int8 bits (s B per n) and
-    # one sorted float prefix (8 B per n) beside the _CHUNK-sized walk and
-    # event scratch; it measures 1,463,837 B (4.88 B per output), 363,837 B
-    # beyond (s + 8) * n_max. Walks held n_max long (one int32 row per axis)
-    # measure 2,469,781 B and int64 bits 3,566,389 B, both past the 512 KiB
-    # margin.
+    # the peak is the bool bits (s B per n) beside the _CHUNK-sized block
+    # scratch: the generator block, the walks and the events. An interval
+    # solve copies nothing since it counts the ones of a bool prefix, yet
+    # the peak stayed near 1.47 MB (1,470,455 B): the block scratch, about 1.17 MB, is
+    # larger than the sorted float prefix the solve used to hold. Walks held
+    # n_max long (one int32 row per axis) measured 2,469,781 B and int64
+    # bits 3,566,389 B, both past the 512 KiB margin.
     s, n_max = 3, 100_000
     tracemalloc.start()
     try:
@@ -663,34 +707,39 @@ def test_median_walk_memory_has_no_per_sample_matrix_temporaries():
     assert peak <= (s + 8) * n_max + 2**19
 
 
-def test_median_walk_memory_is_the_bits_and_one_sorted_prefix():
-    # the int8 bits (s B per n) are the only n_max-long array the stream
-    # keeps; the walks, events and generator block are _CHUNK-sized scratch,
-    # and the longest interval solve adds one sorted float prefix (8 B per
-    # n); the 2 MiB covers the block scratch and the records
+def test_median_walk_memory_is_the_bits_only():
+    # the bool bits (s B per n) are the only n_max-long array the stream
+    # keeps, and an interval solve counts the ones of a bit prefix with no
+    # float copy, at any slack; the walks, events and generator block are
+    # _CHUNK-sized scratch, and the 2 MiB covers them and the records. It
+    # measures 4.3 MB at slack 0 and 4.4 MB under power_decay(1, 0.25);
+    # sorting a float copy of each prefix read 12.1 and 46.8 MB
     s, n_max = 3, 2**20
-    tracemalloc.start()
-    try:
-        run_median_experiment(s, EpsilonSchedule.constant(0.0), n_max, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= (s + 8) * n_max + 2 * 2**20
+    for schedule in (EpsilonSchedule.constant(0.0), EpsilonSchedule.power_decay(1.0, 0.25)):
+        tracemalloc.start()
+        try:
+            run_median_experiment(s, schedule, n_max, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= s * n_max + 2 * 2**20, schedule
 
 
 def test_median_slack_interval_memory_is_a_few_reused_rows():
-    # with a positive slack the longest interval solve holds the sorted copy,
-    # the compensated prefix and three reused float rows (40 B per n) beside
-    # the int8 bits; it measures 44.7 B per n, and about 68 when each step
-    # of the prefix and the knot values made its own temporary
-    s, n_max = 3, 2**20
+    # with a positive slack a float sample's solve holds the sorted copy,
+    # the compensated prefix and three reused float rows (40 B per n); it
+    # measures 41.0 B per n; through the runner, bits included, it read
+    # about 68 when each step of the prefix and the knot values made its own
+    # temporary
+    n = 2**20
+    sample = np.arange(n, dtype=float) % 7
     tracemalloc.start()
     try:
-        run_median_experiment(s, EpsilonSchedule.power_decay(1.0, 0.25), n_max, seed=1)
+        median_interval_1d(sample, 0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (s + 40) * n_max + 4 * 2**20
+    assert peak <= 40 * n + 2 * 2**20
 
 
 def test_median_runner_rejects_n_max_beyond_int32_walks():
