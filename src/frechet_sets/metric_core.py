@@ -399,6 +399,49 @@ class CandidateGrid:
         left_right = self.space.distances(np.concatenate(at), np.concatenate(candidates, axis=1))
         return np.minimum(left_right[0], left_right[1])
 
+    def _line_rank(self) -> "np.ndarray | None":
+        """Each point's position in sorted line order on a line kind, or None
+        where the values increase with the index (every integer grid), so
+        that the position is the index itself."""
+        line = self.coords.reshape(-1)
+        return None if (line[1:] > line[:-1]).all() else line.argsort().argsort()
+
+    def _segment_minima(
+        self,
+        rows: np.ndarray,
+        segment: np.ndarray,
+        cols: np.ndarray,
+        counts: np.ndarray,
+        rank: "np.ndarray | None",
+    ) -> np.ndarray:
+        """dist(q, segment s) for each grid index q in ``rows``, s its entry
+        of ``segment``, on a line kind, from one ``searchsorted`` and one
+        ``distances`` call. ``cols`` holds the nonempty segments' members
+        one after another, ``counts[s]`` of segment s, each in sorted index
+        order (as ``PointSet`` holds them); ``rank`` is ``_line_rank()``.
+
+        The keys s * G + rank[member] are exact integers, sorted (already so
+        when ``rank`` is None). A row's key s * G + rank[q] lands inside
+        its own segment's key range, so its two neighbour candidates, as in
+        ``_neighbour_minima``, are the members on each side of that
+        position, clipped to the segment; the result is each row's block
+        minimum bit for bit.
+        """
+        size = len(self)
+        ends = counts.cumsum()
+        keys = np.repeat(np.arange(len(counts)) * size, counts)
+        keys += cols if rank is None else rank[cols]
+        if rank is not None:
+            by_key = keys.argsort()
+            keys, cols = keys[by_key], cols[by_key]
+        at = np.searchsorted(keys, (rows if rank is None else rank[rows]) + segment * size)
+        pair = np.empty((2, len(rows)), dtype=np.intp)  # left and right candidate
+        np.minimum(at, (ends - 1)[segment], out=pair[1])
+        np.maximum(pair[1] - 1, (ends - counts)[segment], out=pair[0])
+        packed = self.coords
+        left_right = self.space.distances(packed[rows], packed[cols[pair]])
+        return np.minimum(left_right[0], left_right[1])
+
 
 class PointSet:
     """A finite subset of a grid, stored as one read-only, sorted,
@@ -476,12 +519,22 @@ def _require_same_grid(a: PointSet, b: PointSet) -> None:
 
 
 def diameter(grid: CandidateGrid, subset: PointSet) -> float:
-    """Largest pairwise distance within ``subset``; 0 for empty or singleton sets."""
+    """Largest pairwise distance within ``subset``; 0 for empty or singleton sets.
+
+    On a line kind it is the distance between the set's smallest and largest
+    value, a 1 x 1 block: the kernel is nondecreasing in |x - y| and float
+    subtraction rounds monotonically. Other kinds reduce the |S| x |S| block.
+    """
     if subset.grid is not grid:
         raise GridMismatchError("subset belongs to a different grid")
     if len(subset) <= 1:
         return 0.0
-    return float(grid.distance_matrix(subset.indices, subset.indices).max())
+    idx = subset.indices
+    if grid.space.on_line:
+        line = grid.coords.reshape(-1)[idx]
+        idx = idx[[line.argmin(), line.argmax()]]
+        return float(grid.distance_matrix(idx[:1], idx[1:])[0, 0])
+    return float(grid.distance_matrix(idx, idx).max())
 
 
 # -- space and grid builders -------------------------------------------------

@@ -20,16 +20,24 @@ multi-dimensional kinds keep one |A| x |B| block per distance
 (``d_hausdorff`` reduces its one block along both axes), and no path
 builds a G x G matrix.
 
-The outer limit is the tol-enlargement of the tail union, found with one
-distance profile over the grid, one grid row per member of the union. The
-inner limit is the intersection of the tol-enlargements of the tail sets:
-one profile seeds the candidates, and each further tail set only filters
-the survivors with ``nearest``. A d_subset trajectory against one fixed
-target T is a gather per set from one profile q -> dist(q, T), built from
-one grid row per member of T. Tail diameters are walked from the back:
-on the line kinds a union's diameter is the distance between its two
-ends, so only those are kept; the other kinds take each tail set's new
-points against the union so far, as one block.
+``d_subset`` and ``d_hausdorff`` also take a ``SetSequence`` and return
+its trajectory against a fixed target T, equal to the per-set calls bit
+for bit. On the line kinds it costs a kernel call per block of ``_BLOCK``
+rows, not one per set: s -> T is one profile dist(q, T) over the points
+that occur in some set, gathered per set with ``np.maximum.reduceat``;
+T -> s searches the target's rows in exact integer segment keys
+set * G + rank, one ``searchsorted`` per block of sets. The inner limit's
+filter uses the same T -> s kernel, one block of tail sets at a time.
+The other kinds take one block per set behind the same call.
+
+The outer limit is the tol-enlargement of the tail union, marked in one
+grid-long mask and found with one distance profile over the grid, one
+grid row per member of the union. The inner limit's candidates are the
+tol-enlargement of the smallest tail set, one profile; the other tail
+sets filter the survivors. Tail diameters are walked from the back: on
+the line kinds a union's diameter is the distance between its two ends,
+so only those are kept; the other kinds take each tail set's new points
+against the union so far, as one block.
 """
 
 from __future__ import annotations
@@ -70,22 +78,28 @@ class SetSequence:
         return len(self.sets)
 
 
-def d_subset(a: PointSet, b: PointSet) -> float:
+#: kernel rows, or (row, set) pairs, per block of a line-kind set-sequence
+#: distance and of the inner-limit filter
+_BLOCK = 2**11
+
+
+def d_subset(a: "PointSet | SetSequence", b: PointSet) -> "float | tuple[float, ...]":
     """One-sided Hausdorff distance sup_{x in a} dist(x, b).
 
     Conventions: 0 when ``a`` is empty; +inf when ``b`` is empty and ``a``
-    is not (the infimum over an empty set).
+    is not (the infimum over an empty set). A ``SetSequence`` as ``a``
+    gives its trajectory, one float per set, each equal to the call on that
+    set bit for bit; on the line kinds it takes one kernel call per block
+    of ``_BLOCK`` rows, not one per set.
     """
     if a.grid is not b.grid:
         raise GridMismatchError("point sets belong to different grids")
-    if not len(a):
-        return 0.0
-    if not len(b):
-        return math.inf
-    return float(a.grid.nearest(a.indices, b.indices).max())
+    if isinstance(a, SetSequence):
+        return _trajectory(a, b, hausdorff=False)
+    return _one_sided(a, b)
 
 
-def d_hausdorff(a: PointSet, b: PointSet) -> float:
+def d_hausdorff(a: "PointSet | SetSequence", b: PointSet) -> "float | tuple[float, ...]":
     """Symmetric Hausdorff distance max(d_subset(a, b), d_subset(b, a)).
 
     On a line kind the neighbour candidates of both directions (a against
@@ -93,10 +107,25 @@ def d_hausdorff(a: PointSet, b: PointSet) -> float:
     result equals the max of the two ``nearest`` queries bit for bit; on
     the other kinds they are reductions of the one |a| x |b| block, along
     its rows and along its columns (grid distances are bitwise symmetric).
-    Conventions: 0 when both sets are empty, +inf when exactly one is.
+    Conventions: 0 when both sets are empty, +inf when exactly one is. A
+    ``SetSequence`` as ``a`` gives its trajectory, as in ``d_subset``.
     """
     if a.grid is not b.grid:
         raise GridMismatchError("point sets belong to different grids")
+    if isinstance(a, SetSequence):
+        return _trajectory(a, b, hausdorff=True)
+    return _two_sided(a, b)
+
+
+def _one_sided(a: PointSet, b: PointSet) -> float:
+    if not len(a):
+        return 0.0
+    if not len(b):
+        return math.inf
+    return float(a.grid.nearest(a.indices, b.indices).max())
+
+
+def _two_sided(a: PointSet, b: PointSet) -> float:
     if not len(a) or not len(b):
         return math.inf if len(a) or len(b) else 0.0
     grid = a.grid
@@ -105,6 +134,111 @@ def d_hausdorff(a: PointSet, b: PointSet) -> float:
     # one block: 1.8x faster than two ``nearest`` on the median box grid
     block = grid.distance_matrix(a.indices, b.indices)
     return float(max(block.min(axis=1).max(), block.min(axis=0).max()))
+
+
+def _trajectory(seq: SetSequence, target: PointSet, hausdorff: bool) -> tuple[float, ...]:
+    """d_subset(s, target), or d_hausdorff(s, target), for every set s of ``seq``.
+
+    The circle, table and multi-dimensional kinds, and an empty target,
+    take the one-set call per set. On a line kind ``_fold_set_rows`` takes
+    s -> T and, for the Hausdorff distance, ``_fold_target_rows`` T -> s,
+    each in blocks of at most ``_BLOCK`` kernel rows. Each value is the
+    maximum of the same row minima as the one-set call's, and a maximum
+    does not depend on how its arguments are grouped, so it equals that
+    call bit for bit.
+    """
+    if not seq.grid.space.on_line or not len(target):
+        one = _two_sided if hausdorff else _one_sided
+        return tuple(one(s, target) for s in seq.sets)
+    out = np.full(len(seq), math.inf if hausdorff else 0.0)  # the empty sets' conventions
+    sizes = np.fromiter(map(len, seq.sets), dtype=np.intp, count=len(seq))
+    ids = np.flatnonzero(sizes)
+    if ids.size:
+        sizes = sizes[ids]
+        members = [s.indices for s in seq.sets if len(s)]
+        _fold_set_rows(seq.grid, target.indices, ids, members, sizes, out)
+        if hausdorff:
+            _fold_target_rows(seq.grid, target.indices, ids, members, sizes, out)
+    return tuple(out.tolist())
+
+
+def _fold_set_rows(
+    grid: CandidateGrid,
+    t: np.ndarray,
+    ids: np.ndarray,
+    members: list,
+    sizes: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """out[ids[k]] = d_subset(set k, T) for every set k, whose members are
+    ``members[k]``.
+
+    dist(q, T) depends on q alone, so it is one profile over the points
+    that occur in some set (all of the grid once the sets hold as many
+    members as it has points), ``_BLOCK`` points per ``_neighbour_minima``
+    query. Each set's maximum is then gathered from the profile, in
+    blocks of the whole sets that start within one run of ``_BLOCK``
+    members, with one ``np.maximum.reduceat`` per block.
+    """
+    size = len(grid)
+    few = sizes.sum() < size  # else every grid point is profiled, with no index array
+    points = np.unique(np.concatenate(members)) if few else None
+    profile = np.empty(size)  # dist(q, T) at every point q that occurs
+    for lo in range(0, len(points) if few else size, _BLOCK):
+        rows = points[lo : lo + _BLOCK] if few else np.arange(lo, min(lo + _BLOCK, size))
+        profile[rows] = grid._neighbour_minima((rows, t))
+    starts = sizes.cumsum() - sizes
+    cuts = np.flatnonzero(np.diff(starts // _BLOCK, prepend=-1, append=-1))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        values = profile[np.concatenate(members[lo:hi])]
+        out[ids[lo:hi]] = np.maximum.reduceat(values, starts[lo:hi] - starts[lo])
+
+
+def _fold_target_rows(
+    grid: CandidateGrid,
+    t: np.ndarray,
+    ids: np.ndarray,
+    members: list,
+    sizes: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """out[ids[k]] = max(out[ids[k]], d_subset(T, set k)) for every set k.
+
+    The sets make one stream of units: set k's ``sizes[k]`` members (the
+    keys its rows search), then one row per member t of T. The stream is
+    cut every ``_BLOCK`` units, a set's rows running on into the next
+    block where they do not fit, so with M members in all there are at
+    most ceil((M + |T| len(ids)) / _BLOCK) kernel calls of at most
+    ``_BLOCK`` rows, and a block's segments hold at most ``_BLOCK``
+    members plus those of the set it starts in. A block's rows of one set
+    are one ``_neighbour_minima`` query, of several sets one
+    ``_segment_minima`` call; each set's rows reduce with
+    ``np.maximum.reduceat``.
+    """
+    n = len(t)
+    first = (sizes + n).cumsum() - n  # stream position of each set's first row
+    total = int(first[-1]) + n
+    cuts = np.arange(0, total + _BLOCK, _BLOCK).clip(max=total)
+    k = np.searchsorted(first + n, cuts, side="right").clip(max=len(ids) - 1)
+    rows_before = k * n + (cuts - first[k]).clip(0, n)  # rows of T before each cut
+    rank = grid._line_rank()
+    for r0, r1 in zip(rows_before[:-1], rows_before[1:]):
+        if r0 == r1:  # a block of members only
+            continue
+        lo, hi = r0 // n, (r1 - 1) // n + 1
+        if hi - lo == 1:  # a block of one set
+            minima = grid._neighbour_minima((t[r0 - lo * n : r1 - lo * n], members[lo]))
+        else:
+            parts = [t] * (hi - lo)
+            parts[0], parts[-1] = t[r0 - lo * n :], t[: r1 - (hi - 1) * n]
+            segment = np.arange(hi - lo).repeat([len(p) for p in parts])
+            cols = np.concatenate(members[lo:hi])
+            minima = grid._segment_minima(
+                np.concatenate(parts), segment, cols, sizes[lo:hi], rank
+            )
+        runs = (np.arange(lo, hi) * n - r0).clip(0)  # where each set's rows start
+        sets = ids[lo:hi]
+        out[sets] = np.maximum(out[sets], np.maximum.reduceat(minima, runs))
 
 
 def _distance_to_set_per_point(seq_set: PointSet) -> np.ndarray:
@@ -116,20 +250,6 @@ def _distance_to_set_per_point(seq_set: PointSet) -> np.ndarray:
     return best
 
 
-def _d_subset_trajectory(sets: Sequence[PointSet], target: PointSet) -> tuple[float, ...]:
-    """d_subset(s, target) for each s in sets, read from one target profile.
-
-    max over s of min over target is the max over s of the profile
-    dist(., target), which reads the same distances (grid distances are
-    elementwise symmetric), so each value equals d_subset bit for bit. An
-    empty target gives an all-inf profile: the +inf convention.
-    """
-    if any(s.grid is not target.grid for s in sets):
-        raise GridMismatchError("point sets belong to different grids")
-    profile = _distance_to_set_per_point(target)
-    return tuple(float(profile[s.indices].max()) if len(s) else 0.0 for s in sets)
-
-
 def outer_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) -> PointSet:
     """Points whose distance to some tail set is at most tol.
 
@@ -139,13 +259,16 @@ def outer_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) ->
     point hit once in the tail cannot be ruled out as recurrent. The
     minimum is taken in one pass over the tail union, since
     min_n dist(q, B_n) = dist(q, union_n B_n) (+inf when every tail set
-    is empty).
+    is empty); the union is marked in one grid-long mask.
     """
     if not 0 <= tail_start < len(seq):
         raise ValueError("tail_start must index into the sequence")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    union = PointSet(seq.grid, np.concatenate([s.indices for s in seq.sets[tail_start:]]))
+    member = np.zeros(len(seq.grid), dtype=bool)
+    for s in seq.sets[tail_start:]:
+        member[s.indices] = True
+    union = PointSet(seq.grid, np.flatnonzero(member))
     return PointSet(seq.grid, np.flatnonzero(_distance_to_set_per_point(union) <= tol))
 
 
@@ -155,24 +278,46 @@ def inner_limit_estimate(seq: SetSequence, tail_start: int, tol: float = 0.0) ->
     Finite-horizon surrogate for the inner limit: the intersection over
     n >= tail_start of the tol-enlargements {q : dist(q, B_n) <= tol}.
     The candidates are the enlargement of the smallest tail set, one
-    distance profile over the grid; each other tail set then filters them
-    with one ``nearest`` query, until none remain. An empty tail
-    set is at distance +inf from every point, so it empties the result
-    unless tol is +inf; being the smallest, it is the one that seeds.
+    distance profile over the grid. The other tail sets then filter them,
+    until none remain: on a line kind a block of consecutive tail sets at
+    a time, as many as fit ``_BLOCK`` survivor rows and set members in
+    all, with one ``_segment_minima`` call (one ``nearest`` query for a
+    block of one set); on the other kinds one ``nearest`` block per set.
+    An empty tail set is at distance +inf from every point, so it empties
+    the result unless tol is +inf; being the smallest, it is the one that
+    seeds, and the filter skips the other empty sets, which keep every
+    candidate at tol = +inf.
     """
     if not 0 <= tail_start < len(seq):
         raise ValueError("tail_start must index into the sequence")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    tail = seq.sets[tail_start:]
+    grid, tail = seq.grid, seq.sets[tail_start:]
     seed = min(tail, key=len)
     keep = np.flatnonzero(_distance_to_set_per_point(seed) <= tol)
-    for s in tail:
-        if not keep.size:
-            break
-        if s is not seed:
-            keep = keep[seq.grid.nearest(keep, s.indices) <= tol]
-    return PointSet(seq.grid, keep)
+    rest = [s for s in tail if s is not seed and len(s)]
+    on_line = grid.space.on_line
+    rank = grid._line_rank() if on_line else None
+    i = 0
+    while keep.size and i < len(rest):
+        block, pairs = [rest[i]], keep.size + len(rest[i])
+        i += 1
+        while on_line and i < len(rest) and pairs + keep.size + len(rest[i]) <= _BLOCK:
+            block.append(rest[i])
+            pairs += keep.size + len(rest[i])
+            i += 1
+        if len(block) == 1:
+            near = grid.nearest(keep, block[0].indices)
+        else:
+            near = grid._segment_minima(
+                np.tile(keep, len(block)),
+                np.arange(len(block)).repeat(keep.size),
+                np.concatenate([s.indices for s in block]),
+                np.array([len(s) for s in block]),
+                rank,
+            )
+        keep = keep[(near <= tol).reshape(len(block), -1).all(axis=0)]
+    return PointSet(grid, keep)
 
 
 @dataclass(frozen=True)
@@ -300,15 +445,15 @@ def analyze_sequence(
     """Compute limit estimates and distance trajectories for a set sequence.
 
     Trajectories are taken against ``reference`` when given, otherwise
-    against the outer-limit estimate itself. The d_subset trajectory is a
-    gather per set from one distance profile of that target; the Hausdorff
-    trajectory takes one ``d_hausdorff`` per set.
+    against the outer-limit estimate itself: one ``d_subset`` and one
+    ``d_hausdorff`` call on the whole sequence, which on the line kinds
+    cost a kernel call per block of ``_BLOCK`` rows, not one per set.
     """
     outer = outer_limit_estimate(seq, tail_start, tol)
     inner = inner_limit_estimate(seq, tail_start, tol)
     target = reference if reference is not None else outer
-    d_sub = _d_subset_trajectory(seq.sets, target)
-    d_haus = tuple(d_hausdorff(s, target) for s in seq.sets)
+    d_sub = d_subset(seq, target)
+    d_haus = d_hausdorff(seq, target)
     bounded = eventually_bounded(seq, diameter_cap)
     return LimitReport(
         outer_limit=outer,
@@ -496,7 +641,7 @@ def diagnose_fixture(
     of the argmin sequence under the cap; approachability by the last
     entry of the eps trajectory on the limit objective, a d_subset at the
     ladder's finest eps. The escape distances are d_subset(argmin f_n,
-    argmin f) per n, gathered from one distance profile of argmin f.
+    argmin f) per n, from one ``d_subset`` call on the argmin sequence.
     """
     limit = fixture.limit_objective
     # f_n - f is -f on Z_n and 0.0 elsewhere, so the sup over the subset of
@@ -514,7 +659,7 @@ def diagnose_fixture(
     limit_argmin = eps_argmin(limit, 0.0)
     finest = eps_argmin(limit, fixture.approachability_eps[-1])
     approach_ok = d_subset(finest, limit_argmin) == 0.0
-    escape = _d_subset_trajectory(fixture.argmin_sequence.sets, limit_argmin)
+    escape = d_subset(fixture.argmin_sequence, limit_argmin)
     return FixtureDiagnostics(
         name=fixture.name,
         violates=fixture.violates,

@@ -1,6 +1,7 @@
 """Set distances, limit estimates, convergence criteria in finite form, and
 the three counterexample fixtures."""
 
+import contextlib
 import json
 import math
 import re
@@ -62,7 +63,6 @@ from frechet_sets import set_limits
 from frechet_sets.set_limits import (
     FIXTURE_NAMES,
     SetSequence,
-    _d_subset_trajectory,
     analyze_sequence,
     approachable_minimizers_check,
     counterexample_fixture,
@@ -323,15 +323,17 @@ def test_d_subset_trajectory_is_d_subset_per_set_bit_for_bit():
             return PointSet(grid, rng.choice(len(grid), size=size, replace=False))
 
         empty, full = PointSet.empty(grid), PointSet.full(grid)
-        sets = [empty, full] + [some(0) for _ in range(40)]
+        seq = SetSequence(grid, (empty, full, *(some(0) for _ in range(40))))
         for target in [empty, full] + [some(1) for _ in range(10)]:
-            got = _d_subset_trajectory(sets, target)
-            expected = [d_subset(s, target) for s in sets]
+            got = d_subset(seq, target)
+            expected = [d_subset(s, target) for s in seq.sets]
+            assert type(got) is tuple
             assert all(type(v) is float and math.copysign(1.0, v) == 1.0 for v in got)
             assert [v.hex() for v in got] == [v.hex() for v in expected]
     a, b = (PointSet(line_integer_grid(6), [0]) for _ in range(2))
-    with pytest.raises(GridMismatchError):
-        _d_subset_trajectory([a], b)
+    for distance in (d_subset, d_hausdorff):
+        with pytest.raises(GridMismatchError):
+            distance(SetSequence(a.grid, (a,)), b)
 
 
 def test_eventually_bounded_examples():
@@ -719,8 +721,9 @@ def test_analyze_sequence_report_and_json():
     assert doc["params"]["tail_start"] == 3
 
 
-def test_trajectories_cost_one_hausdorff_block_per_set(monkeypatch):
-    shapes = []  # result shape of every kernel evaluation, in call order
+def _kernel_rows(monkeypatch):
+    """Record the result shape of every ``MetricSpace.distances`` call."""
+    shapes = []
     kernel = MetricSpace.distances
 
     def counting(space, x, y):
@@ -728,63 +731,111 @@ def test_trajectories_cost_one_hausdorff_block_per_set(monkeypatch):
         shapes.append(d.shape)
         return d
 
-    per_set = []  # (|a|, |b|, kernel shapes) of every d_hausdorff(a, b)
-    hausdorff = set_limits.d_hausdorff
-
-    def recording(a, b):
-        start = len(shapes)
-        try:
-            return hausdorff(a, b)
-        finally:
-            per_set.append((len(a), len(b), shapes[start:]))
-
     monkeypatch.setattr(MetricSpace, "distances", counting)
-    monkeypatch.setattr(set_limits, "d_hausdorff", recording)
+    return shapes
 
-    def trajectories(seq):
+
+def _trajectory_pairs(seq, target, hausdorff):
+    """The pairs a line-kind trajectory is cut into: every point that occurs
+    in some set (every grid point, once the sets hold as many members as
+    the grid has points) against the target, and for the Hausdorff
+    distance each nonempty set's members (its search keys) and the
+    target's rows against it."""
+    members = sum(map(len, seq.sets))
+    occurring = np.unique(np.concatenate([s.indices for s in seq.sets]))
+    profile = len(seq.grid) if members >= len(seq.grid) else len(occurring)
+    if not hausdorff:
+        return profile
+    return profile + members + len(target) * sum(1 for s in seq.sets if len(s))
+
+
+def _unsorted_line_grid(size):
+    values = np.random.default_rng(17).permutation(size).astype(float)
+    return line_grid(euclidean_space(1, MetricTransform.power(0.5)), values)
+
+
+@pytest.mark.parametrize("block", [set_limits._BLOCK, 64, 7, 1])
+def test_line_trajectories_cost_a_kernel_call_per_block_of_pairs(monkeypatch, block):
+    # at most ceil(pairs / block) + 1 kernel calls, none of more than block
+    # rows, also where a set's rows run on across blocks (small blocks) and
+    # on a line grid whose coordinates do not increase with the index
+    monkeypatch.setattr(set_limits, "_BLOCK", block)
+    shapes = _kernel_rows(monkeypatch)
+    rng = np.random.default_rng(18)
+    sequences = [counterexample_fixture(name, horizon=60).argmin_sequence for name in FIXTURE_NAMES]
+    grid = _unsorted_line_grid(90)
+    sequences.append(
+        SetSequence(
+            grid,
+            tuple(
+                PointSet(grid, rng.choice(90, size=rng.integers(0, 12), replace=False))
+                for _ in range(30)
+            ),
+        )
+    )
+    for seq in sequences:
+        outer = outer_limit_estimate(seq, len(seq) // 2)
+        for target in (outer, PointSet(seq.grid, [0]), PointSet.full(seq.grid)):
+            for distance, hausdorff in ((d_subset, False), (d_hausdorff, True)):
+                shapes.clear()
+                distance(seq, target)
+                pairs = _trajectory_pairs(seq, target, hausdorff)
+                assert 1 <= len(shapes) <= -(-pairs // block) + 1
+                assert all(shape[0] == 2 and shape[1] <= block for shape in shapes)
         shapes.clear()
-        per_set.clear()
-        report = analyze_sequence(seq)
-        used = Counter(shapes)
-        # the limit estimates and the d_subset profile evaluate the same
-        # distances on their own; the Hausdorff trajectory adds the rest
-        shapes.clear()
-        outer_limit_estimate(seq, 0, 0.0)
-        inner_limit_estimate(seq, 0, 0.0)
-        _d_subset_trajectory(seq.sets, report.outer_limit)
-        eventually_bounded(seq, math.inf)
-        assert used == Counter(shapes) + Counter(c for _, _, calls in per_set for c in calls)
-        target = len(report.outer_limit)
-        assert [(rows, cols) for rows, cols, _ in per_set] == [(len(s), target) for s in seq.sets]
-        return per_set
+        for distance in (d_subset, d_hausdorff):
+            distance(seq, PointSet.empty(seq.grid))
+        assert shapes == []
 
-    # unit metric: one kernel call per set on the two neighbour candidates
-    # of every member of B_n and of T, never the |B_n| x |T| block
-    fixture = counterexample_fixture("reciprocal-tail", horizon=40)
-    seq = fixture.argmin_sequence
-    for rows, cols, calls in trajectories(seq):
-        assert calls == [(2, rows + cols)]
 
-    # a 2-D product grid keeps exactly one block per set
+def test_other_kinds_take_one_block_per_set(monkeypatch):
+    shapes = _kernel_rows(monkeypatch)
     axis = line_grid(euclidean_space(1), [0.0, 0.5, 1.0, 2.0])
     grid = product_grid([axis, axis])
     rng = np.random.default_rng(16)
     sets = tuple(
-        PointSet(grid, rng.choice(len(grid), size=rng.integers(1, 7), replace=False))
+        PointSet(grid, rng.choice(len(grid), size=rng.integers(0, 7), replace=False))
         for _ in range(12)
     )
-    for rows, cols, calls in trajectories(SetSequence(grid, sets)):
-        assert calls == [(rows, cols)]
+    seq = SetSequence(grid, sets)
+    target = PointSet(grid, [1, 4, 7])
+    for distance in (d_subset, d_hausdorff):
+        shapes.clear()
+        distance(seq, target)
+        assert shapes == [(len(s), len(target)) for s in sets if len(s)]
 
-    shapes.clear()
-    diagnose_fixture(fixture)
-    used = Counter(shapes)
-    shapes.clear()
-    eventually_bounded(seq, 50.0)
+
+def test_reports_compute_each_trajectory_once(monkeypatch):
+    # analyze_sequence and diagnose_fixture evaluate the distances of their
+    # parts and nothing else: one sequence call per trajectory
+    shapes = _kernel_rows(monkeypatch)
+    fixture = counterexample_fixture("reciprocal-tail", horizon=40)
+    seq = fixture.argmin_sequence
+
+    def used(run):
+        shapes.clear()
+        run()
+        return Counter(shapes)
+
+    report = analyze_sequence(seq)
+
+    def parts():
+        outer_limit_estimate(seq, 0, 0.0)
+        inner_limit_estimate(seq, 0, 0.0)
+        d_subset(seq, report.outer_limit)
+        d_hausdorff(seq, report.outer_limit)
+        eventually_bounded(seq, math.inf)
+
+    assert used(lambda: analyze_sequence(seq)) == used(parts)
     limit_argmin = eps_argmin(fixture.limit_objective, 0.0)
-    d_subset(eps_argmin(fixture.limit_objective, fixture.approachability_eps[-1]), limit_argmin)
-    _d_subset_trajectory(seq.sets, limit_argmin)
-    assert used == Counter(shapes)
+    finest = eps_argmin(fixture.limit_objective, fixture.approachability_eps[-1])
+
+    def diagnosis_parts():
+        eventually_bounded(seq, 50.0)
+        d_subset(finest, limit_argmin)
+        d_subset(seq, limit_argmin)
+
+    assert used(lambda: diagnose_fixture(fixture)) == used(diagnosis_parts)
 
 
 def test_line_hausdorff_memory_is_linear_in_the_set_sizes():
@@ -951,6 +1002,116 @@ def test_set_distances_match_the_block_oracle(data):
     seq = SetSequence(grid, tuple(sets))
     inner = inner_limit_estimate(seq, tail_start, tol)
     assert np.array_equal(inner.indices, _block_inner(seq, tail_start, tol))
+
+
+@contextlib.contextmanager
+def _block_of(size):
+    """Run with ``set_limits._BLOCK`` set to ``size`` (hypothesis examples
+    share one function call, so no monkeypatch fixture)."""
+    saved = set_limits._BLOCK
+    set_limits._BLOCK = size
+    try:
+        yield
+    finally:
+        set_limits._BLOCK = saved
+
+
+def _per_set_loops(seq, target, tail_start, tol):
+    return (
+        [d_subset(s, target) for s in seq.sets],
+        [d_hausdorff(s, target) for s in seq.sets],
+        _block_inner(seq, tail_start, tol),
+    )
+
+
+def _assert_sequence_forms_match(seq, target, tail_start, tol):
+    sub, haus, inner = _per_set_loops(seq, target, tail_start, tol)
+    got_sub, got_haus = d_subset(seq, target), d_hausdorff(seq, target)
+    assert type(got_sub) is tuple and type(got_haus) is tuple
+    assert _hex(got_sub) == _hex(sub)
+    assert _hex(got_haus) == _hex(haus)
+    assert np.array_equal(inner_limit_estimate(seq, tail_start, tol).indices, inner)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_sequence_distances_and_inner_filter_match_the_per_set_loops(data):
+    # every kind, empty sets and an empty target; the block is drawn so that
+    # a trajectory's pairs are block - 1, block or block + 1, or is small,
+    # so that sets run on across blocks
+    grid = data.draw(st.one_of(_any_grid(), _line_kind_grid()))
+    raw = data.draw(st.lists(_indices(grid, max_size=6), min_size=1, max_size=10))
+    seq = SetSequence(grid, tuple(PointSet(grid, s) for s in raw))
+    target = PointSet(grid, data.draw(_indices(grid, max_size=6)))
+    pairs = data.draw(st.sampled_from([_trajectory_pairs(seq, target, h) for h in (False, True)]))
+    block = data.draw(
+        st.one_of(st.sampled_from([pairs - 1, pairs, pairs + 1]), st.integers(1, 6)).filter(
+            lambda b: b >= 1
+        )
+    )
+    every = np.arange(len(grid))
+    occurring = grid.distance_matrix(every, every).ravel().tolist()
+    tol = data.draw(st.sampled_from(occurring + [0.0, math.inf]))
+    tail_start = data.draw(st.integers(0, len(seq) - 1))
+    with _block_of(block):
+        _assert_sequence_forms_match(seq, target, tail_start, tol)
+
+
+@pytest.mark.parametrize("pairs", [set_limits._BLOCK - 1, set_limits._BLOCK, set_limits._BLOCK + 1])
+@pytest.mark.parametrize("grid", [line_integer_grid(1100), _unsorted_line_grid(1100)], ids=["integer", "unsorted"])
+def test_sequence_forms_at_the_block_size(grid, pairs):
+    # one target point and disjoint runs of members: the Hausdorff
+    # trajectory's pairs are 2 M + m for M members in m sets
+    m = 2 - pairs % 2
+    sets = [PointSet(grid, range(1, 1 + (pairs - m) // 2 - (m - 1))), PointSet.empty(grid)]
+    if m == 2:
+        sets.append(PointSet(grid, [1050]))
+    seq = SetSequence(grid, tuple(sets))
+    target = PointSet(grid, [0])
+    assert _trajectory_pairs(seq, target, True) == pairs
+    _assert_sequence_forms_match(seq, target, 0, 0.0)
+    _assert_sequence_forms_match(seq, PointSet.full(grid), 0, math.inf)
+    _assert_sequence_forms_match(seq, PointSet.empty(grid), 0, 1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_diameter_is_the_block_maximum_bit_for_bit(data):
+    grid = data.draw(st.one_of(_any_grid(), _line_kind_grid()))
+    subset = PointSet(grid, data.draw(_indices(grid, max_size=12)))
+    if len(subset) > 1:
+        expected = float(grid.distance_matrix(subset.indices, subset.indices).max())
+    else:
+        expected = 0.0
+    got = diameter(grid, subset)
+    assert type(got) is float
+    assert _hex([got]) == _hex([expected])
+
+
+def test_line_diameter_builds_no_block():
+    # the 4096 x 4096 block of the full grid would hold 134 MB
+    grid = line_integer_grid(4096)
+    tracemalloc.start()
+    try:
+        assert diameter(grid, PointSet.full(grid)) == 4095.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_outer_limit_marks_the_tail_union_in_one_grid_mask():
+    # reciprocal-tail at the grid_max cap: the tail sets {0} u {n..4095} for
+    # n >= 2048 hold 2.1 million indices (16.8 MB) for a 2,049-point union
+    fixture = counterexample_fixture("reciprocal-tail", horizon=4095, grid_max=4095)
+    tracemalloc.start()
+    try:
+        outer = outer_limit_estimate(fixture.argmin_sequence, 2047)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outer.indices.tolist() == [0, *range(2048, 4096)]
+    assert peak < 1_000_000
 
 
 @settings(max_examples=500, deadline=None)
